@@ -5,7 +5,6 @@ from .task_graph import (
     Task,
     Edge,
     TaskGraph,
-    PriorityList,
     validate,
     augment_with_dummies,
     compute_lct,
@@ -20,8 +19,6 @@ from .mec_model import (
     Assignment,
     execution_time,
     transfer_time,
-    completion_time,
-    makespan,
     transition_capability,
 )
 from .mdp_agent import (
@@ -52,7 +49,6 @@ from .dqn_core import (
     compute_targets,
     train_step,
     sync_target,
-    train,
     save_checkpoint,
     load_checkpoint,
 )

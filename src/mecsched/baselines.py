@@ -70,7 +70,7 @@ def upward_rank(graph: TaskGraph, mean_capability: float, mean_rate: float) -> d
     return ranks
 
 
-class HeftStyleScheduler(SchedulerPort):
+class HeftStyleScheduler(GreedyEftScheduler):
     """Upward-rank ordering with earliest-finish device selection.
 
     Ready batches are walked in descending upward rank instead of ascending
@@ -91,14 +91,6 @@ class HeftStyleScheduler(SchedulerPort):
 
     def ready_sort_key(self, item: ReadyItem):
         return (-self._ranks[(item.app_id, item.task_id)], item.app_id, item.task_id)
-
-    def decide(self, ctx: DecisionContext) -> int:
-        best, best_finish = None, None
-        for m in ctx.valid_actions:
-            finish = ctx.finish_if(m)
-            if best_finish is None or finish < best_finish:
-                best, best_finish = m, finish
-        return int(best)
 
 
 class DuelingNetwork:

@@ -30,7 +30,6 @@ __all__ = [
     "train_step",
     "loss_and_grads",
     "sync_target",
-    "train",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -486,18 +485,6 @@ class DqnLearner:
             self.last_loss = train_step(
                 self.net, self.target_net, batch, self.opt, self.config.gamma, mask
             )
-
-
-def train(env_runner, learner: DqnLearner, episodes: int) -> np.ndarray:
-    """Run ``episodes`` episodes, returning per-episode cumulative rewards.
-
-    ``env_runner(episode_index, learner)`` must run one full episode through
-    the learner and return the episode's cumulative reward.
-    """
-    curve = np.zeros(episodes)
-    for e in range(episodes):
-        curve[e] = float(env_runner(e, learner))
-    return curve
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .baselines import (
     RandomScheduler,
     make_dueling_learner,
 )
-from .dqn_core import DqnLearner, TrainConfig, load_checkpoint, save_checkpoint, train
+from .dqn_core import DqnLearner, TrainConfig, load_checkpoint, save_checkpoint
 from .mdp_agent import RewardParams, DqnScheduler, StateNorms, state_width
 from .mec_model import CapabilityChain, EdgeDevice, NetworkTopology
 from .sim_engine import SimulationTrace, run
@@ -123,92 +123,78 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split())
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split())
+
+
+def _words(text: str) -> tuple[str, ...]:
+    return tuple(text.split())
+
+
+def _matrix(text: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(_floats(row) for row in text.split(";")) if text else ()
+
+
+def _flag(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes")
+
+
+# INI section -> key -> parser of its value; the [experiment] keys set fields
+# of ExperimentConfig itself. load_config reads this table and nothing else,
+# so any key missing from it is rejected.
+_CONFIG_KEYS = {
+    "topology": {"n_devices": int, "inter_rate_mbps": float, "uplink_mbps": float,
+                 "capability_levels": _floats, "transition_matrix": _matrix},
+    "workload": {"n_apps": int, "lam": float, "arrival_mode": str, "shape": str,
+                 "workload_range": _floats, "bc_range": _floats,
+                 "mean_rate_mbps": float, "deadline_factor": float,
+                 "deadline_capability_mips": float},
+    "agent": {"gamma": float, "batch": int, "learning_rate": float, "pool": int,
+              "epsilon_start": float, "epsilon_end": float,
+              "epsilon_decay_fraction": float, "target_sync_steps": int,
+              "episodes": int, "hidden_sizes": _ints, "hidden_activation": str},
+    "reward": {"beta": float, "psi": float, "eta": float, "clamp_early": _flag},
+    "experiment": {"replications": int, "schedulers": _words, "lams": _floats,
+                   "master_seed": int, "write_traces": _flag},
+}
+# INI keys whose dataclass field is named otherwise
+_FIELD_NAMES = {"shape": "graph_shape", "mean_rate_mbps": "mean_rate",
+                "deadline_capability_mips": "deadline_capability",
+                "pool": "buffer_capacity", "lams": "compare_lams"}
+
+
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
+    """Read an INI file over the defaults; unknown sections and keys, and
+    values that do not parse, raise ValueError naming section and key. A
+    list key left empty keeps its default."""
     parser = configparser.ConfigParser()
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
 
-    def get(section, key, fallback=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return fallback
+    values: dict[str, dict] = {section: {} for section in _CONFIG_KEYS}
+    for section in parser.sections():
+        keys = _CONFIG_KEYS.get(section)
+        if keys is None:
+            raise ValueError(f"{path}: unknown config section [{section}]")
+        for key, text in parser.items(section):
+            if key not in keys:
+                raise ValueError(f"{path}: unknown config key {key!r} in [{section}]")
+            try:
+                value = keys[key](text)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+            if value != ():
+                values[section][_FIELD_NAMES.get(key, key)] = value
 
-    topo = TopologyConfig()
-    if parser.has_section("topology"):
-        matrix = topo.transition_matrix
-        raw_matrix = get("topology", "transition_matrix")
-        if raw_matrix:
-            matrix = tuple(_floats(row) for row in raw_matrix.split(";"))
-        topo = TopologyConfig(
-            n_devices=int(get("topology", "n_devices", topo.n_devices)),
-            inter_rate_mbps=float(get("topology", "inter_rate_mbps", topo.inter_rate_mbps)),
-            uplink_mbps=float(get("topology", "uplink_mbps", topo.uplink_mbps)),
-            capability_levels=_floats(get("topology", "capability_levels"))
-            if get("topology", "capability_levels") else topo.capability_levels,
-            transition_matrix=matrix,
-        )
-
-    wl = WorkloadSpec(n_devices=topo.n_devices)
-    if parser.has_section("workload"):
-        wl = WorkloadSpec(
-            n_apps=int(get("workload", "n_apps", wl.n_apps)),
-            lam=float(get("workload", "lam", wl.lam)),
-            arrival_mode=get("workload", "arrival_mode", wl.arrival_mode),
-            graph_shape=get("workload", "shape", wl.graph_shape),
-            workload_range=_floats(get("workload", "workload_range"))
-            if get("workload", "workload_range") else wl.workload_range,
-            bc_range=_floats(get("workload", "bc_range"))
-            if get("workload", "bc_range") else wl.bc_range,
-            mean_rate=float(get("workload", "mean_rate_mbps", wl.mean_rate)),
-            deadline_factor=float(get("workload", "deadline_factor", wl.deadline_factor)),
-            deadline_capability=float(
-                get("workload", "deadline_capability_mips", wl.deadline_capability)
-            ),
-            n_devices=topo.n_devices,
-        )
-
-    agent = TrainConfig()
-    if parser.has_section("agent"):
-        agent = TrainConfig(
-            gamma=float(get("agent", "gamma", agent.gamma)),
-            batch=int(get("agent", "batch", agent.batch)),
-            learning_rate=float(get("agent", "learning_rate", agent.learning_rate)),
-            buffer_capacity=int(get("agent", "pool", agent.buffer_capacity)),
-            epsilon_start=float(get("agent", "epsilon_start", agent.epsilon_start)),
-            epsilon_end=float(get("agent", "epsilon_end", agent.epsilon_end)),
-            epsilon_decay_fraction=float(
-                get("agent", "epsilon_decay_fraction", agent.epsilon_decay_fraction)
-            ),
-            target_sync_steps=int(get("agent", "target_sync_steps", agent.target_sync_steps)),
-            episodes=int(get("agent", "episodes", agent.episodes)),
-            hidden_sizes=tuple(int(v) for v in get("agent", "hidden_sizes").split())
-            if get("agent", "hidden_sizes") else agent.hidden_sizes,
-            hidden_activation=get("agent", "hidden_activation", agent.hidden_activation),
-        )
-
-    reward = RewardParams()
-    if parser.has_section("reward"):
-        reward = RewardParams(
-            beta=float(get("reward", "beta", reward.beta)),
-            psi=float(get("reward", "psi", reward.psi)),
-            eta=float(get("reward", "eta", reward.eta)),
-            clamp_early=get("reward", "clamp_early", "false").lower() in ("1", "true", "yes"),
-        )
-
-    cfg = ExperimentConfig(topology=topo, workload=wl, agent=agent, reward=reward)
-    if parser.has_section("experiment"):
-        cfg = replace(
-            cfg,
-            replications=int(get("experiment", "replications", cfg.replications)),
-            schedulers=tuple(get("experiment", "schedulers").split())
-            if get("experiment", "schedulers") else cfg.schedulers,
-            compare_lams=_floats(get("experiment", "lams"))
-            if get("experiment", "lams") else cfg.compare_lams,
-            master_seed=int(get("experiment", "master_seed", cfg.master_seed)),
-            write_traces=get("experiment", "write_traces", "false").lower()
-            in ("1", "true", "yes"),
-        )
+    topo = TopologyConfig(**values["topology"])
+    cfg = ExperimentConfig(
+        topology=topo,
+        workload=WorkloadSpec(**values["workload"], n_devices=topo.n_devices),
+        agent=TrainConfig(**values["agent"]),
+        reward=RewardParams(**values["reward"]),
+        **values["experiment"],
+    )
     if overrides:
         cfg = replace(cfg, **overrides)
     return cfg
@@ -275,16 +261,15 @@ def train_agent(cfg: ExperimentConfig, dueling: bool = False):
     scheduler = DqnScheduler(learner, cfg.topology.n_devices, training=True)
     tag = "dueling-" if dueling else ""
 
-    def env_runner(episode: int, _learner) -> float:
+    curve = np.zeros(cfg.agent.episodes)
+    for episode in range(cfg.agent.episodes):
         graphs = generate(cfg.workload, rngmod.stream(cfg.master_seed, tag + "train-workload", episode))
         graphs = prepare_graphs(graphs, cfg.topology, topo)
         devices = build_devices(cfg.topology)
         chains = build_chains(cfg.topology, cfg.master_seed, tag + "train-capability", episode)
         trace = run(graphs, topo, devices, scheduler, chains, cfg.reward,
                     record_rows=False)
-        return trace.cumulative_reward
-
-    curve = train(env_runner, learner, cfg.agent.episodes)
+        curve[episode] = trace.cumulative_reward
     return learner, curve
 
 

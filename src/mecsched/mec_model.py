@@ -13,6 +13,7 @@ Timing rules, all in seconds:
                  upload/download is relayed through the home device;
                  data/inter_rate between two real devices
   completion     max(device free time, latest input arrival, now) + execution
+                 (applied by the event kernel, sim_engine.run)
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Sequence
 
 import numpy as np
 
-from .task_graph import Edge, Task, TaskGraph
+from .task_graph import Edge, Task
 
 __all__ = [
     "EdgeDevice",
@@ -33,8 +33,6 @@ __all__ = [
     "Assignment",
     "execution_time",
     "transfer_time",
-    "completion_time",
-    "makespan",
     "transition_capability",
 ]
 
@@ -182,23 +180,3 @@ def transfer_time(
             return data / topo.uplink_rate
         return data / topo.uplink_rate + data / topo.rate(src_ecd, home_ecd)
     return data / topo.rate(src_ecd, dst_ecd)
-
-
-def completion_time(
-    task: Task,
-    target: EdgeDevice,
-    parent_arrivals: Sequence[float],
-    now: float,
-) -> Assignment:
-    """Commit a real task to a device and derive its start/finish."""
-    if not parent_arrivals:
-        raise ValueError(f"task {task.task_id} has no resolved parent arrivals")
-    start = max(target.queue_free_at, max(parent_arrivals), now)
-    finish = start + execution_time(task, target)
-    return Assignment(task.app_id, task.task_id, target.ecd_id, start, finish)
-
-
-def makespan(app: TaskGraph, sink_assignment: Assignment) -> float:
-    if sink_assignment.app_id != app.app_id or sink_assignment.task_id != app.sink_id:
-        raise ValueError("assignment does not describe this application's sink")
-    return sink_assignment.finish - app.release_time

@@ -1,12 +1,14 @@
 """Event-driven scheduling kernel.
 
 Two event kinds drive the run: application arrivals and task completions.
-On every event the kernel pops newly ready tasks (all parents completed)
-from the head of each application's priority list into a merged ready queue,
-then walks that queue asking the pluggable scheduler for a target device per
-task. Each commitment updates the chosen device's FCFS queue before the next
-decision, schedules the task's completion event, and reports the decision's
-reward back to the scheduler one step later.
+An event completes a task of one application only, so only that
+application's priority list can gain ready tasks (all parents completed): the
+kernel pops its ready prefix, already in ascending LCT order, and walks it
+asking the pluggable scheduler for a target device per task. Each placement
+is planned once per candidate device; the plan the scheduler saw is the one
+committed. A commitment updates the chosen device's FCFS queue before the
+next decision, schedules the task's completion event, and reports the
+decision's reward back to the scheduler one step later.
 
 A device's capability level steps along its Markov chain when the device
 completes a task; executions already committed are never re-timed, so the
@@ -16,11 +18,12 @@ speed used for a task is the level in force at its assignment instant.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .mdp_agent import RewardParams, StateVector, compute_reward
 from .mec_model import (
+    MU_DEVICE,
     Assignment,
     CapabilityChain,
     EdgeDevice,
@@ -32,7 +35,6 @@ from .mec_model import (
 from .task_graph import Edge, TaskGraph, build_priority_list
 
 __all__ = [
-    "SimEvent",
     "ReadyItem",
     "DecisionContext",
     "OutcomeRecord",
@@ -64,16 +66,6 @@ class DeadlockError(RuntimeError):
     """The event queue drained while applications were still incomplete."""
 
 
-@dataclass(frozen=True, order=True)
-class SimEvent:
-    time: float
-    seq: int
-    kind: str = field(compare=False)
-    app_id: int = field(compare=False)
-    task_id: int = field(compare=False)
-    ecd_id: int = field(compare=False)
-
-
 @dataclass(frozen=True)
 class ReadyItem:
     app_id: int
@@ -84,7 +76,8 @@ class ReadyItem:
 
 @dataclass(frozen=True)
 class DecisionContext:
-    """Everything a scheduler may consult for one decision."""
+    """Everything a scheduler may consult for one decision; ``finish_if``
+    answers only while that decision is being made."""
 
     now: float
     app_id: int
@@ -146,27 +139,24 @@ class ScriptedScheduler(SchedulerPort):
 
 
 def collect_ready(
-    priority_lists: dict[int, list[int]],
+    pending: list[int],
     completed: set[tuple[int, int]],
-    graphs: dict[int, TaskGraph],
+    graph: TaskGraph,
 ) -> list[ReadyItem]:
-    """Pop every ready head prefix from each list; merge ascending by LCT.
+    """Pop the ready prefix of one application's priority list.
 
-    A task is ready once all of its parents have completed. Lists are
-    consumed in place.
+    A task is ready once all of its parents have completed. The list is in
+    ascending (LCT, task id) order, so the prefix is too; it is consumed in
+    place.
     """
+    app_id = graph.app_id
     items: list[ReadyItem] = []
-    for app_id in sorted(priority_lists):
-        pending = priority_lists[app_id]
-        graph = graphs[app_id]
-        while pending:
-            head = pending[0]
-            if any((app_id, p) not in completed for p in graph.parents_of(head)):
-                break
-            pending.pop(0)
-            task = graph.task(head)
-            items.append(ReadyItem(app_id, head, task.lct, task.workload))
-    items.sort(key=lambda it: (it.lct, it.app_id, it.task_id))
+    for head in pending:
+        if any((app_id, p) not in completed for p in graph.parents_of(head)):
+            break
+        task = graph.task(head)
+        items.append(ReadyItem(app_id, head, task.lct, task.workload))
+    del pending[:len(items)]
     return items
 
 
@@ -248,14 +238,6 @@ class SimulationTrace:
                 fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-class _AppRun:
-    """Mutable per-application bookkeeping inside one run."""
-
-    def __init__(self, graph: TaskGraph):
-        self.pending = list(build_priority_list(graph).ordered_tasks)
-        self.sink_scheduled = False
-
-
 def run(
     apps: Iterable[TaskGraph],
     topo: NetworkTopology,
@@ -281,98 +263,109 @@ def run(
 
     if len({g.app_id for g in apps}) != len(apps):
         raise ValueError("duplicate app ids")
-    runs: dict[int, _AppRun] = {g.app_id: _AppRun(g) for g in apps}
     graphs = {g.app_id: g for g in apps}
-    lists = {app_id: app_run.pending for app_id, app_run in runs.items()}
+    lists = {g.app_id: list(build_priority_list(g)) for g in apps}
     completed: set[tuple[int, int]] = set()
     trace = SimulationTrace()
     valid_actions = tuple(d.ecd_id for d in devices)
 
-    heap: list[SimEvent] = []
+    # events are (time, seq, kind, app, task, device); seq breaks time ties
+    heap: list[tuple[float, int, str, int, int, int]] = []
     seq = 0
 
     def push(time: float, kind: str, app_id: int, task_id: int, ecd_id: int) -> None:
         nonlocal seq
-        heapq.heappush(heap, SimEvent(time, seq, kind, app_id, task_id, ecd_id))
+        heapq.heappush(heap, (time, seq, kind, app_id, task_id, ecd_id))
         seq += 1
 
     for graph in apps:
         push(graph.release_time, ARRIVAL, graph.app_id, 0, 0)
 
-    def arrivals_for(graph: TaskGraph, task_id: int, target: int) -> list[float]:
-        acc = []
+    def parent_outputs(graph: TaskGraph, task_id: int) -> list[tuple[Edge, int, float]]:
+        """(edge, device, finish) of each parent of a task, in parent-id order."""
+        outputs = []
         for p in graph.parents_of(task_id):
             pa = trace.assignments[(graph.app_id, p)]
-            edge = Edge(p, task_id, graph.edge_data(p, task_id))
-            hop = transfer_time(edge, pa.ecd_id, target, topo, graph.home_ecd)
-            acc.append(pa.finish + hop)
-        return acc
+            outputs.append((Edge(p, task_id, graph.edge_data(p, task_id)), pa.ecd_id, pa.finish))
+        return outputs
+
+    def last_arrival(graph: TaskGraph, outputs, target: int) -> float:
+        return max(finish + transfer_time(edge, src, target, topo, graph.home_ecd)
+                   for edge, src, finish in outputs)
 
     def try_schedule_sink(graph: TaskGraph) -> None:
-        app_run = runs[graph.app_id]
-        if app_run.sink_scheduled:
-            return
         sink = graph.sink_id
-        if any((graph.app_id, p) not in trace.assignments for p in graph.parents_of(sink)):
+        if (graph.app_id, sink) in trace.assignments or any(
+            (graph.app_id, p) not in trace.assignments for p in graph.parents_of(sink)
+        ):
             return
-        finish = max(arrivals_for(graph, sink, 0))
+        finish = last_arrival(graph, parent_outputs(graph, sink), MU_DEVICE)
         trace.assignments[(graph.app_id, sink)] = Assignment(
-            graph.app_id, sink, 0, finish, finish
+            graph.app_id, sink, MU_DEVICE, finish, finish
         )
-        push(finish, COMPLETION, graph.app_id, sink, 0)
-        app_run.sink_scheduled = True
+        push(finish, COMPLETION, graph.app_id, sink, MU_DEVICE)
+
+    # The decision being made reads its task's inputs once and plans each
+    # candidate device at most once; finish_if and the commit share the plans.
+    plans: dict[int, tuple[float, float, float]] = {}
+
+    def plan(m: int) -> tuple[float, float, float]:
+        """(data ready, start, execution time) of the current task on device m."""
+        if m not in plans:
+            device = devices[m - 1]
+            data_ready = max(last_arrival(graph, outputs, m), now)
+            plans[m] = (data_ready, max(device.queue_free_at, data_ready),
+                        execution_time(task, device))
+        return plans[m]
+
+    def finish_if(m: int) -> float:
+        _, start, exec_time = plan(m)
+        return start + exec_time
 
     now = 0.0
     while heap:
-        event = heapq.heappop(heap)
-        now = event.time
-        graph = graphs[event.app_id]
+        now, _, kind, app_id, task_id, ecd_id = heapq.heappop(heap)
+        graph = graphs[app_id]
+        completed.add((app_id, task_id))
 
-        if event.kind == ARRIVAL:
-            source = Assignment(event.app_id, 0, 0, now, now)
-            trace.assignments[(event.app_id, 0)] = source
-            completed.add((event.app_id, 0))
+        if kind == ARRIVAL:
+            trace.assignments[(app_id, 0)] = Assignment(app_id, 0, MU_DEVICE, now, now)
             scheduler.on_app_arrival(graph)
             if record_rows:
-                trace.rows.append((now, ARRIVAL, event.app_id, 0, 0, now, now,
+                trace.rows.append((now, ARRIVAL, app_id, 0, 0, now, now,
                                    None, None, None, None, None, None, None, None))
             try_schedule_sink(graph)  # degenerate apps with no real tasks
         else:
-            completed.add((event.app_id, event.task_id))
             level = None
-            if event.ecd_id != 0:
-                device = devices[event.ecd_id - 1]
-                if not device.queue or device.queue[0][:2] != (event.app_id, event.task_id):
+            if ecd_id != MU_DEVICE:
+                device = devices[ecd_id - 1]
+                if not device.queue or device.queue[0][:2] != (app_id, task_id):
                     raise RuntimeError("completion out of FCFS order")
                 device.queue.pop(0)
-                level = transition_capability(device, chains[event.ecd_id - 1])
+                level = transition_capability(device, chains[ecd_id - 1])
             else:
-                a = trace.assignments[(event.app_id, event.task_id)]
-                trace.app_makespans[event.app_id] = a.finish - graph.release_time
-                trace.app_deadlines[event.app_id] = graph.deadline
+                a = trace.assignments[(app_id, task_id)]
+                trace.app_makespans[app_id] = a.finish - graph.release_time
+                trace.app_deadlines[app_id] = graph.deadline
             if record_rows:
-                a = trace.assignments[(event.app_id, event.task_id)]
-                trace.rows.append((now, COMPLETION, event.app_id, event.task_id,
-                                   event.ecd_id, a.start, a.finish,
+                a = trace.assignments[(app_id, task_id)]
+                trace.rows.append((now, COMPLETION, app_id, task_id, ecd_id,
+                                   a.start, a.finish,
                                    None, None, None, None, None, None, None, level))
 
-        ready = collect_ready(lists, completed, graphs)
+        # only this event's application can have gained ready tasks
+        ready = collect_ready(lists[app_id], completed, graph)
         if ready and scheduler.ready_sort_key(ready[0]) is not None:
-            ready.sort(key=lambda it: scheduler.ready_sort_key(it))
+            ready.sort(key=scheduler.ready_sort_key)
 
         for idx, item in enumerate(ready):
-            task = graphs[item.app_id].task(item.task_id)
-            app_graph = graphs[item.app_id]
+            task = graph.task(item.task_id)
+            outputs = parent_outputs(graph, item.task_id)
+            plans.clear()
             obs = observe_state(now, topo, devices, ready[idx:])
-
-            def finish_if(m: int, _g=app_graph, _t=task) -> float:
-                d = devices[m - 1]
-                start = max(d.queue_free_at, max(arrivals_for(_g, _t.task_id, m)), now)
-                return start + execution_time(_t, d)
-
             ctx = DecisionContext(
                 now=now,
-                app_id=item.app_id,
+                app_id=app_id,
                 task_id=item.task_id,
                 workload=item.workload,
                 lct=item.lct,
@@ -384,21 +377,19 @@ def run(
             if action not in valid_actions:
                 raise SchedulingError(
                     f"scheduler chose device {action!r} for task "
-                    f"({item.app_id},{item.task_id}); valid: {valid_actions}"
+                    f"({app_id},{item.task_id}); valid: {valid_actions}"
                 )
-            device = devices[action - 1]
-            data_ready = max(max(arrivals_for(app_graph, item.task_id, action)), now)
-            start = max(device.queue_free_at, data_ready)
+            data_ready, start, exec_time = plan(action)
             arrival_wait = data_ready - now
             queue_wait = start - data_ready
-            exec_time = execution_time(task, device)
             finish = start + exec_time
-            assignment = Assignment(item.app_id, item.task_id, action, start, finish)
-            trace.assignments[(item.app_id, item.task_id)] = assignment
-            trace.decisions[(item.app_id, item.task_id)] = action
+            device = devices[action - 1]
+            trace.assignments[(app_id, item.task_id)] = Assignment(
+                app_id, item.task_id, action, start, finish)
+            trace.decisions[(app_id, item.task_id)] = action
             device.queue_free_at = finish
-            device.queue.append((item.app_id, item.task_id, task.workload))
-            push(finish, COMPLETION, item.app_id, item.task_id, action)
+            device.queue.append((app_id, item.task_id, task.workload))
+            push(finish, COMPLETION, app_id, item.task_id, action)
 
             reward = compute_reward(
                 task.workload, item.lct, arrival_wait, queue_wait,
@@ -406,18 +397,18 @@ def run(
             )
             trace.rewards.append(reward)
             scheduler.notify_outcome(OutcomeRecord(
-                app_id=item.app_id, task_id=item.task_id, ecd_id=action,
+                app_id=app_id, task_id=item.task_id, ecd_id=action,
                 workload=task.workload, lct=item.lct, arrival_wait=arrival_wait,
                 queue_wait=queue_wait, exec_time=exec_time,
                 start=start, finish=finish, reward=reward,
             ))
             if record_rows:
-                trace.rows.append((now, "decide", item.app_id, item.task_id, action,
+                trace.rows.append((now, "decide", app_id, item.task_id, action,
                                    start, finish,
                                    obs.sum_inter_rate, obs.uplink_rate,
                                    obs.sum_capability, obs.ready_workload,
                                    obs.queued_workload, action, reward, None))
-            try_schedule_sink(app_graph)
+            try_schedule_sink(graph)
 
     unfinished = [g.app_id for g in apps if g.app_id not in trace.app_makespans]
     if unfinished:

@@ -12,6 +12,7 @@ transfer assumptions. Ready tasks are dispatched in ascending LCT order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -20,7 +21,6 @@ __all__ = [
     "Task",
     "Edge",
     "TaskGraph",
-    "PriorityList",
     "ValidationReport",
     "WorkloadFormatError",
     "validate",
@@ -125,12 +125,6 @@ class TaskGraph:
         if len(order) != len(self.tasks):
             raise ValueError("task graph contains a cycle")
         return order
-
-
-@dataclass(frozen=True)
-class PriorityList:
-    app_id: int
-    ordered_tasks: tuple[int, ...]  # real task ids, ascending LCT
 
 
 @dataclass(frozen=True)
@@ -307,13 +301,12 @@ def compute_lct(
     return replace(graph, tasks=tasks)
 
 
-def build_priority_list(graph: TaskGraph) -> PriorityList:
-    """Real tasks in ascending LCT order, equal LCTs broken by task id."""
+def build_priority_list(graph: TaskGraph) -> tuple[int, ...]:
+    """Real task ids in ascending LCT order, equal LCTs broken by task id."""
     real = graph.real_tasks()
     if any(t.lct is None for t in real):
         raise ValueError("priorities require lct; run compute_lct first")
-    ordered = sorted(real, key=lambda t: (t.lct, t.task_id))
-    return PriorityList(graph.app_id, tuple(t.task_id for t in ordered))
+    return tuple(t.task_id for t in sorted(real, key=lambda t: (t.lct, t.task_id)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +367,8 @@ def load_workload_file(path) -> list[TaskGraph]:
                     if len(fields) != 3:
                         raise ValueError("expected: task <id> <workload_MI>")
                     workload = float(fields[2])
-                    if workload < 0:
-                        raise ValueError("workload must be >= 0")
+                    if not 0 <= workload < math.inf:
+                        raise ValueError(f"workload must be finite and >= 0, got {fields[2]}")
                     tasks.append(Task(header[0], int(fields[1]), workload))
                 elif kind == "edge":
                     if header is None:
@@ -383,8 +376,8 @@ def load_workload_file(path) -> list[TaskGraph]:
                     if len(fields) != 4:
                         raise ValueError("expected: edge <src> <dst> <megabits>")
                     data = float(fields[3])
-                    if data < 0:
-                        raise ValueError("data size must be >= 0")
+                    if not 0 <= data < math.inf:
+                        raise ValueError(f"data size must be finite and >= 0, got {fields[3]}")
                     edges.append(Edge(int(fields[1]), int(fields[2]), data))
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")

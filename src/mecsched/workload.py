@@ -41,6 +41,10 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.n_apps < 1:
+            raise ValueError("n_apps must be >= 1")
+        if self.n_devices < 1:
+            raise ValueError("n_devices must be >= 1")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         if self.arrival_mode not in ("gap", "rate"):

@@ -18,7 +18,6 @@ from mecsched.dqn_core import (
     save_checkpoint,
     select_action,
     sync_target,
-    train,
     train_step,
 )
 from mecsched.mdp_agent import MdpTransition, device_feature_index, state_width
@@ -377,11 +376,6 @@ class TestLearnerAndCheckpoint:
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
             load_checkpoint(path)
-
-    def test_train_zero_episodes_empty_curve(self):
-        learner = self.make_learner()
-        curve = train(lambda e, l: 0.0, learner, 0)
-        assert curve.size == 0
 
 
 class ToyTwoStateEnv:

@@ -1,6 +1,7 @@
 import filecmp
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from mecsched.mdp_agent import ActionSpace, StateNorms, normalize_state
 from mecsched.sim_engine import ReadyItem, observe_state
 from mecsched.task_graph import load_workload_file
 from mecsched.workload import WorkloadSpec
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_config(master_seed=11, replications=2, episodes=2, n_apps=2):
@@ -97,6 +101,24 @@ class TestConfigFile:
         assert cfg.replications == 4
         assert cfg.compare_lams == (5.0, 7.0)
         assert cfg.master_seed == 99
+
+    @pytest.mark.parametrize("text, message", [
+        ("[agent]\nepsiln_end = 0.5\n", r"unknown config key 'epsiln_end' in \[agent\]"),
+        ("[topology]\nn_apps = 3\n", r"unknown config key 'n_apps' in \[topology\]"),
+        ("[agents]\nepisodes = 3\n", r"unknown config section \[agents\]"),
+        ("[agent]\nepisodes = many\n", r"\[agent\] episodes: invalid literal"),
+    ], ids=["misspelt-key", "key-of-other-section", "unknown-section", "bad-value"])
+    def test_bad_keys_rejected_with_location(self, tmp_path, text, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
+
+    @pytest.mark.parametrize("name", ["sample-config.ini", "perfbench/configs/reference.ini",
+                                      "perfbench/configs/contention.ini"])
+    def test_shipped_configs_load(self, name):
+        cfg = load_config(REPO_ROOT / name)
+        assert cfg.replications == 30
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError):

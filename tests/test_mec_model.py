@@ -3,13 +3,10 @@ import pytest
 
 from conftest import make_graph
 from mecsched.mec_model import (
-    Assignment,
     CapabilityChain,
     EdgeDevice,
     NetworkTopology,
-    completion_time,
     execution_time,
-    makespan,
     transfer_time,
     transition_capability,
 )
@@ -93,38 +90,51 @@ class TestTransferTime:
         assert back == pytest.approx(0.25)
 
 
+def run_one_app(graph, topology, decisions, free_at=(0.0,), mips=5000.0):
+    """Simulate one app with fixed assignments on devices free from ``free_at``."""
+    from mecsched.sim_engine import ScriptedScheduler, run
+    from mecsched.task_graph import compute_lct
+
+    graph = compute_lct(graph, mips, topology.max_rate, topology.uplink_rate)
+    devices = [device(mips, m + 1, free) for m, free in enumerate(free_at)]
+    chains = [CapabilityChain(np.eye(1), np.random.default_rng(0)) for _ in devices]
+    return run([graph], topology, devices, ScriptedScheduler(decisions), chains)
+
+
 class TestCompletionTime:
-    def test_queue_bound(self):
-        dev = device(5000.0, free_at=2.0)
-        a = completion_time(Task(1, 1, 500.0), dev, [1.5], now=1.0)
+    """The completion rule, max(device free, last input arrival, now) +
+    execution, as the event kernel applies it."""
+
+    def test_queue_bound(self, topology):
+        # input arrives at 1.5 (0.5 s upload), the device frees at 2.0
+        graph = make_graph({}, {1: 500.0}, release=1.0, dummy_data=500.0)
+        a = run_one_app(graph, topology, {(1, 1): 1}, free_at=(2.0,)).assignments[(1, 1)]
         assert a.start == pytest.approx(2.0)
         assert a.finish == pytest.approx(2.1)
 
-    def test_idle_device_data_ready(self):
-        dev = device(5000.0, free_at=3.0)
-        a = completion_time(Task(1, 1, 500.0), dev, [3.0], now=3.0)
+    def test_idle_device_data_ready(self, topology):
+        graph = make_graph({}, {1: 500.0}, release=3.0, dummy_data=0.0)
+        a = run_one_app(graph, topology, {(1, 1): 1}, free_at=(3.0,)).assignments[(1, 1)]
+        assert a.start == 3.0
         assert a.finish == pytest.approx(3.1)
 
-    def test_arrival_bound(self):
-        dev = device(5000.0, free_at=0.0)
-        a = completion_time(Task(1, 1, 500.0), dev, [0.4, 2.5], now=1.0)
-        assert a.start == pytest.approx(2.5)
-
-    def test_unresolved_parents_rejected(self):
-        with pytest.raises(ValueError):
-            completion_time(Task(1, 1, 500.0), device(), [], now=0.0)
+    def test_arrival_bound(self, topology):
+        # task 3 is placed when both parents have finished, at 0.1 s, but
+        # task 2's output needs 1100 Mb / 440 Mbps = 2.5 s more to reach it
+        graph = make_graph({(1, 3): 0.0, (2, 3): 1100.0}, {1: 500.0, 2: 500.0, 3: 500.0},
+                           deadline=20.0, dummy_data=0.0)
+        trace = run_one_app(graph, topology, {(1, 1): 1, (1, 2): 2, (1, 3): 1},
+                            free_at=(0.0, 0.0))
+        assert trace.assignments[(1, 2)].finish == pytest.approx(0.1)
+        assert trace.assignments[(1, 3)].start == pytest.approx(2.6)
 
 
 class TestMakespan:
-    def test_subtracts_release(self):
-        graph = make_graph({}, {1: 100.0}, release=2.4, deadline=20.0)
-        sink = Assignment(1, 2, 0, 12.4, 12.4)
-        assert makespan(graph, sink) == pytest.approx(10.0)
-
-    def test_wrong_assignment_rejected(self):
-        graph = make_graph({}, {1: 100.0})
-        with pytest.raises(ValueError):
-            makespan(graph, Assignment(1, 1, 1, 0.0, 1.0))
+    def test_subtracts_release(self, topology):
+        graph = make_graph({}, {1: 500.0}, release=2.4, deadline=20.0, dummy_data=0.0)
+        trace = run_one_app(graph, topology, {(1, 1): 1})
+        assert trace.assignments[(1, 2)].finish == pytest.approx(2.5)
+        assert trace.app_makespans[1] == trace.assignments[(1, 2)].finish - 2.4
 
     def test_single_task_chain_of_transfers(self, topology):
         # upload 0.1 s + exec 0.1 s + download 0.1 s via the home device

@@ -20,7 +20,7 @@ from mecsched.sim_engine import (
     observe_state,
     run,
 )
-from mecsched.task_graph import compute_lct
+from mecsched.task_graph import build_priority_list, compute_lct
 
 
 def identity_chains(n, levels=1):
@@ -35,33 +35,27 @@ def simple_devices(mips_list):
 class TestCollectReady:
     def test_blocked_head_stays(self, topology):
         graph = with_lct(make_chain_graph([100.0, 200.0]), topology)
-        lists = {1: [1, 2]}
-        ready = collect_ready(lists, {(1, 0)}, {1: graph})
+        pending = [1, 2]
+        ready = collect_ready(pending, {(1, 0)}, graph)
         assert [r.task_id for r in ready] == [1]
-        assert lists[1] == [2]  # child blocked until task 1 completes
+        assert pending == [2]  # child blocked until task 1 completes
 
     def test_diamond_pops_both_branches(self, topology):
         edges = {(1, 2): 1.0, (1, 3): 1.0, (2, 4): 1.0, (3, 4): 1.0}
         loads = {1: 100.0, 2: 200.0, 3: 300.0, 4: 100.0}
         graph = with_lct(make_graph(edges, loads), topology)
-        lists = {1: [2, 3, 4]}  # task 1 already dispatched and completed
-        ready = collect_ready(lists, {(1, 0), (1, 1)}, {1: graph})
+        # task 1 already dispatched and completed
+        pending = [t for t in build_priority_list(graph) if t != 1]
+        ready = collect_ready(pending, {(1, 0), (1, 1)}, graph)
         ids = [r.task_id for r in ready]
         assert set(ids) == {2, 3}
-        assert lists[1] == [4]
+        assert pending == [4]
         lcts = [r.lct for r in ready]
         assert lcts == sorted(lcts)
 
     def test_everything_consumed_gives_empty(self, topology):
         graph = with_lct(make_chain_graph([100.0]), topology)
-        assert collect_ready({1: []}, {(1, 0)}, {1: graph}) == []
-
-    def test_merge_across_apps_orders_by_lct(self, topology):
-        # shorter deadline -> smaller lct -> first in the merged queue
-        g1 = with_lct(make_chain_graph([100.0], app_id=1, deadline=20.0), topology)
-        g2 = with_lct(make_chain_graph([100.0], app_id=2, deadline=5.0), topology)
-        ready = collect_ready({1: [1], 2: [1]}, {(1, 0), (2, 0)}, {1: g1, 2: g2})
-        assert [(r.app_id, r.task_id) for r in ready] == [(2, 1), (1, 1)]
+        assert collect_ready([], {(1, 0)}, graph) == []
 
 
 class TestObserveState:
@@ -224,9 +218,9 @@ class TestRun:
     def test_dependency_gap_detected_as_deadlock(self, topology):
         # a priority list referencing a never-completing parent cannot drain
         graph = with_lct(make_chain_graph([100.0, 200.0]), topology)
-        lists_probe = {1: [2]}  # head depends on task 1 which never runs
-        ready = collect_ready(lists_probe, {(1, 0)}, {1: graph})
-        assert ready == []
+        pending = [2]  # head depends on task 1 which never runs
+        assert collect_ready(pending, {(1, 0)}, graph) == []
+        assert pending == [2]
 
     def test_degenerate_app_without_real_tasks(self, topology):
         from mecsched.task_graph import Edge, Task, TaskGraph

@@ -154,7 +154,7 @@ class TestPriorityList:
     def test_sorted_by_lct(self):
         graph = eight_task_graph()
         out = compute_lct(graph, 6000.0, 1000.0, 1000.0)
-        ordered = build_priority_list(out).ordered_tasks
+        ordered = build_priority_list(out)
         lcts = [out.task(i).lct for i in ordered]
         assert lcts == sorted(lcts)
         assert set(ordered) == {1, 2, 3, 4, 5, 6}
@@ -164,12 +164,12 @@ class TestPriorityList:
         graph = make_graph({}, {1: 100.0, 2: 100.0}, deadline=10.0, dummy_data=5.0)
         out = compute_lct(graph, 6000.0, 1000.0, 1000.0)
         assert out.task(1).lct == out.task(2).lct
-        assert build_priority_list(out).ordered_tasks == (1, 2)
+        assert build_priority_list(out) == (1, 2)
 
     def test_singleton(self):
         graph = make_graph({}, {1: 250.0})
         out = compute_lct(graph, 6000.0, 1000.0, 1000.0)
-        assert build_priority_list(out).ordered_tasks == (1,)
+        assert build_priority_list(out) == (1,)
 
     def test_deterministic(self, topology):
         rng = np.random.default_rng(5)
@@ -183,7 +183,7 @@ class TestPriorityList:
         for _ in range(20):
             graph = random_app(rng, 1, int(rng.integers(2, 9)))
             out = compute_lct(graph, 6000.0, topology.max_rate, topology.uplink_rate)
-            pos = {t: k for k, t in enumerate(build_priority_list(out).ordered_tasks)}
+            pos = {t: k for k, t in enumerate(build_priority_list(out))}
             for e in out.edges:
                 if e.src in pos and e.dst in pos:
                     assert pos[e.src] < pos[e.dst]
@@ -216,6 +216,28 @@ class TestWorkloadFile:
             "edge 0 1 10.0\nedge 1 2 -3.0\n"
         )
         with pytest.raises(WorkloadFormatError, match="line 6"):
+            load_workload_file(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_workload_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.wl"
+        path.write_text(
+            "app 1 release 0.0 deadline 5.0 home 1\n"
+            f"task 0 0.0\ntask 1 {value}\ntask 2 0.0\n"
+            "edge 0 1 10.0\nedge 1 2 10.0\n"
+        )
+        with pytest.raises(WorkloadFormatError, match=f"line 3: workload .* got {value}"):
+            load_workload_file(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_data_size_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.wl"
+        path.write_text(
+            "app 1 release 0.0 deadline 5.0 home 1\n"
+            "task 0 0.0\ntask 1 100.0\ntask 2 0.0\n"
+            f"edge 0 1 {value}\nedge 1 2 10.0\n"
+        )
+        with pytest.raises(WorkloadFormatError, match=f"line 5: data size .* got {value}"):
             load_workload_file(path)
 
     def test_malformed_header_rejected(self, tmp_path):

@@ -94,6 +94,11 @@ class TestGenerate:
         result = stats.kstest(gaps, "expon", args=(0.0, 7.0))
         assert result.pvalue > 0.01
 
+    @pytest.mark.parametrize("field", ["n_apps", "n_devices"])
+    def test_empty_spec_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            WorkloadSpec(**{field: 0})
+
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError):
             generate(WorkloadSpec(graph_shape="nope", seed=0))
