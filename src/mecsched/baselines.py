@@ -102,6 +102,8 @@ class DuelingNetwork:
     ValueNetwork so the training loop needs no special cases.
     """
 
+    kind = "dueling"  # recorded in checkpoints
+
     def __init__(self, layer_sizes, hidden_activation: str = "relu",
                  rng: np.random.Generator | None = None):
         sizes = [int(s) for s in layer_sizes]

@@ -102,6 +102,8 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.nd
 class ValueNetwork:
     """Q-value approximator mapping a state vector to one value per action."""
 
+    kind = "plain"  # recorded in checkpoints
+
     def __init__(self, layer_sizes, hidden_activation: str = "relu",
                  rng: np.random.Generator | None = None):
         sizes = [int(s) for s in layer_sizes]
@@ -178,6 +180,8 @@ class DeviceScoringNetwork:
     not by the values it fits; the scale brings the advantage head's jitter
     down to the size of the gaps between devices, far below ``V``'s.
     """
+
+    kind = "device-scoring"  # recorded in checkpoints
 
     def __init__(self, layer_sizes, feature_index, hidden_activation: str = "relu",
                  rng: np.random.Generator | None = None):
@@ -513,6 +517,7 @@ def save_checkpoint(learner: DqnLearner, path) -> None:
     arrays["adam_v"] = learner.opt.v
     meta = {
         "version": CHECKPOINT_VERSION,
+        "network": learner.net.kind,
         "n_actions": learner.n_actions,
         "config": asdict(learner.config),
         "decision_steps": learner.decision_steps,
@@ -527,6 +532,10 @@ def save_checkpoint(learner: DqnLearner, path) -> None:
 
 
 def load_checkpoint(path) -> DqnLearner:
+    """Rebuild a saved learner: its network kind, parameters, Adam state,
+    step counters and random cursors. The replay pool is not saved, so
+    training resumed from a checkpoint refills it from empty. A checkpoint
+    that records no network kind is rebuilt as ``TrainConfig`` describes."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
         if meta["version"] != CHECKPOINT_VERSION:
@@ -534,13 +543,21 @@ def load_checkpoint(path) -> DqnLearner:
         cfg_dict = dict(meta["config"])
         cfg_dict["hidden_sizes"] = tuple(cfg_dict["hidden_sizes"])
         config = TrainConfig(**cfg_dict)
-        learner = DqnLearner(
+        kind = meta.get("network")
+        factory = DqnLearner
+        if kind == "dueling":
+            from .baselines import make_dueling_learner  # baselines imports this module
+            factory = make_dueling_learner
+        learner = factory(
             config,
             meta["n_actions"],
             rng_init=np.random.default_rng(0),
             rng_explore=_rng_from_json(json.dumps(meta["rng_explore"])),
             rng_replay=_rng_from_json(json.dumps(meta["rng_replay"])),
         )
+        if kind is not None and learner.net.kind != kind:
+            raise ValueError(f"checkpoint network kind {kind!r} does not match "
+                             f"its config ({learner.net.kind!r})")
         for i, p in enumerate(learner.net.parameters()):
             saved = data[f"net_{i}"]
             if saved.shape != p.shape:

@@ -14,13 +14,27 @@ Timing rules, all in seconds:
                  data/inter_rate between two real devices
   completion     max(device free time, latest input arrival, now) + execution
                  (applied by the event kernel, sim_engine.run)
+
+Queue bookkeeping: a device owns its FCFS queue of (app, task, MI) entries
+and keeps their MI total. ``enqueue`` appends and adds the entry's MI to the
+total, which leaves it equal, bit for bit, to a left-to-right sum over the
+queue; ``pop_head`` checks that the completing task is the head and re-sums
+what is left, once per completion. ``queue`` is a read-only tuple, so the
+total cannot be bypassed.
+
+Chain sampling: each transition row's cumulative distribution is computed
+once, as ``Generator.choice`` computes it on every call (``cumsum``, then
+divided by its last entry), and a step draws one uniform and bisects the
+row to the right; the levels drawn and the generator state afterwards are
+those of ``rng.choice(len(row), p=row)``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -47,7 +61,8 @@ class EdgeDevice:
     capability_levels: tuple[float, ...]  # MIPS, level 0 first
     current_level: int = 0
     queue_free_at: float = 0.0
-    queue: list[tuple[int, int, float]] = field(default_factory=list)  # (app, task, MI)
+    _queue: deque = field(default_factory=deque, init=False, repr=False)  # (app, task, MI)
+    _queued_mi: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.ecd_id < 1:
@@ -61,15 +76,35 @@ class EdgeDevice:
     def capability(self) -> float:
         return self.capability_levels[self.current_level]
 
+    @property
+    def queue(self) -> tuple[tuple[int, int, float], ...]:
+        """(app, task, MI) of every assigned task not yet completed, head first."""
+        return tuple(self._queue)
+
+    def enqueue(self, app_id: int, task_id: int, mi: float) -> None:
+        self._queue.append((app_id, task_id, mi))
+        self._queued_mi += mi
+
+    def pop_head(self, app_id: int, task_id: int) -> None:
+        """Remove the completing task, which must be the head of the queue."""
+        if not self._queue or self._queue[0][:2] != (app_id, task_id):
+            raise RuntimeError("completion out of FCFS order")
+        self._queue.popleft()
+        total = 0.0
+        for _, _, mi in self._queue:
+            total += mi
+        self._queued_mi = total
+
     def queued_workload(self) -> float:
-        return sum(map(itemgetter(2), self.queue))
+        """MI queued on the device, the executing task included."""
+        return self._queued_mi
 
 
 class CapabilityChain:
     """Markov chain over capability levels, sampled from a private stream."""
 
     def __init__(self, transition_matrix, rng: np.random.Generator):
-        matrix = np.asarray(transition_matrix, dtype=float)
+        matrix = np.array(transition_matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("transition matrix must be square")
         if (matrix < 0).any():
@@ -77,12 +112,18 @@ class CapabilityChain:
         rowsum = matrix.sum(axis=1)
         if np.abs(rowsum - 1.0).max() > 1e-12:
             raise ValueError("transition matrix rows must sum to 1")
+        matrix.setflags(write=False)
         self.transition_matrix = matrix
+        cdfs = []
+        for row in matrix:
+            cdf = row.cumsum()
+            cdf /= cdf[-1]
+            cdfs.append(tuple(cdf.tolist()))
+        self._cdfs = tuple(cdfs)
         self.rng = rng
 
     def sample_next(self, level: int) -> int:
-        row = self.transition_matrix[level]
-        return int(self.rng.choice(len(row), p=row))
+        return bisect_right(self._cdfs[level], self.rng.random())
 
 
 def transition_capability(device: EdgeDevice, chain: CapabilityChain) -> int:
@@ -104,8 +145,7 @@ class NetworkTopology:
     uplink_rate: float
 
     def __post_init__(self) -> None:
-        matrix = np.asarray(self.inter_ecd_rate, dtype=float)
-        object.__setattr__(self, "inter_ecd_rate", matrix)
+        matrix = np.array(self.inter_ecd_rate, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("inter_ecd_rate must be square")
         off = ~np.eye(matrix.shape[0], dtype=bool)
@@ -113,15 +153,22 @@ class NetworkTopology:
             raise ValueError("all inter-device rates must be positive")
         if self.uplink_rate <= 0:
             raise ValueError("uplink rate must be positive")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "inter_ecd_rate", matrix)
+
+    @cached_property
+    def _rates(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(tuple(row) for row in self.inter_ecd_rate.tolist())
 
     @property
     def n_devices(self) -> int:
         return self.inter_ecd_rate.shape[0]
 
     def rate(self, m: int, mp: int) -> float:
-        if m == mp or not (1 <= m <= self.n_devices and 1 <= mp <= self.n_devices):
+        n = len(self._rates)
+        if m == mp or not (1 <= m <= n and 1 <= mp <= n):
             raise KeyError(f"no link rate for device pair ({m}, {mp})")
-        return float(self.inter_ecd_rate[m - 1, mp - 1])
+        return self._rates[m - 1][mp - 1]
 
     @cached_property
     def sum_rate(self) -> float:

@@ -170,23 +170,25 @@ def observe_state(
 
     The five aggregates are fleet rates, the capability sum and outstanding
     work; the queued workload counts every task assigned to a device whose
-    completion has not fired yet, the executing one at full weight. The head
+    completion has not fired yet, the executing one at full weight (each
+    device's running total, added up in device order). The head
     of ``ready_items`` is the task being placed: its workload and slack
     (``lct - now``) follow the aggregates, both 0 when nothing is ready.
     Last come each device's backlog (seconds from now until its queue
     drains, 0 when idle) and current capability, in device-id order.
     """
     head = ready_items[0] if ready_items else None
-    capability = tuple(d.capability for d in devices)
+    capability = tuple([d.capability for d in devices])
     return StateVector(
         sum_inter_rate=topo.sum_rate,
         uplink_rate=topo.uplink_rate,
         sum_capability=float(sum(capability)),
-        ready_workload=float(sum(it.workload for it in ready_items)),
-        queued_workload=float(sum(d.queued_workload() for d in devices)),
+        ready_workload=float(sum([it.workload for it in ready_items])),
+        queued_workload=float(sum([d.queued_workload() for d in devices])),
         task_workload=head.workload if head else 0.0,
         task_slack=head.lct - now if head else 0.0,
-        backlog=tuple(max(d.queue_free_at - now, 0.0) for d in devices),
+        backlog=tuple([0.0 if d.queue_free_at < now else d.queue_free_at - now
+                       for d in devices]),
         capability=capability,
     )
 
@@ -284,9 +286,9 @@ def run(
     def parent_outputs(graph: TaskGraph, task_id: int) -> list[tuple[Edge, int, float]]:
         """(edge, device, finish) of each parent of a task, in parent-id order."""
         outputs = []
-        for p in graph.parents_of(task_id):
-            pa = trace.assignments[(graph.app_id, p)]
-            outputs.append((Edge(p, task_id, graph.edge_data(p, task_id)), pa.ecd_id, pa.finish))
+        for edge in graph.parent_edges(task_id):
+            pa = trace.assignments[(graph.app_id, edge.src)]
+            outputs.append((edge, pa.ecd_id, pa.finish))
         return outputs
 
     def last_arrival(graph: TaskGraph, outputs, target: int) -> float:
@@ -339,9 +341,7 @@ def run(
             level = None
             if ecd_id != MU_DEVICE:
                 device = devices[ecd_id - 1]
-                if not device.queue or device.queue[0][:2] != (app_id, task_id):
-                    raise RuntimeError("completion out of FCFS order")
-                device.queue.pop(0)
+                device.pop_head(app_id, task_id)
                 level = transition_capability(device, chains[ecd_id - 1])
             else:
                 a = trace.assignments[(app_id, task_id)]
@@ -388,7 +388,7 @@ def run(
                 app_id, item.task_id, action, start, finish)
             trace.decisions[(app_id, item.task_id)] = action
             device.queue_free_at = finish
-            device.queue.append((app_id, item.task_id, task.workload))
+            device.enqueue(app_id, item.task_id, task.workload)
             push(finish, COMPLETION, app_id, item.task_id, action)
 
             reward = compute_reward(

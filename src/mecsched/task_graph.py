@@ -84,11 +84,21 @@ class TaskGraph:
     def _edge_data(self) -> dict[tuple[int, int], float]:
         return {(e.src, e.dst): e.data_size for e in self.edges}
 
+    @cached_property
+    def _parent_edges(self) -> dict[int, tuple[Edge, ...]]:
+        by_pair = {(e.src, e.dst): e for e in self.edges}
+        return {t: tuple(by_pair[(p, t)] for p in parents)
+                for t, parents in self._parents.items()}
+
     def task(self, task_id: int) -> Task:
         return self._by_id[task_id]
 
     def parents_of(self, task_id: int) -> tuple[int, ...]:
         return self._parents[task_id]
+
+    def parent_edges(self, task_id: int) -> tuple[Edge, ...]:
+        """Incoming edges of a task, in parent-id order."""
+        return self._parent_edges[task_id]
 
     def children_of(self, task_id: int) -> tuple[int, ...]:
         return self._children[task_id]
@@ -104,6 +114,10 @@ class TaskGraph:
 
     def topological_order(self) -> list[int]:
         """Kahn order over all tasks; raises ValueError on a cycle."""
+        return list(self._topological_order)
+
+    @cached_property
+    def _topological_order(self) -> tuple[int, ...]:
         indeg = {t.task_id: len(self._parents[t.task_id]) for t in self.tasks}
         frontier = sorted(i for i, d in indeg.items() if d == 0)
         order: list[int] = []
@@ -124,7 +138,7 @@ class TaskGraph:
                     frontier.insert(lo, child)
         if len(order) != len(self.tasks):
             raise ValueError("task graph contains a cycle")
-        return order
+        return tuple(order)
 
 
 @dataclass(frozen=True)

@@ -106,22 +106,29 @@ def generate(spec: WorkloadSpec, rng: np.random.Generator | None = None) -> list
         rng = np.random.default_rng(spec.seed)
     n_tasks, edge_pairs = _SHAPES[spec.graph_shape]()
 
+    targets = {d for _, d in edge_pairs}
+    sources = {s for s, _ in edge_pairs}
+    entries = [i for i in range(1, n_tasks + 1) if i not in targets]
+    exits = [i for i in range(1, n_tasks + 1) if i not in sources]
+
     graphs: list[TaskGraph] = []
     clock = 0.0
     lo_w, hi_w = spec.workload_range
     lo_bc, hi_bc = spec.bc_range
+
+    # each run of draws from one distribution is one block draw, which takes
+    # the same values from the stream as the same number of scalar draws
+    def draw_data(k: int) -> list[float]:
+        return [_clamp(bc, lo_bc, hi_bc) * spec.mean_rate
+                for bc in rng.uniform(0.0, 1.5 * hi_bc, size=k).tolist()]
+
     for n in range(1, spec.n_apps + 1):
         clock += float(rng.exponential(spec.mean_gap))
-
-        def draw_workload() -> float:
-            return _clamp(float(rng.uniform(0.0, 1.2 * hi_w)), lo_w, hi_w)
-
-        def draw_data() -> float:
-            bc = _clamp(float(rng.uniform(0.0, 1.5 * hi_bc)), lo_bc, hi_bc)
-            return bc * spec.mean_rate
-
-        tasks = tuple(Task(n, i, draw_workload()) for i in range(1, n_tasks + 1))
-        edges = tuple(Edge(s, d, draw_data()) for s, d in edge_pairs)
+        workloads = rng.uniform(0.0, 1.2 * hi_w, size=n_tasks).tolist()
+        tasks = tuple(Task(n, i, _clamp(w, lo_w, hi_w))
+                      for i, w in enumerate(workloads, start=1))
+        edges = tuple(Edge(s, d, data)
+                      for (s, d), data in zip(edge_pairs, draw_data(len(edge_pairs))))
         home = int(rng.integers(1, spec.n_devices + 1))
         raw = TaskGraph(
             app_id=n,
@@ -131,12 +138,10 @@ def generate(spec: WorkloadSpec, rng: np.random.Generator | None = None) -> list
             tasks=tasks,
             edges=edges,
         )
-        entries = sorted(i for i in range(1, n_tasks + 1) if not raw.parents_of(i))
-        exits = sorted(i for i in range(1, n_tasks + 1) if not raw.children_of(i))
         graph = augment_with_dummies(
             raw,
-            offload_sizes=[draw_data() for _ in entries],
-            result_sizes=[draw_data() for _ in exits],
+            offload_sizes=draw_data(len(entries)),
+            result_sizes=draw_data(len(exits)),
         )
         graphs.append(assign_deadline(graph, spec.deadline_capability, spec.deadline_factor))
     return graphs

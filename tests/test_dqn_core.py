@@ -4,6 +4,7 @@ import pytest
 from scipy import stats
 
 from oracles import fd_loss_gradients, value_iteration
+from mecsched.baselines import make_dueling_learner
 from mecsched.dqn_core import (
     AdamState,
     DeviceScoringNetwork,
@@ -437,3 +438,69 @@ class TestToyMdp:
             q = learner.net.forward(env.embed(state))
             greedy = int(np.argmax(np.where(env.mask, q, -np.inf))) - 1
             assert greedy == optimal[state], f"state {state}: q={q}"
+
+
+class TestCheckpointNetworkKinds:
+    """Every network kind a learner can carry survives save and load."""
+
+    KINDS = {
+        "plain": (DqnLearner, 0),
+        "device-scoring": (DqnLearner, 3),
+        "dueling": (make_dueling_learner, 0),
+    }
+
+    def trained(self, kind):
+        factory, shared = self.KINDS[kind]
+        config = TrainConfig(batch=8, buffer_capacity=64, planned_steps=100,
+                             hidden_sizes=(8, 8), state_dim=state_width(3),
+                             shared_devices=shared)
+        learner = factory(config, 4, rng(51), rng(52), rng(53))
+        r = rng(54)
+        mask = np.array([False, True, True, True])
+        for _ in range(20):
+            s, s2 = r.normal(size=state_width(3)), r.normal(size=state_width(3))
+            learner.observe(MdpTransition(s, learner.act(s, mask), float(r.normal()), s2))
+        return learner
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_round_trip(self, tmp_path, kind):
+        learner = self.trained(kind)
+        assert learner.net.kind == kind
+        path = tmp_path / "agent.npz"
+        save_checkpoint(learner, path)
+        loaded = load_checkpoint(path)
+        assert type(loaded.net) is type(learner.net)
+        assert type(loaded.target_net) is type(learner.target_net)
+        for a, b in zip(learner.net.parameters(), loaded.net.parameters()):
+            assert np.array_equal(a, b)
+        for a, b in zip(learner.target_net.parameters(), loaded.target_net.parameters()):
+            assert np.array_equal(a, b)
+        assert np.array_equal(loaded.opt.m, learner.opt.m)
+        assert np.array_equal(loaded.opt.v, learner.opt.v)
+        x = rng(55).normal(size=state_width(3))
+        assert np.array_equal(loaded.net.forward(x), learner.net.forward(x))
+        again = tmp_path / "again.npz"
+        save_checkpoint(loaded, again)
+        assert path.read_bytes() == again.read_bytes()
+
+    def rewrite_meta(self, path, edit):
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
+        edit(meta)
+        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                            dtype=np.uint8)
+        np.savez(path, **arrays)
+
+    def test_checkpoint_without_kind_follows_config(self, tmp_path):
+        path = tmp_path / "agent.npz"
+        save_checkpoint(self.trained("device-scoring"), path)
+        self.rewrite_meta(path, lambda meta: meta.pop("network"))
+        assert isinstance(load_checkpoint(path).net, DeviceScoringNetwork)
+
+    def test_kind_contradicting_config_refused(self, tmp_path):
+        path = tmp_path / "agent.npz"
+        save_checkpoint(self.trained("plain"), path)
+        self.rewrite_meta(path, lambda meta: meta.update(network="device-scoring"))
+        with pytest.raises(ValueError, match="network kind 'device-scoring'"):
+            load_checkpoint(path)

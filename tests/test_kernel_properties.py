@@ -2,22 +2,37 @@
 
 Each example draws 1-3 applications with equal or overlapping release
 times, 2-3 devices on multi-level capability chains, asymmetric link rates
-and a random fixed assignment, then runs the kernel with a
-ScriptedScheduler (or greedy-EFT) and checks it against the independent
-oracle and against invariants of the timing model.
+and a random fixed assignment, then runs the kernel under a scripted
+placement, greedy-EFT, the random scheduler or an untrained greedy DQN, and
+checks it against the independent oracle and against invariants of the
+timing model.
+
+The kernel's cached bookkeeping is checked against fresh computations: each
+device's running queue total against a left-to-right sum of its queue at
+every decision, capability draws against ``rng.choice`` on a twin stream,
+and workload generation's block draws against scalar draws on a twin stream.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph
 from oracles import evaluate_schedule, oracle_transfer
-from mecsched.baselines import GreedyEftScheduler
+from mecsched.baselines import GreedyEftScheduler, RandomScheduler
+from mecsched.dqn_core import DqnLearner, TrainConfig
+from mecsched.mdp_agent import DqnScheduler, state_width
 from mecsched.mec_model import CapabilityChain, EdgeDevice, NetworkTopology
 from mecsched.sim_engine import ScriptedScheduler, run
-from mecsched.task_graph import compute_lct
-from mecsched.workload import critical_path_seconds
+from mecsched.task_graph import Edge, Task, TaskGraph, augment_with_dummies, compute_lct
+from mecsched.workload import (
+    WorkloadSpec,
+    assign_deadline,
+    critical_path_seconds,
+    generate,
+    montage25_edges,
+)
 
 MATRICES = {
     2: ((0.5, 0.5), (0.25, 0.75)),
@@ -59,8 +74,50 @@ def scenarios(draw):
     return n_dev, levels, rates, uplink, graphs, assignment, chain_seeds
 
 
-def simulate(scenario, scheduler=None):
-    """Run the kernel on a scenario, by default with its scripted assignment;
+SCHEDULERS = ("scripted", "greedy_eft", "random", "dqn")
+
+
+def make_scheduler(kind, scenario):
+    """A fresh scheduler of the given kind; equal scenarios give equal runs."""
+    n_dev, assignment = scenario[0], scenario[5]
+    if kind == "scripted":
+        return ScriptedScheduler(assignment)
+    if kind == "greedy_eft":
+        return GreedyEftScheduler()
+    if kind == "random":
+        return RandomScheduler(n_dev, np.random.default_rng(7))
+    config = TrainConfig(state_dim=state_width(n_dev), shared_devices=n_dev)
+    rngs = [np.random.default_rng(seed) for seed in (11, 12, 13)]
+    return DqnScheduler(DqnLearner(config, n_dev + 1, *rngs), n_dev, training=False)
+
+
+class QueueAudit:
+    """Delegates to a scheduler; at every decision, checks each device's
+    running queue total against a fresh left-to-right sum of its queue."""
+
+    def __init__(self, inner, devices):
+        self.inner = inner
+        self.devices = devices
+        self.decisions = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def decide(self, ctx):
+        totals = []
+        for device in self.devices:
+            total = 0.0
+            for _, _, mi in device.queue:
+                total += mi
+            assert device.queued_workload() == total
+            totals.append(total)
+        assert ctx.observation.queued_workload == float(sum(totals))
+        self.decisions += 1
+        return self.inner.decide(ctx)
+
+
+def simulate(scenario, kind="scripted", audit=False):
+    """Run the kernel on a scenario under a fresh scheduler of the given kind;
     returns (graphs, trace, the oracle's level traces)."""
     n_dev, levels, rates, uplink, graphs, assignment, chain_seeds = scenario
     matrix = np.zeros((n_dev, n_dev))
@@ -71,7 +128,12 @@ def simulate(scenario, scheduler=None):
     transitions = MATRICES[len(levels)]
     devices = [EdgeDevice(m, levels) for m in range(1, n_dev + 1)]
     chains = [CapabilityChain(transitions, np.random.default_rng(s)) for s in chain_seeds]
-    trace = run(graphs, topo, devices, scheduler or ScriptedScheduler(assignment), chains)
+    scheduler = make_scheduler(kind, scenario)
+    if audit:
+        scheduler = QueueAudit(scheduler, devices)
+    trace = run(graphs, topo, devices, scheduler, chains)
+    if audit:
+        assert scheduler.decisions == len(assignment)
 
     # the capability after k completions on a device: replay its chain
     level_traces = {}
@@ -85,11 +147,8 @@ def simulate(scenario, scheduler=None):
     return graphs, trace, level_traces
 
 
-@PROPERTY_SETTINGS
-@given(scenarios(), st.booleans())
-def test_matches_oracle_and_critical_path(scenario, greedy):
-    # greedy-EFT plans every device before it commits one of the plans
-    graphs, trace, level_traces = simulate(scenario, GreedyEftScheduler() if greedy else None)
+def check_oracle_and_critical_path(scenario, kind):
+    graphs, trace, level_traces = simulate(scenario, kind)
     _, levels, rates, uplink, _, _, _ = scenario
     finish, makespans = evaluate_schedule(graphs, trace.decisions, rates, uplink,
                                           level_traces)
@@ -101,10 +160,8 @@ def test_matches_oracle_and_critical_path(scenario, greedy):
         assert trace.app_makespans[g.app_id] >= critical_path_seconds(g, max(levels)) - 1e-9
 
 
-@PROPERTY_SETTINGS
-@given(scenarios())
-def test_devices_serve_fcfs_without_overlap(scenario):
-    _, trace, _ = simulate(scenario)
+def check_fcfs_without_overlap(scenario, kind):
+    _, trace, _ = simulate(scenario, kind)
     n_dev = scenario[0]
     committed = {m: [] for m in range(1, n_dev + 1)}
     for key, m in trace.decisions.items():  # in commit order
@@ -119,10 +176,8 @@ def test_devices_serve_fcfs_without_overlap(scenario):
             assert later.start >= earlier.finish
 
 
-@PROPERTY_SETTINGS
-@given(scenarios())
-def test_no_start_before_inputs_or_decision(scenario):
-    graphs, trace, _ = simulate(scenario)
+def check_no_start_before_inputs_or_decision(scenario, kind):
+    graphs, trace, _ = simulate(scenario, kind)
     _, _, rates, uplink, _, _, _ = scenario
     decided_at = {(row[2], row[3]): row[0] for row in trace.rows if row[1] == "decide"}
     for g in graphs:
@@ -137,11 +192,118 @@ def test_no_start_before_inputs_or_decision(scenario):
                 assert a.start >= pa.finish + hop
 
 
-@PROPERTY_SETTINGS
-@given(scenarios())
-def test_rerun_gives_identical_trace(scenario):
-    _, first, _ = simulate(scenario)
-    _, second, _ = simulate(scenario)
+def check_rerun_identical(scenario, kind):
+    _, first, _ = simulate(scenario, kind)
+    _, second, _ = simulate(scenario, kind)
     assert first.rows == second.rows
     assert first.assignments == second.assignments
     assert first.rewards == second.rewards
+
+
+@PROPERTY_SETTINGS
+@given(scenarios(), st.booleans())
+def test_matches_oracle_and_critical_path(scenario, greedy):
+    # greedy-EFT plans every device before it commits one of the plans
+    check_oracle_and_critical_path(scenario, "greedy_eft" if greedy else "scripted")
+
+
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_devices_serve_fcfs_without_overlap(scenario):
+    check_fcfs_without_overlap(scenario, "scripted")
+
+
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_no_start_before_inputs_or_decision(scenario):
+    check_no_start_before_inputs_or_decision(scenario, "scripted")
+
+
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_rerun_gives_identical_trace(scenario):
+    check_rerun_identical(scenario, "scripted")
+
+
+@pytest.mark.parametrize("kind", ["random", "dqn"])
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_random_and_learned_schedulers_keep_invariants(kind, scenario):
+    check_oracle_and_critical_path(scenario, kind)
+    check_fcfs_without_overlap(scenario, kind)
+    check_no_start_before_inputs_or_decision(scenario, kind)
+    check_rerun_identical(scenario, kind)
+
+
+@pytest.mark.parametrize("kind", SCHEDULERS)
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_queue_totals_equal_fresh_sums(kind, scenario):
+    simulate(scenario, kind, audit=True)
+
+
+@st.composite
+def stochastic_matrices(draw):
+    """Row-stochastic matrices of 1-6 levels, zero entries included."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n):
+        weights = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 3.0]),
+                                min_size=n, max_size=n)
+                       .filter(lambda w: sum(w) > 0)
+                       .map(np.array))
+        rows.append(weights / weights.sum())
+    return np.array(rows)
+
+
+@PROPERTY_SETTINGS
+@given(stochastic_matrices(), st.integers(0, 2**32 - 1))
+def test_sample_next_matches_choice_on_twin_stream(matrix, seed):
+    chain = CapabilityChain(matrix, np.random.default_rng(seed))
+    twin = np.random.default_rng(seed)
+    level = twin_level = 0
+    for _ in range(200):
+        level = chain.sample_next(level)
+        twin_level = int(twin.choice(len(matrix), p=matrix[twin_level]))
+        assert level == twin_level
+    assert chain.rng.bit_generator.state == twin.bit_generator.state
+
+
+def scalar_generate(spec, rng):
+    """Reference for ``generate``: one scalar draw per value, in the order
+    the generator consumes them."""
+    n_tasks, edge_pairs = montage25_edges()
+    lo_w, hi_w = spec.workload_range
+    lo_bc, hi_bc = spec.bc_range
+
+    def draw_data():
+        bc = min(max(float(rng.uniform(0.0, 1.5 * hi_bc)), lo_bc), hi_bc)
+        return bc * spec.mean_rate
+
+    graphs, clock = [], 0.0
+    for n in range(1, spec.n_apps + 1):
+        clock += float(rng.exponential(spec.mean_gap))
+        tasks = tuple(Task(n, i, min(max(float(rng.uniform(0.0, 1.2 * hi_w)), lo_w), hi_w))
+                      for i in range(1, n_tasks + 1))
+        edges = tuple(Edge(s, d, draw_data()) for s, d in edge_pairs)
+        home = int(rng.integers(1, spec.n_devices + 1))
+        raw = TaskGraph(n, clock, float("inf"), home, tasks, edges)
+        entries = [i for i in range(1, n_tasks + 1) if not raw.parents_of(i)]
+        exits = [i for i in range(1, n_tasks + 1) if not raw.children_of(i)]
+        graph = augment_with_dummies(raw, [draw_data() for _ in entries],
+                                     [draw_data() for _ in exits])
+        graphs.append(assign_deadline(graph, spec.deadline_capability, spec.deadline_factor))
+    return graphs
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 4), st.floats(50.0, 600.0), st.floats(0.0, 1.0),
+       st.floats(1e-4, 0.05), st.floats(0.0, 1.0), st.integers(1, 8),
+       st.integers(0, 2**32 - 1))
+def test_generate_matches_scalar_draws_on_twin_stream(n_apps, hi_w, lo_w_frac, hi_bc,
+                                                      lo_bc_frac, n_devices, seed):
+    spec = WorkloadSpec(n_apps=n_apps, lam=5.0, workload_range=(lo_w_frac * hi_w, hi_w),
+                        bc_range=(lo_bc_frac * hi_bc, hi_bc), n_devices=n_devices)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert generate(spec, rng) == scalar_generate(spec, twin)
+    assert rng.bit_generator.state == twin.bit_generator.state

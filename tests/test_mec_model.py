@@ -177,3 +177,57 @@ class TestCapabilityChain:
             counts[chain.sample_next(2)] += 1
         freq = counts / counts.sum()
         assert np.abs(freq - np.array(MATRIX[2])).max() < 0.01
+
+    def test_transition_matrix_read_only(self):
+        rows = np.array(MATRIX)
+        chain = CapabilityChain(rows, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="read-only"):
+            chain.transition_matrix[0, 0] = 1.0
+        rows[0, 0] = 0.0  # the caller's array is copied, not frozen
+        assert chain.transition_matrix[0, 0] == 0.5
+
+
+class TestDeviceQueue:
+    def test_enqueue_and_pop_keep_the_total(self):
+        dev = device()
+        dev.enqueue(1, 3, 400.0)
+        dev.enqueue(2, 1, 0.1)
+        dev.enqueue(1, 4, 0.2)
+        assert dev.queue == ((1, 3, 400.0), (2, 1, 0.1), (1, 4, 0.2))
+        assert dev.queued_workload() == 400.0 + 0.1 + 0.2
+        dev.pop_head(1, 3)
+        assert dev.queue == ((2, 1, 0.1), (1, 4, 0.2))
+        assert dev.queued_workload() == 0.1 + 0.2
+        dev.pop_head(2, 1)
+        dev.pop_head(1, 4)
+        assert dev.queue == ()
+        assert dev.queued_workload() == 0.0
+
+    def test_completion_out_of_fcfs_order_rejected(self):
+        dev = device()
+        with pytest.raises(RuntimeError, match="FCFS"):
+            dev.pop_head(1, 1)
+        dev.enqueue(1, 1, 100.0)
+        dev.enqueue(1, 2, 100.0)
+        with pytest.raises(RuntimeError, match="FCFS"):
+            dev.pop_head(1, 2)
+
+    def test_queue_read_only(self):
+        dev = device()
+        dev.enqueue(1, 1, 100.0)
+        with pytest.raises(AttributeError):
+            dev.queue.append((1, 2, 50.0))
+        with pytest.raises(AttributeError):
+            dev.queue = []
+        assert dev.queued_workload() == 100.0
+
+
+class TestTopologyRates:
+    def test_rate_matrix_read_only(self):
+        rates = np.full((3, 3), 440.0)
+        topo = NetworkTopology(rates, 1000.0)
+        with pytest.raises(ValueError, match="read-only"):
+            topo.inter_ecd_rate[0, 1] = 1.0
+        rates[0, 1] = 1.0  # the caller's array is copied, not frozen
+        assert topo.rate(1, 2) == 440.0
+        assert type(topo.rate(1, 2)) is float

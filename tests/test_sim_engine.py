@@ -76,8 +76,8 @@ class TestObserveState:
 
     def test_workload_accounting(self, topology):
         devices = simple_devices([6000.0] * 4)
-        devices[1].queue.append((1, 3, 400.0))
-        devices[2].queue.append((1, 4, 100.0))
+        devices[1].enqueue(1, 3, 400.0)
+        devices[2].enqueue(1, 4, 100.0)
         ready = [ReadyItem(1, 5, 1.0, 250.0)]
         s = observe_state(0.0, topology, devices, ready)
         assert s.queued_workload == pytest.approx(500.0)

@@ -189,6 +189,24 @@ class TestPriorityList:
                     assert pos[e.src] < pos[e.dst]
 
 
+class TestGraphCaches:
+    def test_parent_edges_in_parent_id_order(self):
+        edges = {(1, 3): 5.0, (2, 3): 7.0, (1, 2): 1.0}
+        graph = make_graph(edges, {1: 100.0, 2: 100.0, 3: 100.0})
+        assert graph.parent_edges(3) == (Edge(1, 3, 5.0), Edge(2, 3, 7.0))
+        for t in graph.tasks:
+            assert tuple(e.src for e in graph.parent_edges(t.task_id)) == graph.parents_of(t.task_id)
+            for e in graph.parent_edges(t.task_id):
+                assert e.dst == t.task_id
+                assert e.data_size == graph.edge_data(e.src, e.dst)
+
+    def test_topological_order_returns_a_fresh_list(self):
+        graph = make_chain_graph([100.0, 200.0])
+        order = graph.topological_order()
+        order.reverse()
+        assert graph.topological_order() == [0, 1, 2, 3]
+
+
 class TestWorkloadFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
