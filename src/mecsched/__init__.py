@@ -1,6 +1,17 @@
 """Discrete-event simulator for DAG task offloading onto edge devices,
 with a from-scratch DQN scheduler and heuristic baselines."""
 
+import os as _os
+import sys as _sys
+
+# The learner's matrices are small, and OpenBLAS starts a thread per core,
+# which only adds CPU time: use one BLAS thread unless the caller chose a
+# count. BLAS reads this when numpy is first imported; ``python -m
+# mecsched`` imports this package before its ``__main__``, so it sits here.
+if "numpy" not in _sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        _os.environ.setdefault(_var, "1")
+
 from .task_graph import (
     Task,
     Edge,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dqn_core import DqnLearner, TrainConfig, ValueNetwork, glorot_uniform, stack_backward, stack_forward
+from .dqn_core import DqnLearner, FlatNetwork, TrainConfig
 from .mec_model import NetworkTopology
 from .sim_engine import DecisionContext, ReadyItem, SchedulerPort
 from .task_graph import TaskGraph
@@ -93,112 +93,64 @@ class HeftStyleScheduler(GreedyEftScheduler):
         return (-self._ranks[(item.app_id, item.task_id)], item.app_id, item.task_id)
 
 
-class DuelingNetwork:
+class DuelingNetwork(FlatNetwork):
     """Q-network with separate state-value and advantage heads.
 
     A shared trunk feeds a scalar value head and a per-action advantage head;
     the heads combine as Q = V + A - mean(A), which removes the unidentifiable
-    common offset between them. Exposes the same forward/backward protocol as
-    ValueNetwork so the training loop needs no special cases.
+    common offset between them. Trunk (its last layer activated too) and
+    heads are ``ValueNetwork`` blocks on slices of one parameter vector, and
+    the network exposes the same forward/backward protocol as ValueNetwork,
+    so the training loop needs no special cases.
     """
 
     kind = "dueling"  # recorded in checkpoints
 
     def __init__(self, layer_sizes, hidden_activation: str = "relu",
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, *, params=None):
         sizes = [int(s) for s in layer_sizes]
         if len(sizes) < 3:
             raise ValueError("need input, at least one hidden, and output sizes")
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.layer_sizes = sizes
         self.hidden_activation = hidden_activation
-        trunk = sizes[:-1]
-        self.trunk_weights = [
-            glorot_uniform(trunk[i], trunk[i + 1], rng) for i in range(len(trunk) - 1)
-        ]
-        self.trunk_biases = [np.zeros(trunk[i + 1]) for i in range(len(trunk) - 1)]
-        self.trunk_activations = [hidden_activation] * len(self.trunk_weights)
-        width, out = trunk[-1], sizes[-1]
-        self.value_w = glorot_uniform(width, 1, rng)
-        self.value_b = np.zeros(1)
-        self.adv_w = glorot_uniform(width, out, rng)
-        self.adv_b = np.zeros(out)
-
-    @property
-    def n_actions(self) -> int:
-        return self.layer_sizes[-1]
-
-    def parameters(self) -> list[np.ndarray]:
-        params: list[np.ndarray] = []
-        for w, b in zip(self.trunk_weights, self.trunk_biases):
-            params.append(w)
-            params.append(b)
-        params.extend([self.value_w, self.value_b, self.adv_w, self.adv_b])
-        return params
+        width, out = sizes[-2], sizes[-1]
+        self.trunk, self.value_head, self.adv_head = self._compose(
+            params, rng, hidden_activation,
+            (sizes[:-1], True), ([width, 1], False), ([width, out], False),
+        )
+        self.trunk_weights, self.trunk_biases = self.trunk.weights, self.trunk.biases
+        self.value_w, self.value_b = self.value_head.parameters()
+        self.adv_w, self.adv_b = self.adv_head.parameters()
 
     def forward_batch(self, x):
-        x = np.asarray(x, dtype=float)
-        feats, trunk_cache = stack_forward(
-            x, self.trunk_weights, self.trunk_biases, self.trunk_activations
-        )
-        value = feats @ self.value_w + self.value_b  # (B, 1)
-        adv = feats @ self.adv_w + self.adv_b  # (B, out)
+        t_acts = self.trunk.forward_layers(self._check_batch(x))
+        v_acts = self.value_head.forward_layers(t_acts[-1])
+        a_acts = self.adv_head.forward_layers(t_acts[-1])
+        value, adv = v_acts[-1], a_acts[-1]
         q = value + adv - adv.mean(axis=1, keepdims=True)
-        return q, (trunk_cache, feats, value, adv)
-
-    def forward(self, x) -> np.ndarray:
-        q, _ = self.forward_batch(np.asarray(x, dtype=float)[None, :])
-        return q[0]
+        return q, (t_acts, v_acts, a_acts)
 
     def backward_from_q_grad(self, cache, d_q) -> list[np.ndarray]:
-        trunk_cache, feats, _, _ = cache
-        out = self.n_actions
-        d_value = d_q.sum(axis=1, keepdims=True)
-        d_adv = d_q - d_q.sum(axis=1, keepdims=True) / out
-        g_value_w = feats.T @ d_value
-        g_value_b = d_value.sum(axis=0)
-        g_adv_w = feats.T @ d_adv
-        g_adv_b = d_adv.sum(axis=0)
-        d_feats = d_value @ self.value_w.T + d_adv @ self.adv_w.T
-        gw, gb, _ = stack_backward(
-            d_feats, trunk_cache, self.trunk_weights, self.trunk_activations
-        )
-        grads: list[np.ndarray] = []
-        for a, b in zip(gw, gb):
-            grads.append(a)
-            grads.append(b)
-        grads.extend([g_value_w, g_value_b, g_adv_w, g_adv_b])
-        return grads
+        t_acts, v_acts, a_acts = cache
+        d_sum = d_q.sum(axis=1, keepdims=True)
+        d_feats = self.value_head.backward_layers(v_acts, d_sum, input_grad=True)
+        d_feats += self.adv_head.backward_layers(a_acts, d_q - d_sum / self.n_actions,
+                                                 input_grad=True)
+        self.trunk.backward_layers(t_acts, d_feats)
+        return self._grads
 
     def clone(self) -> "DuelingNetwork":
-        other = DuelingNetwork.__new__(DuelingNetwork)
-        other.layer_sizes = list(self.layer_sizes)
-        other.hidden_activation = self.hidden_activation
-        other.trunk_weights = [w.copy() for w in self.trunk_weights]
-        other.trunk_biases = [b.copy() for b in self.trunk_biases]
-        other.trunk_activations = list(self.trunk_activations)
-        other.value_w = self.value_w.copy()
-        other.value_b = self.value_b.copy()
-        other.adv_w = self.adv_w.copy()
-        other.adv_b = self.adv_b.copy()
-        return other
+        return DuelingNetwork(self.layer_sizes, self.hidden_activation,
+                              params=self.flat.copy())
 
 
 def make_dueling_learner(config: TrainConfig, n_actions: int,
                          rng_init: np.random.Generator,
                          rng_explore: np.random.Generator,
                          rng_replay: np.random.Generator) -> DqnLearner:
-    """A DqnLearner whose prediction and target nets carry dueling heads."""
+    """A DqnLearner whose prediction and target nets carry dueling heads,
+    drawn from ``rng_init`` after the network the learner draws first."""
     learner = DqnLearner(config, n_actions, rng_init, rng_explore, rng_replay)
     sizes = [config.state_dim, *config.hidden_sizes, n_actions]
-    learner.net = DuelingNetwork(sizes, config.hidden_activation, rng_init)
-    learner.target_net = learner.net.clone()
-    learner.opt = type(learner.opt)(
-        learner.net.parameters(),
-        learning_rate=config.learning_rate,
-        beta1=config.adam_beta1,
-        beta2=config.adam_beta2,
-        eps=config.adam_eps,
-    )
+    learner.set_network(DuelingNetwork(sizes, config.hidden_activation, rng_init))
     return learner

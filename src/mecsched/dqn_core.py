@@ -6,6 +6,13 @@ training run bit for bit. The value network is a fully connected stack with
 rectified hidden layers and a linear output head; a squared Bellman error is
 minimized with Adam, targets come from a periodically synced copy of the
 network, and exploration is epsilon-greedy over the unmasked actions.
+
+The stack (``ValueNetwork``) is also the block that ``DeviceScoringNetwork``
+and ``baselines.DuelingNetwork`` are built from. Each network keeps all its
+parameters in one float64 vector ``flat`` and their gradient in ``grad``,
+with per-tensor views for ``parameters()`` and the gradient list; passes
+reuse work buffers per batch size, Adam and target syncs act on the whole
+vectors in place, and a training ``act`` runs the network only to exploit.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import numpy as np
 from .mdp_agent import MdpTransition, device_feature_index
 
 __all__ = [
+    "FlatNetwork",
     "ValueNetwork",
     "DeviceScoringNetwork",
     "ReplayBuffer",
@@ -46,52 +54,8 @@ class DivergenceError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Fully connected stack
+# Networks
 # ---------------------------------------------------------------------------
-
-
-def _act_forward(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "linear":
-        return z
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0.0).astype(float)
-    if kind == "linear":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def stack_forward(x, weights, biases, activations):
-    """Affine+activation cascade; returns output and the backprop cache."""
-    a = np.asarray(x, dtype=float)
-    pre: list[np.ndarray] = []
-    post: list[np.ndarray] = [a]
-    for w, b, act in zip(weights, biases, activations):
-        z = a @ w + b
-        a = _act_forward(z, act)
-        pre.append(z)
-        post.append(a)
-    return a, (pre, post)
-
-
-def stack_backward(d_out, cache, weights, activations):
-    """Gradients of a scalar loss given d(loss)/d(stack output)."""
-    pre, post = cache
-    grads_w: list[np.ndarray] = [None] * len(weights)  # type: ignore[list-item]
-    grads_b: list[np.ndarray] = [None] * len(weights)  # type: ignore[list-item]
-    delta = np.asarray(d_out, dtype=float)
-    for layer in range(len(weights) - 1, -1, -1):
-        delta = delta * _act_grad(pre[layer], activations[layer])
-        grads_w[layer] = post[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = delta @ weights[layer].T
-    return grads_w, grads_b, delta
 
 
 def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -99,71 +63,165 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.nd
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-class ValueNetwork:
-    """Q-value approximator mapping a state vector to one value per action."""
+def _n_params(sizes) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
 
-    kind = "plain"  # recorded in checkpoints
 
-    def __init__(self, layer_sizes, hidden_activation: str = "relu",
-                 rng: np.random.Generator | None = None):
-        sizes = [int(s) for s in layer_sizes]
-        if len(sizes) < 2:
-            raise ValueError("need at least input and output sizes")
-        self.layer_sizes = sizes
-        self.activations = [hidden_activation] * (len(sizes) - 2) + ["linear"]
-        self.hidden_activation = hidden_activation
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.weights = [
-            glorot_uniform(sizes[i], sizes[i + 1], rng) for i in range(len(sizes) - 1)
-        ]
-        self.biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
+def _layer_views(vector: np.ndarray, sizes) -> list[np.ndarray]:
+    """[W0, b0, W1, b1, ...] of a stack, as views into ``vector``."""
+    views, lo = [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        views.append(vector[lo:lo + fan_in * fan_out].reshape(fan_in, fan_out))
+        lo += fan_in * fan_out
+        views.append(vector[lo:lo + fan_out])
+        lo += fan_out
+    return views
+
+
+def _draw_weights(weights, rng: np.random.Generator | None) -> None:
+    rng = np.random.default_rng(0) if rng is None else rng
+    for w in weights:
+        w[...] = glorot_uniform(*w.shape, rng)
+
+
+class FlatNetwork:
+    """What the three network kinds share.
+
+    ``parameters()`` and the list ``backward_from_q_grad`` returns are
+    per-tensor views into ``flat`` and ``grad``, in the same order.
+    ``params``, where a constructor takes it, is the vector to live in, as
+    it is; without it the weights are drawn from ``rng`` (``default_rng(0)``
+    when None) and the biases start at zero.
+    """
+
+    layer_sizes: list[int]
 
     @property
     def n_actions(self) -> int:
         return self.layer_sizes[-1]
 
     def parameters(self) -> list[np.ndarray]:
-        params: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            params.append(w)
-            params.append(b)
-        return params
+        return self._params
 
     def forward(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.shape[0] != self.layer_sizes[0]:
-            raise ValueError(
-                f"expected input of length {self.layer_sizes[0]}, got shape {x.shape}"
-            )
-        q, _ = stack_forward(x[None, :], self.weights, self.biases, self.activations)
-        return q[0]
+            raise ValueError(f"expected input of length {self.layer_sizes[0]}, "
+                             f"got shape {x.shape}")
+        return self.forward_batch(x[None, :])[0][0]
 
-    def forward_batch(self, x):
+    def _check_batch(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
             raise ValueError(f"expected shape (batch, {self.layer_sizes[0]})")
-        return stack_forward(x, self.weights, self.biases, self.activations)
+        return x
+
+    def _compose(self, params, rng, hidden_activation: str, *blocks) -> list["ValueNetwork"]:
+        """Lay ``blocks`` out end to end on one parameter vector and one
+        gradient vector; each block is (layer sizes, last layer activated).
+        Fresh weights are drawn block after block."""
+        counts = [_n_params(sizes) for sizes, _ in blocks]
+        self.flat = np.zeros(sum(counts)) if params is None else params
+        self.grad = np.zeros_like(self.flat)
+        built, lo = [], 0
+        for (sizes, activate_last), n in zip(blocks, counts):
+            built.append(ValueNetwork(sizes, hidden_activation, params=self.flat[lo:lo + n],
+                                      grad=self.grad[lo:lo + n], activate_last=activate_last))
+            lo += n
+        self._params = [p for block in built for p in block.parameters()]
+        self._grads = [g for block in built for g in block._grads]
+        if params is None:
+            _draw_weights([w for block in built for w in block.weights], rng)
+        return built
+
+
+class ValueNetwork(FlatNetwork):
+    """Q-value approximator mapping a state vector to one value per action.
+
+    A fully connected stack, linear in its last layer unless
+    ``activate_last``; also the block the other kinds are built from, with
+    ``grad`` the gradient vector to live in. ``forward_layers`` returns
+    every layer's activation, input first, and ``backward_layers`` writes
+    the gradient into ``grad``; both use work buffers kept per batch size,
+    which the block's next pass of that size overwrites.
+    """
+
+    kind = "plain"  # recorded in checkpoints
+
+    def __init__(self, layer_sizes, hidden_activation: str = "relu",
+                 rng: np.random.Generator | None = None, *, params=None, grad=None,
+                 activate_last: bool = False):
+        sizes = [int(s) for s in layer_sizes]
+        if len(sizes) < 2:
+            raise ValueError("need at least input and output sizes")
+        if hidden_activation not in ("relu", "linear"):
+            raise ValueError(f"unknown activation {hidden_activation!r}")
+        self.layer_sizes = sizes
+        self.hidden_activation = hidden_activation
+        self.activate_last = activate_last
+        relu = hidden_activation == "relu"
+        self._relu = [relu] * (len(sizes) - 2) + [relu and activate_last]
+        self.flat = np.zeros(_n_params(sizes)) if params is None else params
+        self.grad = np.zeros_like(self.flat) if grad is None else grad
+        self._params = _layer_views(self.flat, sizes)
+        self._grads = _layer_views(self.grad, sizes)
+        self.weights, self.biases = self._params[0::2], self._params[1::2]
+        self._work: dict[int, tuple] = {}
+        if params is None:
+            _draw_weights(self.weights, rng)
+
+    def _buffers(self, rows: int):  # activations, deltas, relu masks
+        work = self._work.get(rows)
+        if work is None:
+            work = self._work[rows] = (
+                [np.empty((rows, n)) for n in self.layer_sizes[1:]],
+                [np.empty((rows, n)) for n in self.layer_sizes],
+                [np.empty((rows, n), dtype=bool) for n in self.layer_sizes[1:]],
+            )
+        return work
+
+    def forward_layers(self, x: np.ndarray) -> list[np.ndarray]:
+        outs = self._buffers(x.shape[0])[0]
+        acts = [x]
+        for w, b, relu, out in zip(self.weights, self.biases, self._relu, outs):
+            np.matmul(acts[-1], w, out=out)
+            out += b
+            if relu:
+                np.maximum(out, 0.0, out=out)
+            acts.append(out)
+        return acts
+
+    def backward_layers(self, acts, d_out: np.ndarray, input_grad: bool = False):
+        """Gradient of a scalar loss given d(loss)/d(output) of the pass
+        ``acts``; returns d(loss)/d(input) when ``input_grad``, which the
+        first layer otherwise skips."""
+        _, deltas, masks = self._buffers(d_out.shape[0])
+        delta = d_out
+        for layer in range(len(self.weights) - 1, -1, -1):
+            if self._relu[layer]:
+                # max(z, 0) > 0 exactly where z > 0, NaN included
+                mask = np.greater(acts[layer + 1], 0.0, out=masks[layer])
+                delta = np.multiply(delta, mask, out=deltas[layer + 1])
+            np.matmul(acts[layer].T, delta, out=self._grads[2 * layer])
+            np.add.reduce(delta, axis=0, out=self._grads[2 * layer + 1])
+            if layer or input_grad:
+                delta = np.matmul(delta, self.weights[layer].T, out=deltas[layer])
+        return delta if input_grad else None
+
+    def forward_batch(self, x):
+        acts = self.forward_layers(self._check_batch(x))
+        return acts[-1].copy(), acts
 
     def backward_from_q_grad(self, cache, d_q) -> list[np.ndarray]:
-        grads_w, grads_b, _ = stack_backward(d_q, cache, self.weights, self.activations)
-        grads: list[np.ndarray] = []
-        for gw, gb in zip(grads_w, grads_b):
-            grads.append(gw)
-            grads.append(gb)
-        return grads
+        self.backward_layers(cache, d_q)
+        return self._grads
 
     def clone(self) -> "ValueNetwork":
-        other = ValueNetwork.__new__(ValueNetwork)
-        other.layer_sizes = list(self.layer_sizes)
-        other.activations = list(self.activations)
-        other.hidden_activation = self.hidden_activation
-        other.weights = [w.copy() for w in self.weights]
-        other.biases = [b.copy() for b in self.biases]
-        return other
+        return ValueNetwork(self.layer_sizes, self.hidden_activation,
+                            params=self.flat.copy(), activate_last=self.activate_last)
 
 
-class DeviceScoringNetwork:
+class DeviceScoringNetwork(FlatNetwork):
     """Q(s, a) = V(s) + A(z_a) with one advantage stack shared by all devices.
 
     ``V`` is a fully connected stack over the whole state; ``A`` scores the
@@ -184,67 +242,45 @@ class DeviceScoringNetwork:
     kind = "device-scoring"  # recorded in checkpoints
 
     def __init__(self, layer_sizes, feature_index, hidden_activation: str = "relu",
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, *, params=None):
         sizes = [int(s) for s in layer_sizes]
         index = np.asarray(feature_index, dtype=np.int64)
         if index.ndim != 2 or sizes[-1] != index.shape[0] + 1:
             raise ValueError("need one feature row per device and actions = devices + 1")
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.layer_sizes = sizes
         self.feature_index = index
-        self.value = ValueNetwork(sizes[:-1] + [1], hidden_activation, rng)
-        self.advantage = ValueNetwork([index.shape[1], ADVANTAGE_HIDDEN, 1],
-                                      hidden_activation, rng)
-
-    @property
-    def n_actions(self) -> int:
-        return self.layer_sizes[-1]
-
-    def parameters(self) -> list[np.ndarray]:
-        return self.value.parameters() + self.advantage.parameters()
+        self.hidden_activation = hidden_activation
+        self.value, self.advantage = self._compose(
+            params, rng, hidden_activation,
+            (sizes[:-1] + [1], False),
+            ([index.shape[1], ADVANTAGE_HIDDEN, 1], False),
+        )
 
     def forward_batch(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
-            raise ValueError(f"expected shape (batch, {self.layer_sizes[0]})")
-        v, v_cache = self.value.forward_batch(x)
+        x = self._check_batch(x)
+        v_acts = self.value.forward_layers(x)
         rows = x[:, self.feature_index].reshape(-1, self.feature_index.shape[1])
-        a, a_cache = self.advantage.forward_batch(rows)
-        a = ADVANTAGE_SCALE * a.reshape(x.shape[0], -1)
-        q = np.concatenate([v, v + a], axis=1)
-        return q, (v_cache, a_cache)
-
-    def forward(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"expected a single state, got shape {x.shape}")
-        q, _ = self.forward_batch(x[None, :])
-        return q[0]
+        a_acts = self.advantage.forward_layers(rows)
+        v = v_acts[-1]
+        a = ADVANTAGE_SCALE * a_acts[-1].reshape(x.shape[0], -1)
+        return np.concatenate([v, v + a], axis=1), (v_acts, a_acts)
 
     def backward_from_q_grad(self, cache, d_q) -> list[np.ndarray]:
-        v_cache, a_cache = cache
-        d_v = d_q.sum(axis=1, keepdims=True)
-        d_a = ADVANTAGE_SCALE * d_q[:, 1:].reshape(-1, 1)
-        return (self.value.backward_from_q_grad(v_cache, d_v)
-                + self.advantage.backward_from_q_grad(a_cache, d_a))
+        v_acts, a_acts = cache
+        self.value.backward_layers(v_acts, d_q.sum(axis=1, keepdims=True))
+        self.advantage.backward_layers(a_acts, ADVANTAGE_SCALE * d_q[:, 1:].reshape(-1, 1))
+        return self._grads
 
     def clone(self) -> "DeviceScoringNetwork":
-        other = DeviceScoringNetwork.__new__(DeviceScoringNetwork)
-        other.layer_sizes = list(self.layer_sizes)
-        other.feature_index = self.feature_index
-        other.value = self.value.clone()
-        other.advantage = self.advantage.clone()
-        return other
+        return DeviceScoringNetwork(self.layer_sizes, self.feature_index,
+                                    self.hidden_activation, params=self.flat.copy())
 
 
 def sync_target(net, target_net) -> None:
     """Copy the prediction parameters into the target network, bitwise."""
-    src, dst = net.parameters(), target_net.parameters()
-    if len(src) != len(dst) or any(a.shape != b.shape for a, b in zip(src, dst)):
+    if [p.shape for p in net.parameters()] != [p.shape for p in target_net.parameters()]:
         raise ValueError("network architectures differ")
-    for a, b in zip(src, dst):
-        np.copyto(b, a)
+    np.copyto(target_net.flat, net.flat)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +336,11 @@ class ReplayBuffer:
 
 
 class AdamState:
-    """Adaptive-moment estimates for one parameter list.
+    """Adaptive-moment estimates for one network's parameters.
 
-    The moments of all parameters live in two flat vectors, in the order of
-    the parameter list, so one step is a handful of vector operations.
+    The moments live in two flat vectors laid out like the network's
+    ``flat`` vector, and ``apply`` updates that vector in place with a
+    handful of vector operations on two scratch buffers.
     """
 
     def __init__(self, params, learning_rate: float = 0.0006,
@@ -313,24 +350,32 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._bounds = np.cumsum([0] + [p.size for p in params])
-        self.m = np.zeros(self._bounds[-1])
-        self.v = np.zeros(self._bounds[-1])
+        size = sum(p.size for p in params)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._scratch = (np.empty(size), np.empty(size))
 
-    def apply(self, params, grads) -> None:
+    def apply(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """One step on the flat parameter vector given the flat gradient."""
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
-        g = np.concatenate([gi.ravel() for gi in grads])
         m, v = self.m, self.v
+        t, u = self._scratch
+        # m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+        # step = (lr * (m/bias1)) / (sqrt(v/bias2) + eps), in this order
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(grads, 1.0 - b1, out=t)
         v *= b2
-        v += (1.0 - b2) * g * g
-        step = self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-        for p, lo, hi in zip(params, self._bounds[:-1], self._bounds[1:]):
-            p -= step[lo:hi].reshape(p.shape)
+        np.multiply(grads, 1.0 - b2, out=t)
+        v += np.multiply(t, grads, out=t)
+        np.sqrt(np.divide(v, bias2, out=u), out=u)
+        u += self.eps
+        np.divide(m, bias1, out=t)
+        t *= self.learning_rate
+        t /= u
+        params -= t
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +383,10 @@ class AdamState:
 # ---------------------------------------------------------------------------
 
 
-def select_action(q, mask, epsilon: float, rng: np.random.Generator | None) -> int:
-    """Epsilon-greedy over unmasked actions; greedy ties go to lowest index."""
-    q = np.asarray(q, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    valid = np.flatnonzero(mask)
+def _explore(mask, epsilon: float, rng: np.random.Generator | None) -> int | None:
+    """The exploring half of ``select_action``: a uniform unmasked action
+    with probability ``epsilon``, else None, drawing what it draws."""
+    valid = np.flatnonzero(np.asarray(mask, dtype=bool))
     if valid.size == 0:
         raise ValueError("all actions are masked")
     if epsilon > 0.0:
@@ -350,7 +394,15 @@ def select_action(q, mask, epsilon: float, rng: np.random.Generator | None) -> i
             raise ValueError("epsilon > 0 requires a random stream")
         if rng.random() < epsilon:
             return int(valid[rng.integers(valid.size)])
-    masked_q = np.where(mask, q, -np.inf)
+    return None
+
+
+def select_action(q, mask, epsilon: float, rng: np.random.Generator | None) -> int:
+    """Epsilon-greedy over unmasked actions; greedy ties go to lowest index."""
+    action = _explore(mask, epsilon, rng)
+    if action is not None:
+        return action
+    masked_q = np.where(np.asarray(mask, dtype=bool), np.asarray(q, dtype=float), -np.inf)
     return int(np.argmax(masked_q))
 
 
@@ -383,12 +435,12 @@ def train_step(net, target_net, batch, opt: AdamState, gamma: float, mask) -> fl
     """One SGD step on a sampled batch; returns the pre-update loss."""
     states, actions, rewards, next_states = batch
     targets = compute_targets(batch, target_net, gamma, mask)
-    loss, grads = loss_and_grads(net, states, actions, targets)
+    loss, _ = loss_and_grads(net, states, actions, targets)
     if not np.isfinite(loss):
         raise DivergenceError(
             f"non-finite loss {loss!r} after {opt.step_count} optimizer steps"
         )
-    opt.apply(net.parameters(), grads)
+    opt.apply(net.flat, net.grad)  # the gradient list is views into net.grad
     return loss
 
 
@@ -443,23 +495,24 @@ class DqnLearner:
         self.n_actions = int(n_actions)
         sizes = [config.state_dim, *config.hidden_sizes, self.n_actions]
         if config.shared_devices:
-            self.net = DeviceScoringNetwork(
-                sizes, device_feature_index(config.shared_devices),
-                config.hidden_activation, rng_init)
+            net = DeviceScoringNetwork(sizes, device_feature_index(config.shared_devices),
+                                       config.hidden_activation, rng_init)
         else:
-            self.net = ValueNetwork(sizes, config.hidden_activation, rng_init)
-        self.target_net = self.net.clone()
+            net = ValueNetwork(sizes, config.hidden_activation, rng_init)
+        self.set_network(net)
         self.buffer = ReplayBuffer(config.buffer_capacity, config.state_dim, rng_replay)
-        self.opt = AdamState(
-            self.net.parameters(),
-            learning_rate=config.learning_rate,
-            beta1=config.adam_beta1,
-            beta2=config.adam_beta2,
-            eps=config.adam_eps,
-        )
         self.rng_explore = rng_explore
         self.decision_steps = 0
         self.last_loss: float | None = None
+
+    def set_network(self, net) -> None:
+        """Train ``net`` from here on, with a fresh target copy and fresh
+        Adam moments."""
+        cfg = self.config
+        self.net = net
+        self.target_net = net.clone()
+        self.opt = AdamState(net.parameters(), learning_rate=cfg.learning_rate,
+                             beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps)
 
     def epsilon(self) -> float:
         cfg = self.config
@@ -470,11 +523,13 @@ class DqnLearner:
         return cfg.epsilon_start + frac * (cfg.epsilon_end - cfg.epsilon_start)
 
     def act(self, state: np.ndarray, mask, greedy: bool = False) -> int:
-        q = self.net.forward(state)
+        """A training step draws from the exploration stream as
+        ``select_action`` does and runs the network only to exploit."""
+        action = None if greedy else _explore(mask, self.epsilon(), self.rng_explore)
+        if action is None:
+            action = select_action(self.net.forward(state), mask, 0.0, None)
         if greedy:
-            return select_action(q, mask, 0.0, None)
-        eps = self.epsilon()
-        action = select_action(q, mask, eps, self.rng_explore)
+            return action
         self.decision_steps += 1
         if self.decision_steps % self.config.target_sync_steps == 0:
             sync_target(self.net, self.target_net)
@@ -496,23 +551,15 @@ class DqnLearner:
 # ---------------------------------------------------------------------------
 
 
-def _rng_state_json(rng: np.random.Generator) -> str:
-    return json.dumps(rng.bit_generator.state)
-
-
-def _rng_from_json(text: str) -> np.random.Generator:
-    state = json.loads(text)
+def _rng_from_state(state: dict) -> np.random.Generator:
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = state
     return rng
 
 
 def save_checkpoint(learner: DqnLearner, path) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    for i, p in enumerate(learner.net.parameters()):
-        arrays[f"net_{i}"] = p
-    for i, p in enumerate(learner.target_net.parameters()):
-        arrays[f"target_{i}"] = p
+    arrays = {f"{role}_{i}": p for role, net in (("net", learner.net), ("target", learner.target_net))
+              for i, p in enumerate(net.parameters())}
     arrays["adam_m"] = learner.opt.m
     arrays["adam_v"] = learner.opt.v
     meta = {
@@ -522,8 +569,8 @@ def save_checkpoint(learner: DqnLearner, path) -> None:
         "config": asdict(learner.config),
         "decision_steps": learner.decision_steps,
         "adam_step_count": learner.opt.step_count,
-        "rng_explore": json.loads(_rng_state_json(learner.rng_explore)),
-        "rng_replay": json.loads(_rng_state_json(learner.buffer.rng)),
+        "rng_explore": learner.rng_explore.bit_generator.state,
+        "rng_replay": learner.buffer.rng.bit_generator.state,
     }
     arrays["meta_json"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
@@ -552,22 +599,20 @@ def load_checkpoint(path) -> DqnLearner:
             config,
             meta["n_actions"],
             rng_init=np.random.default_rng(0),
-            rng_explore=_rng_from_json(json.dumps(meta["rng_explore"])),
-            rng_replay=_rng_from_json(json.dumps(meta["rng_replay"])),
+            rng_explore=_rng_from_state(meta["rng_explore"]),
+            rng_replay=_rng_from_state(meta["rng_replay"]),
         )
         if kind is not None and learner.net.kind != kind:
             raise ValueError(f"checkpoint network kind {kind!r} does not match "
                              f"its config ({learner.net.kind!r})")
-        for i, p in enumerate(learner.net.parameters()):
-            saved = data[f"net_{i}"]
-            if saved.shape != p.shape:
-                raise ValueError("checkpoint architecture mismatch")
-            np.copyto(p, saved)
-        for i, p in enumerate(learner.target_net.parameters()):
-            np.copyto(p, data[f"target_{i}"])
+        for role, net in (("net", learner.net), ("target", learner.target_net)):
+            for i, p in enumerate(net.parameters()):
+                saved = data[f"{role}_{i}"]
+                if saved.shape != p.shape:
+                    raise ValueError("checkpoint architecture mismatch")
+                np.copyto(p, saved)
         np.copyto(learner.opt.m, data["adam_m"])
         np.copyto(learner.opt.v, data["adam_v"])
         learner.decision_steps = int(meta["decision_steps"])
         learner.opt.step_count = int(meta["adam_step_count"])
-        learner.buffer.rng = _rng_from_json(json.dumps(meta["rng_replay"]))
     return learner

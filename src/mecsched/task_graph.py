@@ -90,6 +90,16 @@ class TaskGraph:
         return {t: tuple(by_pair[(p, t)] for p in parents)
                 for t, parents in self._parents.items()}
 
+    def with_attributes(self, **changes) -> "TaskGraph":
+        """``dataclasses.replace`` for changes that keep the task ids and the
+        edges (deadline, task LCTs): the structure built so far is carried
+        over. ``_by_id`` is not, as it holds the tasks themselves."""
+        graph = replace(self, **changes)
+        for name in _STRUCTURE_CACHES:
+            if name in self.__dict__:
+                graph.__dict__[name] = self.__dict__[name]
+        return graph
+
     def task(self, task_id: int) -> Task:
         return self._by_id[task_id]
 
@@ -139,6 +149,10 @@ class TaskGraph:
         if len(order) != len(self.tasks):
             raise ValueError("task graph contains a cycle")
         return tuple(order)
+
+
+_STRUCTURE_CACHES = ("_parents", "_children", "_edge_data", "_parent_edges",
+                     "_topological_order")
 
 
 @dataclass(frozen=True)
@@ -251,8 +265,6 @@ def augment_with_dummies(
     ids = sorted(t.task_id for t in raw.tasks)
     if ids != list(range(1, len(ids) + 1)):
         raise ValueError("raw graph must use contiguous task ids starting at 1")
-    raw.topological_order()  # raises on cycles
-
     entries = sorted(i for i in ids if not raw.parents_of(i))
     exits = sorted(i for i in ids if not raw.children_of(i))
     if len(offload_sizes) != len(entries):
@@ -273,7 +285,9 @@ def augment_with_dummies(
     edges = list(raw.edges)
     edges.extend(Edge(0, i, float(s)) for i, s in zip(entries, offload_sizes))
     edges.extend(Edge(i, sink, float(s)) for i, s in zip(exits, result_sizes))
-    return replace(raw, tasks=tasks, edges=tuple(edges))
+    graph = replace(raw, tasks=tasks, edges=tuple(edges))
+    graph.topological_order()  # raises on cycles; the dummies add none
+    return graph
 
 
 def compute_lct(
@@ -312,7 +326,7 @@ def compute_lct(
                 )
         lct[i] = min(bounds)
     tasks = tuple(replace(t, lct=lct[t.task_id]) for t in graph.tasks)
-    return replace(graph, tasks=tasks)
+    return graph.with_attributes(tasks=tasks)
 
 
 def build_priority_list(graph: TaskGraph) -> tuple[int, ...]:

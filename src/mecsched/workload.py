@@ -10,7 +10,7 @@ clamped ranges; the topology itself is fixed so runs stay comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,4 +165,4 @@ def assign_deadline(graph: TaskGraph, capability: float = 5000.0,
                     factor: float = 6.0) -> TaskGraph:
     """Deadline = release + factor * transfer-free critical path."""
     base = critical_path_seconds(graph, capability)
-    return replace(graph, deadline=graph.release_time + factor * base)
+    return graph.with_attributes(deadline=graph.release_time + factor * base)

@@ -1,6 +1,14 @@
 from __future__ import annotations
 
-import numpy as np
+import os
+
+# One BLAS thread unless the caller chose a count, set before numpy is first
+# imported: the suite's matrices are small, and OpenBLAS would start a thread
+# per core.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from mecsched.experiment import ExperimentConfig, TopologyConfig, build_topology

@@ -4,7 +4,7 @@ import pytest
 from scipy import stats
 
 from oracles import fd_loss_gradients, value_iteration
-from mecsched.baselines import make_dueling_learner
+from mecsched.baselines import DuelingNetwork, make_dueling_learner
 from mecsched.dqn_core import (
     AdamState,
     DeviceScoringNetwork,
@@ -64,6 +64,96 @@ class TestForward:
         combined_w = net.weights[0] @ net.weights[1]
         combined_b = net.biases[0] @ net.weights[1] + net.biases[1]
         assert np.allclose(q, xs @ combined_w + combined_b)
+
+
+def all_kinds(seed=60):
+    """One network of each kind over a 3-device observation."""
+    width = state_width(3)
+    return {
+        "plain": ValueNetwork([width, 8, 6, 4], rng=rng(seed)),
+        "device-scoring": DeviceScoringNetwork([width, 8, 6, 4], device_feature_index(3),
+                                               rng=rng(seed)),
+        "dueling": DuelingNetwork([width, 8, 6, 4], rng=rng(seed)),
+    }
+
+
+class TestFlatParameters:
+    """Parameters, gradients and work buffers are shared storage; what a
+    caller is handed must not change behind its back."""
+
+    @pytest.mark.parametrize("kind", ["plain", "device-scoring", "dueling"])
+    def test_successive_results_are_independent(self, kind):
+        net = all_kinds()[kind]
+        r = rng(61)
+        for batch in (1, 5):
+            xs = r.normal(size=(2, batch, state_width(3)))
+            first, _ = net.forward_batch(xs[0])
+            kept = first.copy()
+            second, _ = net.forward_batch(xs[1])
+            assert np.array_equal(first, kept)
+            assert not np.shares_memory(first, second)
+        single = net.forward(xs[0][0])
+        kept = single.copy()
+        net.forward(xs[1][0])
+        assert np.array_equal(single, kept)
+
+    @pytest.mark.parametrize("kind", ["plain", "device-scoring", "dueling"])
+    def test_parameters_are_views_into_one_vector(self, kind):
+        net = all_kinds()[kind]
+        params = net.parameters()
+        assert sum(p.size for p in params) == net.flat.size
+        assert all(np.shares_memory(p, net.flat) for p in params)
+        r = rng(62)
+        x = r.normal(size=state_width(3))
+        before = net.forward(x)
+        params[1][:] += 1.0  # first bias: a write through a view reaches the network
+        assert not np.array_equal(net.forward(x), before)
+        _, grads = loss_and_grads(net, r.normal(size=(4, state_width(3))),
+                                  np.array([0, 1, 2, 3]), r.normal(size=4))
+        assert [g.shape for g in grads] == [p.shape for p in params]
+        assert all(np.shares_memory(g, net.grad) for g in grads)
+
+    @pytest.mark.parametrize("kind", ["plain", "device-scoring", "dueling"])
+    def test_training_leaves_a_synced_target_alone(self, kind):
+        net = all_kinds()[kind]
+        target = net.clone()
+        assert not np.shares_memory(net.flat, target.flat)
+        opt = AdamState(net.parameters())
+        r = rng(63)
+        mask = np.array([False, True, True, True])
+
+        def train(steps):
+            for _ in range(steps):
+                batch = (r.normal(size=(8, state_width(3))), r.integers(1, 4, size=8),
+                         r.normal(size=8), r.normal(size=(8, state_width(3))))
+                train_step(net, target, batch, opt, 0.95, mask)
+
+        train(5)
+        sync_target(net, target)
+        synced = target.flat.copy()
+        assert np.array_equal(synced, net.flat)
+        train(5)
+        assert np.array_equal(target.flat, synced)
+        assert not np.array_equal(net.flat, synced)
+
+    def test_exploring_act_skips_the_network(self):
+        config = TrainConfig(batch=8, buffer_capacity=64, planned_steps=100,
+                             epsilon_end=1.0, hidden_sizes=(8,),
+                             state_dim=state_width(3), shared_devices=3)
+        learner = DqnLearner(config, 4, rng(64), rng(65), rng(66))
+        assert learner.epsilon() == 1.0
+
+        def forward(state):
+            raise AssertionError("an exploring step ran the network")
+
+        learner.net.forward = forward
+        twin = rng(65)
+        mask = np.array([False, True, True, True])
+        state = np.zeros(state_width(3))
+        for _ in range(50):
+            expected = select_action(np.zeros(4), mask, 1.0, twin)
+            assert learner.act(state, mask) == expected
+        assert learner.rng_explore.bit_generator.state == twin.bit_generator.state
 
 
 class TestSelectAction:

@@ -206,6 +206,34 @@ class TestGraphCaches:
         order.reverse()
         assert graph.topological_order() == [0, 1, 2, 3]
 
+    def test_each_prepared_app_builds_its_order_once(self, monkeypatch, tmp_path):
+        """Deadline and LCT keep the task ids and edges, so the graphs they
+        return carry the structure over; generated and loaded apps alike
+        build their topological order once on the way to the kernel."""
+        from mecsched.experiment import TopologyConfig, build_topology, prepare_graphs
+        from mecsched.workload import WorkloadSpec, generate
+
+        prop = TaskGraph.__dict__["_topological_order"]
+        build = prop.func
+        builds = []
+        monkeypatch.setattr(prop, "func", lambda g: builds.append(g.app_id) or build(g))
+        tc = TopologyConfig()
+        topo = build_topology(tc)
+        path = tmp_path / "apps.wl"
+        for load in (False, True):
+            generated = generate(WorkloadSpec(n_apps=5), np.random.default_rng(3))
+            if load:
+                save_workload_file(generated, path)
+                builds.clear()
+            prepared = prepare_graphs(load_workload_file(path) if load else generated,
+                                      tc, topo)
+            for g in prepared:
+                assert g.topological_order()
+                assert "_parents" in vars(g) and "_children" in vars(g)
+                assert "_by_id" not in vars(g)  # the tasks changed
+            assert builds == [1, 2, 3, 4, 5]
+            builds.clear()
+
 
 class TestWorkloadFile:
     def test_round_trip(self, tmp_path):
