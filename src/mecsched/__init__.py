@@ -42,8 +42,8 @@ from .mdp_agent import (
     normalize_state,
     DqnScheduler,
 )
+from .scheduler_port import SchedulerPort
 from .sim_engine import (
-    SchedulerPort,
     ScriptedScheduler,
     SimulationTrace,
     collect_ready,

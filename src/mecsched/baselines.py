@@ -11,7 +11,7 @@ import numpy as np
 
 from .dqn_core import DqnLearner, FlatNetwork, TrainConfig
 from .mec_model import NetworkTopology
-from .sim_engine import DecisionContext, ReadyItem, SchedulerPort
+from .scheduler_port import DecisionContext, ReadyItem, SchedulerPort
 from .task_graph import TaskGraph
 
 __all__ = [

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .scheduler_port import SchedulerPort
+
 __all__ = [
     "StateVector",
     "StateNorms",
@@ -34,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StateVector:
     """(sum of inter-device rates, uplink rate, sum of capabilities,
     ready-queue workload, device-queue workload), then the placed task's
@@ -42,7 +44,9 @@ class StateVector:
     order.
 
     The components after the five aggregates are present only when observed;
-    a state built from the aggregates alone flattens to five numbers.
+    a state built from the aggregates alone flattens to five numbers. One is
+    built per observed decision, so the class is slotted rather than frozen;
+    nothing hashes it.
     """
 
     sum_inter_rate: float  # Mbps
@@ -168,8 +172,10 @@ def compute_reward(
     return utility - duration - penalty
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MdpTransition:
+    """One learning step, built per training decision (hence slotted)."""
+
     state: np.ndarray
     action: int
     reward: float
@@ -193,11 +199,12 @@ class ActionSpace:
         return valid
 
 
-class DqnScheduler:
+class DqnScheduler(SchedulerPort):
     """Event-driven decision layer bridging the simulator to a Q-learner.
 
-    Implements the scheduler port: ``decide`` observes the state, hands the
-    previous step's reward to the learner, and asks it for a device;
+    Implements the scheduler port: ``decide`` reads the observation (the
+    only scheduler that does), hands the previous step's reward to the
+    learner, and asks it for a device;
     ``notify_outcome`` stashes the freshly computed reward; ``end_episode``
     flushes the final transition against the post-episode observation.
     """
@@ -225,12 +232,6 @@ class DqnScheduler:
 
     def notify_outcome(self, outcome) -> None:
         self._pending_reward = outcome.reward
-
-    def on_app_arrival(self, graph) -> None:
-        pass
-
-    def ready_sort_key(self, item):
-        return None
 
     def end_episode(self, final_observation: StateVector) -> None:
         self._absorb(normalize_state(final_observation, self.norms))

@@ -22,6 +22,11 @@ queue; ``pop_head`` checks that the completing task is the head and re-sums
 what is left, once per completion. ``queue`` is a read-only tuple, so the
 total cannot be bypassed.
 
+Float sums: ``ordered_sum`` adds left to right from 0.0, as builtin ``sum``
+does on Python 3.11. From 3.12 on, ``sum`` of floats is compensated and can
+differ in the last bits, so the kernel's simulated sums go through
+``ordered_sum`` to stay the same on every interpreter.
+
 Chain sampling: each transition row's cumulative distribution is computed
 once, as ``Generator.choice`` computes it on every call (``cumsum``, then
 divided by its last entry), and a step draws one uniform and bisects the
@@ -34,7 +39,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
+from typing import Iterable
 
 import numpy as np
 
@@ -48,9 +55,15 @@ __all__ = [
     "execution_time",
     "transfer_time",
     "transition_capability",
+    "ordered_sum",
 ]
 
 MU_DEVICE = 0  # pseudo-device hosting dummy tasks
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``((0.0 + v0) + v1) + ...``: an uncompensated left-to-right float sum."""
+    return float(reduce(add, values, 0.0))
 
 
 @dataclass
@@ -90,10 +103,7 @@ class EdgeDevice:
         if not self._queue or self._queue[0][:2] != (app_id, task_id):
             raise RuntimeError("completion out of FCFS order")
         self._queue.popleft()
-        total = 0.0
-        for _, _, mi in self._queue:
-            total += mi
-        self._queued_mi = total
+        self._queued_mi = ordered_sum([mi for _, _, mi in self._queue])
 
     def queued_workload(self) -> float:
         """MI queued on the device, the executing task included."""
@@ -186,8 +196,11 @@ class NetworkTopology:
         return float(max(self.inter_ecd_rate[off].max(), self.uplink_rate))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Assignment:
+    """Where and when one task runs; the kernel builds one per task, so the
+    class is slotted rather than frozen."""
+
     app_id: int
     task_id: int
     ecd_id: int  # 0 only for dummies

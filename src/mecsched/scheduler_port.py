@@ -1,0 +1,120 @@
+"""The scheduler port: the interface the event kernel drives, and the
+records it passes through it.
+
+Every scheduler, learned or not, subclasses ``SchedulerPort``. For each
+decision the kernel hands ``decide`` a ``DecisionContext``; after the
+commit it reports the decision's ``OutcomeRecord`` to ``notify_outcome``.
+The records are plain slotted classes, built once per decision.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:
+    from .mdp_agent import StateVector
+    from .task_graph import TaskGraph
+
+__all__ = ["ReadyItem", "DecisionContext", "OutcomeRecord", "SchedulerPort"]
+
+
+@dataclass(slots=True)
+class ReadyItem:
+    """A task whose parents have all completed, waiting for its decision."""
+
+    app_id: int
+    task_id: int
+    lct: float
+    workload: float
+
+
+class DecisionContext:
+    """Everything a scheduler may consult for one decision.
+
+    ``finish_if`` maps a candidate device to the task's finish time there,
+    and ``observation`` is the system state at the decision instant
+    (``sim_engine.observe_state``). The kernel passes ``observation=None``
+    and an ``observe`` callable instead, so the state is computed on the
+    first read and cached; schedulers that never read it never pay for it.
+    Both answer only while the decision is being made: once ``close`` has
+    run, ``observation`` returns the value already read or raises.
+    """
+
+    __slots__ = ("now", "app_id", "task_id", "workload", "lct", "valid_actions",
+                 "finish_if", "_observation", "_observe")
+
+    def __init__(
+        self,
+        now: float,
+        app_id: int,
+        task_id: int,
+        workload: float,
+        lct: float,
+        observation: StateVector | None,
+        valid_actions: tuple[int, ...],
+        finish_if: Callable[[int], float],  # candidate device -> finish time
+        *,
+        observe: Callable[[], StateVector] | None = None,
+    ) -> None:
+        self.now = now
+        self.app_id = app_id
+        self.task_id = task_id
+        self.workload = workload
+        self.lct = lct
+        self.valid_actions = valid_actions
+        self.finish_if = finish_if
+        self._observation = observation
+        self._observe = observe
+
+    @property
+    def observation(self) -> StateVector:
+        obs = self._observation
+        if obs is None:
+            if self._observe is None:
+                raise RuntimeError(
+                    "the observation can be read only while the decision is made")
+            obs = self._observation = self._observe()
+        return obs
+
+    def close(self) -> None:
+        """End the decision: an observation not read by now is never computed."""
+        self._observe = None
+
+
+@dataclass(slots=True)
+class OutcomeRecord:
+    """Decision-time quantities of one committed assignment."""
+
+    app_id: int
+    task_id: int
+    ecd_id: int
+    workload: float
+    lct: float
+    arrival_wait: float  # s from the decision until the last input arrives
+    queue_wait: float  # s the device queue holds the task after that
+    exec_time: float  # s; the three durations sum to finish - now
+    start: float
+    finish: float
+    reward: float
+
+
+class SchedulerPort:
+    """Interface the kernel drives; subclasses override what they need."""
+
+    def decide(self, ctx: DecisionContext) -> int:
+        raise NotImplementedError
+
+    def notify_outcome(self, outcome: OutcomeRecord) -> None:
+        pass
+
+    def on_app_arrival(self, graph: TaskGraph) -> None:
+        pass
+
+    def ready_sort_key(self, item: ReadyItem):
+        """Return a sort key to reorder the ready queue, or None for the
+        default ascending-LCT order."""
+        return None
+
+    def end_episode(self, final_observation: StateVector) -> None:
+        pass

@@ -6,9 +6,12 @@ application's priority list can gain ready tasks (all parents completed): the
 kernel pops its ready prefix, already in ascending LCT order, and walks it
 asking the pluggable scheduler for a target device per task. Each placement
 is planned once per candidate device; the plan the scheduler saw is the one
-committed. A commitment updates the chosen device's FCFS queue before the
-next decision, schedules the task's completion event, and reports the
-decision's reward back to the scheduler one step later.
+committed. The decision's observation (``observe_state``) is computed only
+when something reads it: the scheduler during ``decide``, or the kernel when
+it records trace rows. Either way it comes from the state before the commit.
+A commitment updates the chosen device's FCFS queue before the next
+decision, schedules the task's completion event, and reports the decision's
+reward back to the scheduler one step later.
 
 A device's capability level steps along its Markov chain when the device
 completes a task; executions already committed are never re-timed, so the
@@ -18,8 +21,7 @@ speed used for a task is the level in force at its assignment instant.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .mdp_agent import RewardParams, StateVector, compute_reward
 from .mec_model import (
@@ -29,9 +31,11 @@ from .mec_model import (
     EdgeDevice,
     NetworkTopology,
     execution_time,
+    ordered_sum,
     transfer_time,
     transition_capability,
 )
+from .scheduler_port import DecisionContext, OutcomeRecord, ReadyItem, SchedulerPort
 from .task_graph import Edge, TaskGraph, build_priority_list
 
 __all__ = [
@@ -64,67 +68,6 @@ class SchedulingError(RuntimeError):
 
 class DeadlockError(RuntimeError):
     """The event queue drained while applications were still incomplete."""
-
-
-@dataclass(frozen=True)
-class ReadyItem:
-    app_id: int
-    task_id: int
-    lct: float
-    workload: float
-
-
-@dataclass(frozen=True)
-class DecisionContext:
-    """Everything a scheduler may consult for one decision; ``finish_if``
-    answers only while that decision is being made."""
-
-    now: float
-    app_id: int
-    task_id: int
-    workload: float
-    lct: float
-    observation: StateVector
-    valid_actions: tuple[int, ...]
-    finish_if: Callable[[int], float]  # candidate device -> finish time
-
-
-@dataclass(frozen=True)
-class OutcomeRecord:
-    """Decision-time quantities of one committed assignment."""
-
-    app_id: int
-    task_id: int
-    ecd_id: int
-    workload: float
-    lct: float
-    arrival_wait: float  # s from the decision until the last input arrives
-    queue_wait: float  # s the device queue holds the task after that
-    exec_time: float  # s; the three durations sum to finish - now
-    start: float
-    finish: float
-    reward: float
-
-
-class SchedulerPort:
-    """Interface the kernel drives; subclasses override what they need."""
-
-    def decide(self, ctx: DecisionContext) -> int:
-        raise NotImplementedError
-
-    def notify_outcome(self, outcome: OutcomeRecord) -> None:
-        pass
-
-    def on_app_arrival(self, graph: TaskGraph) -> None:
-        pass
-
-    def ready_sort_key(self, item: ReadyItem):
-        """Return a sort key to reorder the ready queue, or None for the
-        default ascending-LCT order."""
-        return None
-
-    def end_episode(self, final_observation: StateVector) -> None:
-        pass
 
 
 class ScriptedScheduler(SchedulerPort):
@@ -182,9 +125,9 @@ def observe_state(
     return StateVector(
         sum_inter_rate=topo.sum_rate,
         uplink_rate=topo.uplink_rate,
-        sum_capability=float(sum(capability)),
-        ready_workload=float(sum([it.workload for it in ready_items])),
-        queued_workload=float(sum([d.queued_workload() for d in devices])),
+        sum_capability=ordered_sum(capability),
+        ready_workload=ordered_sum([it.workload for it in ready_items]),
+        queued_workload=ordered_sum([d.queued_workload() for d in devices]),
         task_workload=head.workload if head else 0.0,
         task_slack=head.lct - now if head else 0.0,
         backlog=tuple([0.0 if d.queue_free_at < now else d.queue_free_at - now
@@ -207,7 +150,7 @@ class SimulationTrace:
 
     @property
     def cumulative_reward(self) -> float:
-        return float(sum(self.rewards))
+        return ordered_sum(self.rewards)
 
     def violations(self) -> dict[int, bool]:
         return {
@@ -224,7 +167,7 @@ class SimulationTrace:
     def avg_makespan(self) -> float:
         if not self.app_makespans:
             return 0.0
-        return float(sum(self.app_makespans.values()) / len(self.app_makespans))
+        return ordered_sum(self.app_makespans.values()) / len(self.app_makespans)
 
     def to_csv(self, path) -> None:
         def fmt(value) -> str:
@@ -314,6 +257,11 @@ def run(
     def plan(m: int) -> tuple[float, float, float]:
         """(data ready, start, execution time) of the current task on device m."""
         if m not in plans:
+            if m not in valid_actions:
+                raise SchedulingError(
+                    f"no device {m!r} to plan task ({app_id},{item.task_id}) on; "
+                    f"valid: {valid_actions}"
+                )
             device = devices[m - 1]
             data_ready = max(last_arrival(graph, outputs, m), now)
             plans[m] = (data_ready, max(device.queue_free_at, data_ready),
@@ -323,6 +271,11 @@ def run(
     def finish_if(m: int) -> float:
         _, start, exec_time = plan(m)
         return start + exec_time
+
+    def observe_pending() -> StateVector:
+        """The observation of the decision being made, from the state before
+        its commit; the context calls this on its first read only."""
+        return observe_state(now, topo, devices, ready[idx:])
 
     now = 0.0
     while heap:
@@ -362,23 +315,19 @@ def run(
             task = graph.task(item.task_id)
             outputs = parent_outputs(graph, item.task_id)
             plans.clear()
-            obs = observe_state(now, topo, devices, ready[idx:])
-            ctx = DecisionContext(
-                now=now,
-                app_id=app_id,
-                task_id=item.task_id,
-                workload=item.workload,
-                lct=item.lct,
-                observation=obs,
-                valid_actions=valid_actions,
-                finish_if=finish_if,
-            )
+            # records are built positionally: keywords cost more than the
+            # construction itself on this once-per-decision path
+            ctx = DecisionContext(now, app_id, item.task_id, item.workload, item.lct,
+                                  None, valid_actions, finish_if, observe=observe_pending)
             action = scheduler.decide(ctx)
             if action not in valid_actions:
                 raise SchedulingError(
                     f"scheduler chose device {action!r} for task "
                     f"({app_id},{item.task_id}); valid: {valid_actions}"
                 )
+            if record_rows:
+                obs = ctx.observation  # the row needs the aggregates
+            ctx.close()
             data_ready, start, exec_time = plan(action)
             arrival_wait = data_ready - now
             queue_wait = start - data_ready
@@ -397,10 +346,8 @@ def run(
             )
             trace.rewards.append(reward)
             scheduler.notify_outcome(OutcomeRecord(
-                app_id=app_id, task_id=item.task_id, ecd_id=action,
-                workload=task.workload, lct=item.lct, arrival_wait=arrival_wait,
-                queue_wait=queue_wait, exec_time=exec_time,
-                start=start, finish=finish, reward=reward,
+                app_id, item.task_id, action, task.workload, item.lct,
+                arrival_wait, queue_wait, exec_time, start, finish, reward,
             ))
             if record_rows:
                 trace.rows.append((now, "decide", app_id, item.task_id, action,

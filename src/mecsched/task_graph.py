@@ -325,7 +325,7 @@ def compute_lct(
                     - graph.edge_data(i, j) / max_rate
                 )
         lct[i] = min(bounds)
-    tasks = tuple(replace(t, lct=lct[t.task_id]) for t in graph.tasks)
+    tasks = tuple(Task(t.app_id, t.task_id, t.workload, lct[t.task_id]) for t in graph.tasks)
     return graph.with_attributes(tasks=tasks)
 
 

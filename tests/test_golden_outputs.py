@@ -8,10 +8,12 @@ pinned, so any change to generation, the kernel's timing, the observation
 sums or the capability draws shows up here, down to the last bit of a float.
 
 The digests depend on numpy's random streams and float formatting; if they
-change with a numpy upgrade alone, re-record them under the new version.
+change with a numpy or Python upgrade alone, re-record them under the new
+version.
 """
 
 import hashlib
+import platform
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from mecsched.sim_engine import run
 from mecsched.task_graph import load_workload_file, save_workload_file
 from mecsched.workload import WorkloadSpec, generate
 
-RECORDED_UNDER_NUMPY = "2.4.6"
+RECORDED_UNDER = "numpy 2.4.6, Python 3.11.7"
 MASTER_SEED = 601
 REPLICATIONS = 2
 
@@ -95,6 +97,7 @@ def test_outputs_match_recorded_digests(tmp_path):
     digests = golden_outputs(tmp_path)
     changed = sorted(k for k in GOLDEN if digests.get(k) != GOLDEN[k])
     assert not changed, (
-        f"outputs changed: {changed}; digests were recorded under numpy "
-        f"{RECORDED_UNDER_NUMPY}, this run uses numpy {np.__version__}"
+        f"outputs changed: {changed}; digests were recorded under "
+        f"{RECORDED_UNDER}, this run uses numpy {np.__version__}, "
+        f"Python {platform.python_version()}"
     )

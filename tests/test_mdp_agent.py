@@ -13,6 +13,7 @@ from mecsched.mdp_agent import (
     compute_reward,
     normalize_state,
 )
+from mecsched.scheduler_port import SchedulerPort
 from mecsched.sim_engine import DecisionContext, OutcomeRecord
 
 
@@ -122,6 +123,11 @@ class TestActionSpace:
 
 
 class TestDqnScheduler:
+    def test_is_a_scheduler_port(self):
+        agent = DqnScheduler(RecordingLearner([]), 4)
+        assert isinstance(agent, SchedulerPort)
+        assert agent.ready_sort_key(None) is None
+
     def test_first_step_stores_nothing(self):
         learner = RecordingLearner([1])
         agent = DqnScheduler(learner, 4, norms=StateNorms(1, 1, 1))

@@ -7,6 +7,7 @@ from mecsched.mec_model import (
     EdgeDevice,
     NetworkTopology,
     execution_time,
+    ordered_sum,
     transfer_time,
     transition_capability,
 )
@@ -231,3 +232,10 @@ class TestTopologyRates:
         rates[0, 1] = 1.0  # the caller's array is copied, not frozen
         assert topo.rate(1, 2) == 440.0
         assert type(topo.rate(1, 2)) is float
+
+
+def test_ordered_sum_adds_left_to_right_without_compensation():
+    # builtin sum gives 1.0 here from Python 3.12 on
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum([]) == 0.0
+    assert type(ordered_sum(np.array([1.0, 2.0]))) is float

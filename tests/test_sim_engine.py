@@ -6,6 +6,7 @@ import pytest
 from conftest import make_chain_graph, make_graph, random_app, with_lct
 from oracles import evaluate_schedule
 from mecsched import rng as rngmod
+from mecsched import sim_engine
 from mecsched.experiment import TopologyConfig, build_chains, build_devices, build_topology
 from mecsched.mdp_agent import RewardParams, compute_reward
 from mecsched.mec_model import CapabilityChain, EdgeDevice, NetworkTopology
@@ -94,6 +95,22 @@ class TestObserveState:
         assert s.backlog == (0.0, 1.5, 0.0, 0.0)
         assert s.capability == (6000.0, 5000.0, 4000.0, 6000.0)
         assert s.as_array().shape == (15,)
+
+    def test_sums_are_not_compensated(self, topology):
+        # a compensated sum (builtin sum from Python 3.12 on) gives 1.0 here
+        cancelling = (1e16, 1.0, -1e16)
+        devices = simple_devices([6000.0] * 3)
+        for dev, mi in zip(devices, cancelling):
+            dev.enqueue(1, dev.ecd_id, mi)
+        ready = [ReadyItem(1, k, 1.0, mi) for k, mi in enumerate(cancelling)]
+        s = observe_state(0.0, topology, devices, ready)
+        assert s.ready_workload == 0.0
+        assert s.queued_workload == 0.0
+        trace = SimulationTrace()
+        trace.rewards = list(cancelling)
+        trace.app_makespans = dict(enumerate(cancelling))
+        assert trace.cumulative_reward == 0.0
+        assert trace.avg_makespan() == 0.0
 
 
 class TestRewardInputs:
@@ -185,6 +202,19 @@ class TestRun:
 
         with pytest.raises(SchedulingError):
             run([graph], topology, simple_devices([5000.0]), Bad(), identity_chains(1))
+
+    @pytest.mark.parametrize("bad", [0, 5, -1])
+    def test_finish_if_rejects_devices_outside_the_fleet(self, topology, bad):
+        graph = with_lct(make_graph({}, {1: 100.0}), topology)
+        tc = TopologyConfig()
+
+        class Probe(SchedulerPort):
+            def decide(self, ctx):
+                ctx.finish_if(bad)
+                return 1
+
+        with pytest.raises(SchedulingError, match=rf"no device {bad} .*valid: \(1, 2, 3, 4\)"):
+            run([graph], topology, build_devices(tc), Probe(), build_chains(tc, 5, "cap", 0))
 
     def test_same_seed_identical_traces(self, topology):
         rng = np.random.default_rng(13)
@@ -338,3 +368,102 @@ class TestOracleAgreement:
                 for key, a in trace.assignments.items():
                     assert finish[key] == pytest.approx(a.finish, abs=1e-9)
                 assert makespans[1] == pytest.approx(trace.app_makespans[1], abs=1e-9)
+
+
+class TestObservationOnRead:
+    """A decision's observation is computed only when something reads it."""
+
+    @pytest.fixture
+    def observed(self, monkeypatch):
+        """Arguments of every ``observe_state`` call the kernel makes."""
+        calls = []
+        original = sim_engine.observe_state
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sim_engine, "observe_state", counting)
+        return calls
+
+    @staticmethod
+    def simulate(topology, scheduler, record_rows):
+        rng = np.random.default_rng(52)
+        graphs = [with_lct(random_app(rng, n, 6, release=0.02 * n), topology)
+                  for n in (1, 2, 3)]
+        tc = TopologyConfig()
+        return run(graphs, topology, build_devices(tc), scheduler,
+                   build_chains(tc, 52, "cap", 0), record_rows=record_rows)
+
+    @staticmethod
+    def heuristic(name, topology):
+        from mecsched.baselines import (
+            GreedyEftScheduler,
+            HeftStyleScheduler,
+            RandomScheduler,
+        )
+        return {
+            "random": lambda: RandomScheduler(4, rngmod.stream(53, "p")),
+            "greedy_eft": GreedyEftScheduler,
+            "heft": lambda: HeftStyleScheduler(topology, TopologyConfig().capability_levels),
+        }[name]()
+
+    @pytest.mark.parametrize("name", ["random", "greedy_eft", "heft"])
+    def test_heuristics_observe_only_the_final_state(self, topology, observed, name):
+        trace = self.simulate(topology, self.heuristic(name, topology), record_rows=False)
+        assert len(trace.decisions) == 18
+        assert len(observed) == 1
+        assert observed[0][3] == []  # the final observation: nothing is ready
+
+    @pytest.mark.parametrize("name", ["random", "greedy_eft", "heft"])
+    def test_recorded_rows_observe_every_decision(self, topology, observed, name):
+        trace = self.simulate(topology, self.heuristic(name, topology), record_rows=True)
+        assert len(observed) == len(trace.decisions) + 1
+
+    def test_untrained_dqn_observes_every_decision(self, topology, observed):
+        from mecsched.dqn_core import DqnLearner, TrainConfig
+        from mecsched.mdp_agent import DqnScheduler, state_width
+
+        config = TrainConfig(batch=8, buffer_capacity=512, planned_steps=100,
+                             hidden_sizes=(8, 8), episodes=1, state_dim=state_width(4))
+        learner = DqnLearner(config, 5, rngmod.stream(54, "w"),
+                             rngmod.stream(54, "e"), rngmod.stream(54, "r"))
+        trace = self.simulate(topology, DqnScheduler(learner, 4, training=False),
+                              record_rows=False)
+        assert len(observed) == len(trace.decisions) + 1
+
+    def test_read_after_decide_gives_the_decision_time_value_or_raises(self, topology):
+        class Keeper(SchedulerPort):
+            """Reads the observation of every other decision, keeps every context."""
+
+            def __init__(self):
+                self.kept = []  # (context, observation read during decide or None)
+
+            def decide(self, ctx):
+                obs = ctx.observation if len(self.kept) % 2 else None
+                self.kept.append((ctx, obs))
+                return 1
+
+            def notify_outcome(self, outcome):
+                ctx, obs = self.kept[-1]
+                if obs is None:  # after the commit, an unread state is gone
+                    with pytest.raises(RuntimeError, match="only while"):
+                        ctx.observation
+
+        class DeviceOne(SchedulerPort):
+            def decide(self, ctx):
+                return 1
+
+        keeper = Keeper()
+        trace = self.simulate(topology, keeper, record_rows=False)
+        rows = self.simulate(topology, DeviceOne(), record_rows=True).rows
+        decide_rows = [r for r in rows if r[1] == "decide"]
+        assert len(keeper.kept) == len(decide_rows) == len(trace.decisions)
+        for (ctx, obs), row in zip(keeper.kept, decide_rows):
+            if obs is None:
+                with pytest.raises(RuntimeError, match="only while"):
+                    ctx.observation
+            else:
+                assert ctx.observation is obs
+                assert (obs.sum_inter_rate, obs.uplink_rate, obs.sum_capability,
+                        obs.ready_workload, obs.queued_workload) == row[7:12]
