@@ -37,7 +37,6 @@ from .mdp_agent import (
     StateNorms,
     RewardParams,
     MdpTransition,
-    ActionSpace,
     compute_reward,
     normalize_state,
     DqnScheduler,
@@ -52,11 +51,11 @@ from .sim_engine import (
 )
 from .dqn_core import (
     ValueNetwork,
+    DuelingNetwork,
     ReplayBuffer,
     AdamState,
     TrainConfig,
     DqnLearner,
-    select_action,
     compute_targets,
     train_step,
     sync_target,
@@ -67,8 +66,6 @@ from .baselines import (
     RandomScheduler,
     GreedyEftScheduler,
     HeftStyleScheduler,
-    DuelingNetwork,
-    make_dueling_learner,
 )
 from .workload import WorkloadSpec, generate, assign_deadline
 from .experiment import (

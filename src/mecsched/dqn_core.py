@@ -5,19 +5,25 @@ against finite differences exactly, and so that a fixed seed reproduces a
 training run bit for bit. The value network is a fully connected stack with
 rectified hidden layers and a linear output head; a squared Bellman error is
 minimized with Adam, targets come from a periodically synced copy of the
-network, and exploration is epsilon-greedy over the unmasked actions.
+network, and exploration is epsilon-greedy.
 
-The stack (``ValueNetwork``) is also the block that ``DeviceScoringNetwork``
-and ``baselines.DuelingNetwork`` are built from. Each network keeps all its
-parameters in one float64 vector ``flat`` and their gradient in ``grad``,
-with per-tensor views for ``parameters()`` and the gradient list; passes
-reuse work buffers per batch size, Adam and target syncs act on the whole
-vectors in place, and a training ``act`` runs the network only to exploit.
+Action ``a`` in 1..M places the task on device ``a``. Action 0 (run locally)
+keeps its output column, but no real task may run locally, so the learner
+never chooses it and targets never maximize over it.
+
+The stack (``ValueNetwork``) is also the block that the two other network
+kinds, ``DeviceScoringNetwork`` and ``DuelingNetwork``, are built from. Each
+network keeps all its parameters in one float64 vector ``flat`` and their
+gradient in ``grad``, with per-tensor views for ``parameters()`` and the
+gradient list; passes reuse work buffers per batch size, Adam and target
+syncs act on the whole vectors in place, and a training ``act`` runs the
+network only to exploit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -28,12 +34,12 @@ __all__ = [
     "FlatNetwork",
     "ValueNetwork",
     "DeviceScoringNetwork",
+    "DuelingNetwork",
     "ReplayBuffer",
     "AdamState",
     "TrainConfig",
     "DqnLearner",
     "DivergenceError",
-    "select_action",
     "compute_targets",
     "train_step",
     "loss_and_grads",
@@ -276,6 +282,57 @@ class DeviceScoringNetwork(FlatNetwork):
                                     self.hidden_activation, params=self.flat.copy())
 
 
+class DuelingNetwork(FlatNetwork):
+    """Q-network with separate state-value and advantage heads.
+
+    A shared trunk feeds a scalar value head and a per-action advantage head;
+    the heads combine as Q = V + A - mean(A), which removes the unidentifiable
+    common offset between them. Trunk (its last layer activated too) and
+    heads are ``ValueNetwork`` blocks on slices of one parameter vector, and
+    the network exposes the same forward/backward protocol as ValueNetwork,
+    so the training loop needs no special cases.
+    """
+
+    kind = "dueling"  # recorded in checkpoints
+
+    def __init__(self, layer_sizes, hidden_activation: str = "relu",
+                 rng: np.random.Generator | None = None, *, params=None):
+        sizes = [int(s) for s in layer_sizes]
+        if len(sizes) < 3:
+            raise ValueError("need input, at least one hidden, and output sizes")
+        self.layer_sizes = sizes
+        self.hidden_activation = hidden_activation
+        width, out = sizes[-2], sizes[-1]
+        self.trunk, self.value_head, self.adv_head = self._compose(
+            params, rng, hidden_activation,
+            (sizes[:-1], True), ([width, 1], False), ([width, out], False),
+        )
+        self.trunk_weights, self.trunk_biases = self.trunk.weights, self.trunk.biases
+        self.value_w, self.value_b = self.value_head.parameters()
+        self.adv_w, self.adv_b = self.adv_head.parameters()
+
+    def forward_batch(self, x):
+        t_acts = self.trunk.forward_layers(self._check_batch(x))
+        v_acts = self.value_head.forward_layers(t_acts[-1])
+        a_acts = self.adv_head.forward_layers(t_acts[-1])
+        value, adv = v_acts[-1], a_acts[-1]
+        q = value + adv - adv.mean(axis=1, keepdims=True)
+        return q, (t_acts, v_acts, a_acts)
+
+    def backward_from_q_grad(self, cache, d_q) -> list[np.ndarray]:
+        t_acts, v_acts, a_acts = cache
+        d_sum = d_q.sum(axis=1, keepdims=True)
+        d_feats = self.value_head.backward_layers(v_acts, d_sum, input_grad=True)
+        d_feats += self.adv_head.backward_layers(a_acts, d_q - d_sum / self.n_actions,
+                                                 input_grad=True)
+        self.trunk.backward_layers(t_acts, d_feats)
+        return self._grads
+
+    def clone(self) -> "DuelingNetwork":
+        return DuelingNetwork(self.layer_sizes, self.hidden_activation,
+                              params=self.flat.copy())
+
+
 def sync_target(net, target_net) -> None:
     """Copy the prediction parameters into the target network, bitwise."""
     if [p.shape for p in net.parameters()] != [p.shape for p in target_net.parameters()]:
@@ -383,35 +440,11 @@ class AdamState:
 # ---------------------------------------------------------------------------
 
 
-def _explore(mask, epsilon: float, rng: np.random.Generator | None) -> int | None:
-    """The exploring half of ``select_action``: a uniform unmasked action
-    with probability ``epsilon``, else None, drawing what it draws."""
-    valid = np.flatnonzero(np.asarray(mask, dtype=bool))
-    if valid.size == 0:
-        raise ValueError("all actions are masked")
-    if epsilon > 0.0:
-        if rng is None:
-            raise ValueError("epsilon > 0 requires a random stream")
-        if rng.random() < epsilon:
-            return int(valid[rng.integers(valid.size)])
-    return None
-
-
-def select_action(q, mask, epsilon: float, rng: np.random.Generator | None) -> int:
-    """Epsilon-greedy over unmasked actions; greedy ties go to lowest index."""
-    action = _explore(mask, epsilon, rng)
-    if action is not None:
-        return action
-    masked_q = np.where(np.asarray(mask, dtype=bool), np.asarray(q, dtype=float), -np.inf)
-    return int(np.argmax(masked_q))
-
-
-def compute_targets(batch, target_net, gamma: float, mask) -> np.ndarray:
-    """Bellman targets r + gamma * max over unmasked actions of target Q."""
+def compute_targets(batch, target_net, gamma: float) -> np.ndarray:
+    """Bellman targets r + gamma * max over the device actions of target Q."""
     _, _, rewards, next_states = batch
     q_next, _ = target_net.forward_batch(next_states)
-    masked = np.where(np.asarray(mask, dtype=bool)[None, :], q_next, -np.inf)
-    return rewards + gamma * masked.max(axis=1)
+    return rewards + gamma * q_next[:, 1:].max(axis=1)
 
 
 def loss_and_grads(net, states, actions, targets):
@@ -431,10 +464,10 @@ def loss_and_grads(net, states, actions, targets):
     return loss, net.backward_from_q_grad(cache, d_q)
 
 
-def train_step(net, target_net, batch, opt: AdamState, gamma: float, mask) -> float:
+def train_step(net, target_net, batch, opt: AdamState, gamma: float) -> float:
     """One SGD step on a sampled batch; returns the pre-update loss."""
-    states, actions, rewards, next_states = batch
-    targets = compute_targets(batch, target_net, gamma, mask)
+    states, actions, _, _ = batch
+    targets = compute_targets(batch, target_net, gamma)
     loss, _ = loss_and_grads(net, states, actions, targets)
     if not np.isfinite(loss):
         raise DivergenceError(
@@ -472,47 +505,65 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
+        for name in ("gamma", "epsilon_start", "epsilon_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate!r}")
+        if not 0.0 <= self.epsilon_decay_fraction < math.inf:
+            raise ValueError(f"epsilon_decay_fraction must be >= 0 and finite, "
+                             f"got {self.epsilon_decay_fraction!r}")
+        for name in ("batch", "target_sync_steps", "episodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.buffer_capacity < self.batch:
+            # a pool smaller than a batch never trains
+            raise ValueError(f"buffer_capacity (pool) must be >= batch ({self.batch}), "
+                             f"got {self.buffer_capacity}")
 
 
 class DqnLearner:
     """Prediction/target network pair plus replay, exploring and training.
 
-    ``act`` answers epsilon-greedy action queries (pure greedy when asked);
-    ``observe`` stores a finished transition and runs one training step once
-    the pool holds a full batch. The target net re-syncs every
-    ``target_sync_steps`` decision steps.
+    The actions are 0..``n_actions - 1``; action 0 (run locally) is never
+    chosen and never maximized over. ``act`` answers epsilon-greedy action
+    queries (pure greedy when asked); ``observe`` stores a finished
+    transition and runs one training step once the pool holds a full batch.
+    The target net re-syncs every ``target_sync_steps`` decision steps.
+
+    The network is the dueling kind when ``dueling``, else the device-scoring
+    kind when ``config.shared_devices``, else the plain kind.
     """
 
     def __init__(self, config: TrainConfig, n_actions: int,
                  rng_init: np.random.Generator,
                  rng_explore: np.random.Generator,
-                 rng_replay: np.random.Generator):
+                 rng_replay: np.random.Generator, *, dueling: bool = False):
+        if n_actions < 2:
+            raise ValueError(f"need at least one device action, got n_actions={n_actions}")
         self.config = config
         self.n_actions = int(n_actions)
         sizes = [config.state_dim, *config.hidden_sizes, self.n_actions]
+        # A dueling learner still draws the config's own network from
+        # rng_init first and discards it: the dueling weights are the draws
+        # that follow, and the golden training digests pin them.
         if config.shared_devices:
             net = DeviceScoringNetwork(sizes, device_feature_index(config.shared_devices),
                                        config.hidden_activation, rng_init)
         else:
             net = ValueNetwork(sizes, config.hidden_activation, rng_init)
-        self.set_network(net)
+        if dueling:
+            net = DuelingNetwork(sizes, config.hidden_activation, rng_init)
+        self.net = net
+        self.target_net = net.clone()
+        self.opt = AdamState(net.parameters(), learning_rate=config.learning_rate,
+                             beta1=config.adam_beta1, beta2=config.adam_beta2,
+                             eps=config.adam_eps)
         self.buffer = ReplayBuffer(config.buffer_capacity, config.state_dim, rng_replay)
         self.rng_explore = rng_explore
         self.decision_steps = 0
         self.last_loss: float | None = None
-
-    def set_network(self, net) -> None:
-        """Train ``net`` from here on, with a fresh target copy and fresh
-        Adam moments."""
-        cfg = self.config
-        self.net = net
-        self.target_net = net.clone()
-        self.opt = AdamState(net.parameters(), learning_rate=cfg.learning_rate,
-                             beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps)
 
     def epsilon(self) -> float:
         cfg = self.config
@@ -522,12 +573,15 @@ class DqnLearner:
         frac = min(1.0, self.decision_steps / horizon)
         return cfg.epsilon_start + frac * (cfg.epsilon_end - cfg.epsilon_start)
 
-    def act(self, state: np.ndarray, mask, greedy: bool = False) -> int:
-        """A training step draws from the exploration stream as
-        ``select_action`` does and runs the network only to exploit."""
-        action = None if greedy else _explore(mask, self.epsilon(), self.rng_explore)
-        if action is None:
-            action = select_action(self.net.forward(state), mask, 0.0, None)
+    def act(self, state: np.ndarray, greedy: bool = False) -> int:
+        """A device action: with probability epsilon (training only) a
+        uniform one, else the highest-valued one, ties to the lowest id. The
+        network runs only to exploit."""
+        rng = self.rng_explore
+        if not greedy and (epsilon := self.epsilon()) > 0.0 and rng.random() < epsilon:
+            action = 1 + int(rng.integers(self.n_actions - 1))
+        else:
+            action = 1 + int(np.argmax(self.net.forward(state)[1:]))
         if greedy:
             return action
         self.decision_steps += 1
@@ -539,10 +593,8 @@ class DqnLearner:
         self.buffer.add(transition)
         if len(self.buffer) >= self.config.batch:
             batch = self.buffer.sample(self.config.batch)
-            mask = np.ones(self.n_actions, dtype=bool)
-            mask[0] = False
             self.last_loss = train_step(
-                self.net, self.target_net, batch, self.opt, self.config.gamma, mask
+                self.net, self.target_net, batch, self.opt, self.config.gamma
             )
 
 
@@ -591,16 +643,13 @@ def load_checkpoint(path) -> DqnLearner:
         cfg_dict["hidden_sizes"] = tuple(cfg_dict["hidden_sizes"])
         config = TrainConfig(**cfg_dict)
         kind = meta.get("network")
-        factory = DqnLearner
-        if kind == "dueling":
-            from .baselines import make_dueling_learner  # baselines imports this module
-            factory = make_dueling_learner
-        learner = factory(
+        learner = DqnLearner(
             config,
             meta["n_actions"],
             rng_init=np.random.default_rng(0),
             rng_explore=_rng_from_state(meta["rng_explore"]),
             rng_replay=_rng_from_state(meta["rng_replay"]),
+            dueling=kind == "dueling",
         )
         if kind is not None and learner.net.kind != kind:
             raise ValueError(f"checkpoint network kind {kind!r} does not match "

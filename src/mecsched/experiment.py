@@ -17,16 +17,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng as rngmod
-from .baselines import (
-    GreedyEftScheduler,
-    HeftStyleScheduler,
-    RandomScheduler,
-    make_dueling_learner,
-)
+from .baselines import GreedyEftScheduler, HeftStyleScheduler, RandomScheduler
 from .dqn_core import DqnLearner, TrainConfig, load_checkpoint, save_checkpoint
 from .mdp_agent import RewardParams, DqnScheduler, StateNorms, state_width
 from .mec_model import CapabilityChain, EdgeDevice, NetworkTopology
-from .sim_engine import SimulationTrace, run
+from .sim_engine import SimulationTrace, run, write_csv
 from .task_graph import TaskGraph, compute_lct, load_workload_file, save_workload_file
 from .workload import WorkloadSpec, generate, shape_real_task_count
 
@@ -164,9 +159,10 @@ _FIELD_NAMES = {"shape": "graph_shape", "mean_rate_mbps": "mean_rate",
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
-    """Read an INI file over the defaults; unknown sections and keys, and
-    values that do not parse, raise ValueError naming section and key. A
-    list key left empty keeps its default."""
+    """Read an INI file over the defaults; unknown sections and keys, values
+    that do not parse and settings a section refuses raise ValueError naming
+    the section and the key or field. A list key left empty keeps its
+    default."""
     parser = configparser.ConfigParser()
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -187,12 +183,18 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             if value != ():
                 values[section][_FIELD_NAMES.get(key, key)] = value
 
-    topo = TopologyConfig(**values["topology"])
+    def build(section: str, cls, **extra):
+        try:
+            return cls(**values[section], **extra)
+        except ValueError as exc:
+            raise ValueError(f"{path}: [{section}] {exc}") from None
+
+    topo = build("topology", TopologyConfig)
     cfg = ExperimentConfig(
         topology=topo,
-        workload=WorkloadSpec(**values["workload"], n_devices=topo.n_devices),
-        agent=TrainConfig(**values["agent"]),
-        reward=RewardParams(**values["reward"]),
+        workload=build("workload", WorkloadSpec, n_devices=topo.n_devices),
+        agent=build("agent", TrainConfig),
+        reward=build("reward", RewardParams),
         **values["experiment"],
     )
     if overrides:
@@ -244,13 +246,13 @@ def _planned_steps(cfg: ExperimentConfig) -> int:
 def _make_learner(cfg: ExperimentConfig, dueling: bool = False) -> DqnLearner:
     agent_cfg = replace(cfg.agent, planned_steps=_planned_steps(cfg))
     tag = "dueling-" if dueling else ""
-    factory = make_dueling_learner if dueling else DqnLearner
-    return factory(
+    return DqnLearner(
         agent_cfg,
         cfg.topology.n_devices + 1,
         rngmod.stream(cfg.master_seed, tag + "weights"),
         rngmod.stream(cfg.master_seed, tag + "explore"),
         rngmod.stream(cfg.master_seed, tag + "replay"),
+        dueling=dueling,
     )
 
 
@@ -303,17 +305,6 @@ def _run_replication(cfg: ExperimentConfig, topo, graphs, name: str, rep: int,
                record_rows=cfg.write_traces)
 
 
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 def _write_manifest(cfg: ExperimentConfig, outdir, extra: dict | None = None) -> None:
     lines = []
 
@@ -344,8 +335,8 @@ def cmd_train(cfg: ExperimentConfig, outdir) -> dict[str, str]:
     checkpoint = os.path.join(outdir, "checkpoint.npz")
     save_checkpoint(learner, checkpoint)
     curve_path = os.path.join(outdir, "learning_curve.csv")
-    _write_csv(curve_path, ("episode", "cumulative_reward"),
-               [(e + 1, float(r)) for e, r in enumerate(curve)])
+    write_csv(curve_path, ("episode", "cumulative_reward"),
+              [(e + 1, float(r)) for e, r in enumerate(curve)])
     _write_manifest(cfg, outdir)
     return {"checkpoint": checkpoint, "curve": curve_path}
 
@@ -394,7 +385,7 @@ def cmd_evaluate(cfg: ExperimentConfig, outdir, checkpoint=None,
         learners["dqn"] = load_checkpoint(checkpoint)
     files = _write_workload_files(cfg, cfg.workload.lam, outdir)
     report = _evaluate_scheduler(cfg, topo, scheduler, cfg.workload.lam, learners, files)
-    _write_csv(
+    write_csv(
         os.path.join(outdir, "evaluation.csv"),
         ("scheduler", "rep", "avg_makespan", "violation_pct", "cumulative_reward"),
         [
@@ -434,7 +425,7 @@ def cmd_compare(cfg: ExperimentConfig, outdir, checkpoint=None) -> list[MetricsR
             for name in cfg.schedulers
         ]
         reports.extend(lam_reports)
-        _write_csv(
+        write_csv(
             os.path.join(outdir, f"comparison_lam{lam:g}.csv"),
             ("scheduler", "avg_makespan_mean", "avg_makespan_std",
              "violation_pct_mean", "violation_pct_std"),
@@ -445,7 +436,7 @@ def cmd_compare(cfg: ExperimentConfig, outdir, checkpoint=None) -> list[MetricsR
                 for r in lam_reports
             ],
         )
-        _write_csv(
+        write_csv(
             os.path.join(outdir, f"replications_lam{lam:g}.csv"),
             ("scheduler", "rep", "avg_makespan", "violation_pct", "cumulative_reward"),
             [

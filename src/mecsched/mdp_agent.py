@@ -27,7 +27,6 @@ __all__ = [
     "StateNorms",
     "RewardParams",
     "MdpTransition",
-    "ActionSpace",
     "compute_reward",
     "normalize_state",
     "state_width",
@@ -182,23 +181,6 @@ class MdpTransition:
     next_state: np.ndarray
 
 
-@dataclass(frozen=True)
-class ActionSpace:
-    """Actions 0..M; action 0 (run locally) is always masked for real tasks."""
-
-    n_devices: int
-
-    @property
-    def size(self) -> int:
-        return self.n_devices + 1
-
-    @property
-    def mask(self) -> np.ndarray:
-        valid = np.ones(self.size, dtype=bool)
-        valid[0] = False
-        return valid
-
-
 class DqnScheduler(SchedulerPort):
     """Event-driven decision layer bridging the simulator to a Q-learner.
 
@@ -212,8 +194,7 @@ class DqnScheduler(SchedulerPort):
     def __init__(self, learner, n_devices: int, norms: StateNorms | None = None,
                  training: bool = True):
         self.learner = learner
-        self.actions = ActionSpace(n_devices)
-        self._mask = self.actions.mask
+        self.n_devices = n_devices
         self.norms = norms if norms is not None else StateNorms()
         self.training = training
         self._pending: tuple[np.ndarray, int] | None = None
@@ -224,8 +205,9 @@ class DqnScheduler(SchedulerPort):
     def decide(self, ctx) -> int:
         state = normalize_state(ctx.observation, self.norms)
         self._absorb(state)
-        action = int(self.learner.act(state, self._mask, greedy=not self.training))
-        if not self._mask[action]:
+        action = int(self.learner.act(state, greedy=not self.training))
+        if not 1 <= action <= self.n_devices:
+            # action 0 (run locally) is masked for every real task
             raise RuntimeError(f"learner proposed masked action {action}")
         self._pending = (state, action)
         return action

@@ -38,7 +38,8 @@ class DecisionContext:
     and an ``observe`` callable instead, so the state is computed on the
     first read and cached; schedulers that never read it never pay for it.
     Both answer only while the decision is being made: once ``close`` has
-    run, ``observation`` returns the value already read or raises.
+    run, ``observation`` returns the value already read or raises, and
+    ``finish_if`` raises.
     """
 
     __slots__ = ("now", "app_id", "task_id", "workload", "lct", "valid_actions",
@@ -78,8 +79,15 @@ class DecisionContext:
         return obs
 
     def close(self) -> None:
-        """End the decision: an observation not read by now is never computed."""
+        """End the decision: an observation not read by now is never
+        computed, and ``finish_if`` no longer answers (the kernel's plans
+        move on to the next task)."""
         self._observe = None
+        self.finish_if = _closed_finish_if
+
+
+def _closed_finish_if(m: int) -> float:
+    raise RuntimeError("finish_if can be called only while the decision is made")
 
 
 @dataclass(slots=True)

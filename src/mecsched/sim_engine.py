@@ -170,17 +170,24 @@ class SimulationTrace:
         return ordered_sum(self.app_makespans.values()) / len(self.app_makespans)
 
     def to_csv(self, path) -> None:
-        def fmt(value) -> str:
-            if value is None:
-                return ""
-            if isinstance(value, float):
-                return repr(value)
-            return str(value)
+        write_csv(path, TRACE_COLUMNS, self.rows)
 
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for row in self.rows:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
+
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Rows under a header line, comma-separated: floats as ``repr`` (exact
+    round trip), None as an empty field, anything else as ``str``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_csv_field(v) for v in row) + "\n")
 
 
 def run(

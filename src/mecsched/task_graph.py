@@ -12,6 +12,7 @@ transfer assumptions. Ready tasks are dispatched in ascending LCT order.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -137,15 +138,7 @@ class TaskGraph:
             for child in self._children[node]:
                 indeg[child] -= 1
                 if indeg[child] == 0:
-                    # insert keeping the frontier sorted for determinism
-                    lo, hi = 0, len(frontier)
-                    while lo < hi:
-                        mid = (lo + hi) // 2
-                        if frontier[mid] < child:
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    frontier.insert(lo, child)
+                    bisect.insort(frontier, child)  # sorted, for determinism
         if len(order) != len(self.tasks):
             raise ValueError("task graph contains a cycle")
         return tuple(order)

@@ -10,6 +10,7 @@ clamped ranges; the topology itself is fixed so runs stay comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +46,17 @@ class WorkloadSpec:
             raise ValueError("n_apps must be >= 1")
         if self.n_devices < 1:
             raise ValueError("n_devices must be >= 1")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        for name in ("lam", "mean_rate", "deadline_factor", "deadline_capability"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.arrival_mode not in ("gap", "rate"):
             raise ValueError("arrival_mode must be 'gap' or 'rate'")
-        if not self.workload_range[0] <= self.workload_range[1]:
-            raise ValueError("workload_range out of order")
-        if not self.bc_range[0] <= self.bc_range[1]:
-            raise ValueError("bc_range out of order")
+        for name in ("workload_range", "bc_range"):
+            pair = getattr(self, name)
+            if len(pair) != 2 or not 0.0 <= pair[0] <= pair[1] < math.inf:
+                raise ValueError(f"{name} must be two finite numbers "
+                                 f"0 <= low <= high, got {pair!r}")
 
     @property
     def mean_gap(self) -> float:

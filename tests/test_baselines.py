@@ -5,14 +5,12 @@ from conftest import make_graph, with_lct
 from oracles import fd_loss_gradients
 from mecsched import rng as rngmod
 from mecsched.baselines import (
-    DuelingNetwork,
     GreedyEftScheduler,
     HeftStyleScheduler,
     RandomScheduler,
-    make_dueling_learner,
     upward_rank,
 )
-from mecsched.dqn_core import TrainConfig, loss_and_grads, select_action
+from mecsched.dqn_core import DqnLearner, DuelingNetwork, TrainConfig, loss_and_grads
 from mecsched.experiment import TopologyConfig, build_chains, build_devices, build_topology
 from mecsched.sim_engine import DecisionContext, ScriptedScheduler, run
 from mecsched.mdp_agent import StateVector, state_width
@@ -121,13 +119,15 @@ class TestHeftStyle:
 
 class TestDuelingNetwork:
     def test_equal_advantages_reduce_to_value(self):
-        net = DuelingNetwork([5, 8, 4], rng=np.random.default_rng(5))
+        learner = DqnLearner(TrainConfig(hidden_sizes=(8,)), 4, np.random.default_rng(5),
+                             np.random.default_rng(), np.random.default_rng(), dueling=True)
+        net = learner.net
+        assert isinstance(net, DuelingNetwork)
         net.adv_w[:] = 0.0
         net.adv_b[:] = 2.0  # constant advantage across actions
         q = net.forward(np.ones(5))
         assert np.allclose(q, q[0])
-        mask = np.array([False, True, True, True])
-        assert select_action(q, mask, 0.0, None) == 1
+        assert learner.act(np.ones(5), greedy=True) == 1
 
     def test_hand_built_aggregation(self):
         net = DuelingNetwork([2, 2, 2], hidden_activation="linear",
@@ -159,8 +159,8 @@ class TestDuelingNetwork:
     def test_learner_trains_in_simulation(self, topology):
         config = TrainConfig(batch=16, buffer_capacity=2000, planned_steps=500,
                              hidden_sizes=(8, 8), episodes=2, state_dim=state_width(4))
-        learner = make_dueling_learner(config, 5, rngmod.stream(0, "w"),
-                                       rngmod.stream(0, "e"), rngmod.stream(0, "r"))
+        learner = DqnLearner(config, 5, rngmod.stream(0, "w"), rngmod.stream(0, "e"),
+                             rngmod.stream(0, "r"), dueling=True)
         from conftest import random_app
         from mecsched.mdp_agent import DqnScheduler
         tc = TopologyConfig()

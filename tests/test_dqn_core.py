@@ -4,12 +4,12 @@ import pytest
 from scipy import stats
 
 from oracles import fd_loss_gradients, value_iteration
-from mecsched.baselines import DuelingNetwork, make_dueling_learner
 from mecsched.dqn_core import (
     AdamState,
     DeviceScoringNetwork,
     DivergenceError,
     DqnLearner,
+    DuelingNetwork,
     ReplayBuffer,
     TrainConfig,
     ValueNetwork,
@@ -17,7 +17,6 @@ from mecsched.dqn_core import (
     load_checkpoint,
     loss_and_grads,
     save_checkpoint,
-    select_action,
     sync_target,
     train_step,
 )
@@ -120,13 +119,12 @@ class TestFlatParameters:
         assert not np.shares_memory(net.flat, target.flat)
         opt = AdamState(net.parameters())
         r = rng(63)
-        mask = np.array([False, True, True, True])
 
         def train(steps):
             for _ in range(steps):
                 batch = (r.normal(size=(8, state_width(3))), r.integers(1, 4, size=8),
                          r.normal(size=8), r.normal(size=(8, state_width(3))))
-                train_step(net, target, batch, opt, 0.95, mask)
+                train_step(net, target, batch, opt, 0.95)
 
         train(5)
         sync_target(net, target)
@@ -148,39 +146,56 @@ class TestFlatParameters:
 
         learner.net.forward = forward
         twin = rng(65)
-        mask = np.array([False, True, True, True])
         state = np.zeros(state_width(3))
         for _ in range(50):
-            expected = select_action(np.zeros(4), mask, 1.0, twin)
-            assert learner.act(state, mask) == expected
+            assert twin.random() < 1.0
+            assert learner.act(state) == 1 + twin.integers(3)
         assert learner.rng_explore.bit_generator.state == twin.bit_generator.state
 
 
+def stub_learner(q, epsilon=0.0, seed=0):
+    """A plain learner of ``len(q)`` actions whose network answers ``q``."""
+    config = TrainConfig(batch=1, buffer_capacity=1, planned_steps=0,
+                         epsilon_end=epsilon, hidden_sizes=(2,))
+    learner = DqnLearner(config, len(q), rng(), rng(seed), rng())
+    learner.net.forward = lambda state: np.asarray(q, dtype=float)
+    return learner
+
+
 class TestSelectAction:
+    """``DqnLearner.act``: epsilon-greedy over the device actions 1..M."""
+
     def test_greedy_argmax_with_mask(self):
-        q = np.array([100.0, 3.0, 7.0, 2.0, 5.0])
-        mask = np.array([False, True, True, True, True])
-        assert select_action(q, mask, 0.0, None) == 2
+        learner = stub_learner([100.0, 3.0, 7.0, 2.0, 5.0])
+        assert learner.act(np.zeros(5), greedy=True) == 2
+        assert learner.act(np.zeros(5)) == 2  # epsilon 0 exploits too
 
     def test_tie_goes_to_lowest_index(self):
-        q = np.array([0.0, 7.0, 3.0, 7.0])
-        mask = np.array([False, True, True, True])
-        assert select_action(q, mask, 0.0, None) == 1
+        learner = stub_learner([0.0, 7.0, 3.0, 7.0])
+        assert learner.act(np.zeros(5), greedy=True) == 1
 
     def test_full_exploration_is_uniform(self):
-        q = np.zeros(5)
-        mask = np.array([False, True, True, True, True])
+        learner = stub_learner(np.zeros(5), epsilon=1.0, seed=5)
         counts = np.zeros(5)
-        r = rng(5)
+        state = np.zeros(5)
         n = 1_000_000
         for _ in range(n):
-            counts[select_action(q, mask, 1.0, r)] += 1
+            counts[learner.act(state)] += 1
         assert counts[0] == 0
         assert np.abs(counts[1:] / n - 0.25).max() < 0.01
 
-    def test_all_masked_rejected(self):
-        with pytest.raises(ValueError):
-            select_action(np.zeros(3), np.zeros(3, dtype=bool), 0.0, None)
+    def test_exploration_draws_match_a_twin_stream(self):
+        learner = stub_learner([0.0, 1.0, 9.0, 4.0], epsilon=0.5, seed=7)
+        twin = rng(7)
+        for _ in range(200):
+            expected = 1 + twin.integers(3) if twin.random() < 0.5 else 2
+            assert learner.act(np.zeros(5)) == expected
+        assert learner.rng_explore.bit_generator.state == twin.bit_generator.state
+
+    def test_single_action_learner_refused(self):
+        config = TrainConfig(hidden_sizes=(2,))
+        with pytest.raises(ValueError, match="n_actions=1"):
+            DqnLearner(config, 1, rng(), rng(), rng())
 
 
 class TestTargets:
@@ -188,16 +203,14 @@ class TestTargets:
         net = ValueNetwork([5, 4, 3], rng=rng(6))
         batch = (np.zeros((4, 5)), np.array([1, 1, 2, 2]), np.arange(4.0),
                  rng(7).normal(size=(4, 5)))
-        mask = np.array([False, True, True])
-        assert np.allclose(compute_targets(batch, net, 0.0, mask), np.arange(4.0))
+        assert np.allclose(compute_targets(batch, net, 0.0), np.arange(4.0))
 
     def test_hand_value(self):
         net = ValueNetwork([5, 4, 2], rng=rng(8))
         s2 = np.ones((1, 5))
         q2 = net.forward(np.ones(5))
-        mask = np.array([False, True])
         batch = (np.zeros((1, 5)), np.array([1]), np.array([1.0]), s2)
-        y = compute_targets(batch, net, 0.95, mask)
+        y = compute_targets(batch, net, 0.95)
         assert y[0] == pytest.approx(1.0 + 0.95 * q2[1])
 
     def test_masked_actions_excluded_from_max(self):
@@ -205,8 +218,7 @@ class TestTargets:
         net.weights[-1][:] = 0.0
         net.biases[-1][:] = np.array([100.0, 1.0, 2.0])
         batch = (np.zeros((1, 5)), np.array([1]), np.array([0.0]), np.ones((1, 5)))
-        mask = np.array([False, True, True])
-        y = compute_targets(batch, net, 1.0, mask)
+        y = compute_targets(batch, net, 1.0)
         assert y[0] == pytest.approx(2.0)
 
     def test_zero_target_net(self):
@@ -215,8 +227,7 @@ class TestTargets:
             p[:] = 0.0
         batch = (np.zeros((3, 5)), np.array([1, 1, 2]), np.array([1.0, 2.0, 3.0]),
                  np.ones((3, 5)))
-        mask = np.array([False, True, True])
-        assert np.allclose(compute_targets(batch, net, 0.95, mask),
+        assert np.allclose(compute_targets(batch, net, 0.95),
                            np.array([1.0, 2.0, 3.0]))
 
 
@@ -295,10 +306,9 @@ class TestDeviceScoringNetwork:
         learner = DqnLearner(config, 4, rng(43), rng(44), rng(45))
         assert isinstance(learner.net, DeviceScoringNetwork)
         r = rng(46)
-        mask = np.array([False, True, True, True])
         for _ in range(20):
             s, s2 = r.normal(size=state_width(3)), r.normal(size=state_width(3))
-            learner.observe(MdpTransition(s, learner.act(s, mask), float(r.normal()), s2))
+            learner.observe(MdpTransition(s, learner.act(s), float(r.normal()), s2))
         path = tmp_path / "scoring.npz"
         save_checkpoint(learner, path)
         loaded = load_checkpoint(path)
@@ -313,8 +323,7 @@ class TestTrainStep:
         opt = AdamState(net.parameters(), learning_rate=0.01)
         state = np.ones((1, 5))
         batch = (state, np.array([1]), np.array([2.0]), np.ones((1, 5)))
-        mask = np.array([False, True, True])
-        losses = [train_step(net, target, batch, opt, 0.0, mask) for _ in range(800)]
+        losses = [train_step(net, target, batch, opt, 0.0) for _ in range(800)]
         assert losses[-1] < 1e-6
         assert losses[-1] < losses[0]
 
@@ -325,7 +334,7 @@ class TestTrainStep:
         opt = AdamState(net.parameters())
         batch = (np.ones((1, 5)), np.array([1]), np.array([1.0]), np.ones((1, 5)))
         with pytest.raises(DivergenceError):
-            train_step(net, target, batch, opt, 0.95, np.array([False, True]))
+            train_step(net, target, batch, opt, 0.95)
 
     def test_target_untouched_between_syncs(self):
         net = ValueNetwork([5, 8, 3], rng=rng(19))
@@ -333,11 +342,10 @@ class TestTrainStep:
         before = [p.copy() for p in target.parameters()]
         opt = AdamState(net.parameters())
         r = rng(20)
-        mask = np.array([False, True, True])
         for _ in range(50):
             batch = (r.normal(size=(8, 5)), r.integers(1, 3, size=8),
                      r.normal(size=8), r.normal(size=(8, 5)))
-            train_step(net, target, batch, opt, 0.95, mask)
+            train_step(net, target, batch, opt, 0.95)
         assert all(np.array_equal(a, b) for a, b in zip(before, target.parameters()))
         assert not all(
             np.array_equal(a, b) for a, b in zip(before, net.parameters())
@@ -404,6 +412,21 @@ class TestReplayBuffer:
             buf.sample(2)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", 1.5), ("epsilon_start", 1.5), ("epsilon_end", float("nan")),
+        ("learning_rate", -1.0), ("learning_rate", float("inf")),
+        ("epsilon_decay_fraction", -0.1), ("batch", 0), ("target_sync_steps", 0),
+        ("episodes", -3), ("buffer_capacity", 10),
+    ])
+    def test_bad_setting_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            TrainConfig(**{field: value})
+
+    def test_pool_of_one_batch_accepted(self):
+        assert TrainConfig(batch=8, buffer_capacity=8).buffer_capacity == 8
+
+
 class TestLearnerAndCheckpoint:
     def make_learner(self, planned=1000):
         config = TrainConfig(batch=8, buffer_capacity=64, planned_steps=planned,
@@ -421,20 +444,18 @@ class TestLearnerAndCheckpoint:
     def test_greedy_act_consumes_no_randomness(self):
         learner = self.make_learner()
         state = np.ones(5)
-        mask = np.array([False, True, True, True, True])
         before = learner.rng_explore.bit_generator.state["state"]["state"]
-        learner.act(state, mask, greedy=True)
+        learner.act(state, greedy=True)
         after = learner.rng_explore.bit_generator.state["state"]["state"]
         assert before == after
         assert learner.decision_steps == 0
 
     def test_checkpoint_round_trip_bitwise(self, tmp_path):
         learner = self.make_learner()
-        mask = np.array([False, True, True, True, True])
         r = rng(34)
         for _ in range(40):
             s, s2 = r.normal(size=5), r.normal(size=5)
-            a = learner.act(s, mask)
+            a = learner.act(s)
             learner.observe(MdpTransition(s, a, float(r.normal()), s2))
         path = tmp_path / "agent.npz"
         save_checkpoint(learner, path)
@@ -497,7 +518,7 @@ class ToyTwoStateEnv:
             s_vec = self.embed(state)
             if prev is not None and learn:
                 learner.observe(MdpTransition(prev[0], prev[1], prev[2], s_vec))
-            action = learner.act(s_vec, self.mask, greedy=not learn)
+            action = learner.act(s_vec, greedy=not learn)
             move = action - 1
             reward = self.REWARDS[state][move]
             nxt = self.TRANSITIONS[state][move]
@@ -534,22 +555,21 @@ class TestCheckpointNetworkKinds:
     """Every network kind a learner can carry survives save and load."""
 
     KINDS = {
-        "plain": (DqnLearner, 0),
-        "device-scoring": (DqnLearner, 3),
-        "dueling": (make_dueling_learner, 0),
+        "plain": (False, 0),
+        "device-scoring": (False, 3),
+        "dueling": (True, 0),
     }
 
     def trained(self, kind):
-        factory, shared = self.KINDS[kind]
+        dueling, shared = self.KINDS[kind]
         config = TrainConfig(batch=8, buffer_capacity=64, planned_steps=100,
                              hidden_sizes=(8, 8), state_dim=state_width(3),
                              shared_devices=shared)
-        learner = factory(config, 4, rng(51), rng(52), rng(53))
+        learner = DqnLearner(config, 4, rng(51), rng(52), rng(53), dueling=dueling)
         r = rng(54)
-        mask = np.array([False, True, True, True])
         for _ in range(20):
             s, s2 = r.normal(size=state_width(3)), r.normal(size=state_width(3))
-            learner.observe(MdpTransition(s, learner.act(s, mask), float(r.normal()), s2))
+            learner.observe(MdpTransition(s, learner.act(s), float(r.normal()), s2))
         return learner
 
     @pytest.mark.parametrize("kind", list(KINDS))

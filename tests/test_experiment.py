@@ -20,7 +20,7 @@ from mecsched.experiment import (
     load_config,
 )
 from mecsched.dqn_core import DqnLearner
-from mecsched.mdp_agent import ActionSpace, StateNorms, normalize_state
+from mecsched.mdp_agent import StateNorms, normalize_state
 from mecsched.sim_engine import ReadyItem, observe_state
 from mecsched.task_graph import load_workload_file
 from mecsched.workload import WorkloadSpec
@@ -57,7 +57,7 @@ class TestConfigFile:
         assert state.shape == (cfg.agent.state_dim,)
         learner = DqnLearner(cfg.agent, n_devices + 1, np.random.default_rng(0),
                              np.random.default_rng(1), np.random.default_rng(2))
-        assert 1 <= learner.act(state, ActionSpace(n_devices).mask) <= n_devices
+        assert 1 <= learner.act(state) <= n_devices
 
     def test_defaults_match_reference_setup(self):
         cfg = load_config(None)
@@ -107,7 +107,10 @@ class TestConfigFile:
         ("[topology]\nn_apps = 3\n", r"unknown config key 'n_apps' in \[topology\]"),
         ("[agents]\nepisodes = 3\n", r"unknown config section \[agents\]"),
         ("[agent]\nepisodes = many\n", r"\[agent\] episodes: invalid literal"),
-    ], ids=["misspelt-key", "key-of-other-section", "unknown-section", "bad-value"])
+        ("[agent]\npool = 10\n", r"\[agent\] buffer_capacity \(pool\) must be >= batch"),
+        ("[workload]\nlam = nan\n", r"\[workload\] lam must be positive and finite"),
+    ], ids=["misspelt-key", "key-of-other-section", "unknown-section", "bad-value",
+            "pool-below-batch", "nan-lam"])
     def test_bad_keys_rejected_with_location(self, tmp_path, text, message):
         path = tmp_path / "bad.ini"
         path.write_text(text)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mecsched.mdp_agent import (
-    ActionSpace,
     MdpTransition,
     RewardParams,
     DqnScheduler,
@@ -35,7 +34,7 @@ class RecordingLearner:
         self.actions = list(actions)
         self.seen: list[MdpTransition] = []
 
-    def act(self, state, mask, greedy=False):
+    def act(self, state, greedy=False):
         return self.actions.pop(0)
 
     def observe(self, transition):
@@ -112,14 +111,6 @@ class TestNormalization:
     def test_positive_scales_required(self):
         with pytest.raises(ValueError):
             normalize_state(StateVector(1, 1, 1, 1, 1), StateNorms(rate=0.0))
-
-
-class TestActionSpace:
-    def test_local_action_masked(self):
-        space = ActionSpace(4)
-        assert space.size == 5
-        assert not space.mask[0]
-        assert space.mask[1:].all()
 
 
 class TestDqnScheduler:

@@ -467,3 +467,25 @@ class TestObservationOnRead:
                 assert ctx.observation is obs
                 assert (obs.sum_inter_rate, obs.uplink_rate, obs.sum_capability,
                         obs.ready_workload, obs.queued_workload) == row[7:12]
+
+    def test_kept_context_finish_if_raises_after_close(self, topology):
+        class Keeper(SchedulerPort):
+            """Keeps its first context and asks it again in later decisions."""
+
+            def __init__(self):
+                self.first = None
+                self.later = 0
+
+            def decide(self, ctx):
+                if self.first is None:
+                    self.first = ctx
+                    assert ctx.finish_if(2) > ctx.now
+                else:
+                    with pytest.raises(RuntimeError, match="only while"):
+                        self.first.finish_if(2)
+                    self.later += 1
+                return 1
+
+        keeper = Keeper()
+        trace = self.simulate(topology, keeper, record_rows=False)
+        assert keeper.later == len(trace.decisions) - 1 > 0

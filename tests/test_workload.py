@@ -99,6 +99,17 @@ class TestGenerate:
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             WorkloadSpec(**{field: 0})
 
+    @pytest.mark.parametrize("field, value", [
+        ("lam", float("nan")), ("lam", float("inf")), ("lam", -1.0),
+        ("mean_rate", 0.0), ("deadline_factor", float("nan")),
+        ("deadline_capability", -5000.0),
+        ("workload_range", (500.0, 100.0)), ("workload_range", (-1.0, 100.0)),
+        ("bc_range", (0.0, float("nan"))), ("bc_range", (0.001,)),
+    ])
+    def test_bad_numbers_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            WorkloadSpec(**{field: value})
+
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError):
             generate(WorkloadSpec(graph_shape="nope", seed=0))
