@@ -11,13 +11,14 @@ Action ``a`` in 1..M places the task on device ``a``. Action 0 (run locally)
 keeps its output column, but no real task may run locally, so the learner
 never chooses it and targets never maximize over it.
 
-The stack (``ValueNetwork``) is also the block that the two other network
-kinds, ``DeviceScoringNetwork`` and ``DuelingNetwork``, are built from. Each
-network keeps all its parameters in one float64 vector ``flat`` and their
-gradient in ``grad``, with per-tensor views for ``parameters()`` and the
-gradient list; passes reuse work buffers per batch size, Adam and target
-syncs act on the whole vectors in place, and a training ``act`` runs the
-network only to exploit.
+The stack (``ValueNetwork``) is the block that the learner's two network
+kinds, ``DeviceScoringNetwork`` and ``DuelingNetwork``, are built from; the
+learner takes their shape from its action count. Each network keeps all
+its parameters in one float64 vector ``flat`` and their gradient in
+``grad``, with per-tensor views for ``parameters()`` and the gradient list;
+passes reuse work buffers per batch size, Adam and target syncs act on the
+whole vectors in place, and a training ``act`` runs the network only to
+exploit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .mdp_agent import MdpTransition, device_feature_index
+from .mdp_agent import MdpTransition, device_feature_index, state_width
 
 __all__ = [
     "FlatNetwork",
@@ -48,7 +49,8 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 2  # 2: per-task and per-device state components
+CHECKPOINT_VERSION = 3  # 3: the state layout follows n_actions alone
+ACTIVATIONS = ("relu", "linear")
 
 # DeviceScoringNetwork's shared advantage stack: hidden width, output scale
 ADVANTAGE_HIDDEN = 32
@@ -91,7 +93,7 @@ def _draw_weights(weights, rng: np.random.Generator | None) -> None:
 
 
 class FlatNetwork:
-    """What the three network kinds share.
+    """What the stack and the two network kinds built from it share.
 
     ``parameters()`` and the list ``backward_from_q_grad`` returns are
     per-tensor views into ``flat`` and ``grad``, in the same order.
@@ -152,15 +154,13 @@ class ValueNetwork(FlatNetwork):
     which the block's next pass of that size overwrites.
     """
 
-    kind = "plain"  # recorded in checkpoints
-
     def __init__(self, layer_sizes, hidden_activation: str = "relu",
                  rng: np.random.Generator | None = None, *, params=None, grad=None,
                  activate_last: bool = False):
         sizes = [int(s) for s in layer_sizes]
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        if hidden_activation not in ("relu", "linear"):
+        if hidden_activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {hidden_activation!r}")
         self.layer_sizes = sizes
         self.hidden_activation = hidden_activation
@@ -348,15 +348,15 @@ def sync_target(net, target_net) -> None:
 class ReplayBuffer:
     """Ring buffer of transitions with uniform without-replacement batches."""
 
-    def __init__(self, capacity: int, state_dim: int, rng: np.random.Generator):
+    def __init__(self, capacity: int, width: int, rng: np.random.Generator):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
         self.rng = rng
-        self._states = np.zeros((capacity, state_dim))
+        self._states = np.zeros((capacity, width))
         self._actions = np.zeros(capacity, dtype=np.int64)
         self._rewards = np.zeros(capacity)
-        self._next_states = np.zeros((capacity, state_dim))
+        self._next_states = np.zeros((capacity, width))
         self._cursor = 0
         self._size = 0
 
@@ -494,15 +494,8 @@ class TrainConfig:
     target_sync_steps: int = 500
     episodes: int = 800
     planned_steps: int = 0  # total decision steps expected; 0 = fully decayed
-    state_dim: int = 5
-    # devices scored by one shared advantage stack (DeviceScoringNetwork);
-    # 0 gives the plain network with one output per action
-    shared_devices: int = 0
     hidden_sizes: tuple[int, ...] = (128, 64, 32, 16)
     hidden_activation: str = "relu"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
         for name in ("gamma", "epsilon_start", "epsilon_end"):
@@ -519,8 +512,11 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.buffer_capacity < self.batch:
             # a pool smaller than a batch never trains
-            raise ValueError(f"buffer_capacity (pool) must be >= batch ({self.batch}), "
+            raise ValueError(f"buffer_capacity must be >= batch ({self.batch}), "
                              f"got {self.buffer_capacity}")
+        if self.hidden_activation not in ACTIVATIONS:
+            raise ValueError(f"hidden_activation must be one of {ACTIVATIONS}, "
+                             f"got {self.hidden_activation!r}")
 
 
 class DqnLearner:
@@ -532,8 +528,10 @@ class DqnLearner:
     transition and runs one training step once the pool holds a full batch.
     The target net re-syncs every ``target_sync_steps`` decision steps.
 
-    The network is the dueling kind when ``dueling``, else the device-scoring
-    kind when ``config.shared_devices``, else the plain kind.
+    The fleet sets the network's shape: ``n_actions - 1`` devices give a
+    ``state_width``-wide input, which the replay pool stores too. The
+    network is the dueling kind when ``dueling``, else the device-scoring
+    kind over ``device_feature_index``.
     """
 
     def __init__(self, config: TrainConfig, n_actions: int,
@@ -544,23 +542,19 @@ class DqnLearner:
             raise ValueError(f"need at least one device action, got n_actions={n_actions}")
         self.config = config
         self.n_actions = int(n_actions)
-        sizes = [config.state_dim, *config.hidden_sizes, self.n_actions]
-        # A dueling learner still draws the config's own network from
+        n_devices = self.n_actions - 1
+        sizes = [state_width(n_devices), *config.hidden_sizes, self.n_actions]
+        # A dueling learner still draws the device-scoring network from
         # rng_init first and discards it: the dueling weights are the draws
         # that follow, and the golden training digests pin them.
-        if config.shared_devices:
-            net = DeviceScoringNetwork(sizes, device_feature_index(config.shared_devices),
-                                       config.hidden_activation, rng_init)
-        else:
-            net = ValueNetwork(sizes, config.hidden_activation, rng_init)
+        net = DeviceScoringNetwork(sizes, device_feature_index(n_devices),
+                                   config.hidden_activation, rng_init)
         if dueling:
             net = DuelingNetwork(sizes, config.hidden_activation, rng_init)
         self.net = net
         self.target_net = net.clone()
-        self.opt = AdamState(net.parameters(), learning_rate=config.learning_rate,
-                             beta1=config.adam_beta1, beta2=config.adam_beta2,
-                             eps=config.adam_eps)
-        self.buffer = ReplayBuffer(config.buffer_capacity, config.state_dim, rng_replay)
+        self.opt = AdamState(net.parameters(), learning_rate=config.learning_rate)
+        self.buffer = ReplayBuffer(config.buffer_capacity, sizes[0], rng_replay)
         self.rng_explore = rng_explore
         self.decision_steps = 0
         self.last_loss: float | None = None
@@ -632,28 +626,28 @@ def save_checkpoint(learner: DqnLearner, path) -> None:
 
 def load_checkpoint(path) -> DqnLearner:
     """Rebuild a saved learner: its network kind, parameters, Adam state,
-    step counters and random cursors. The replay pool is not saved, so
-    training resumed from a checkpoint refills it from empty. A checkpoint
-    that records no network kind is rebuilt as ``TrainConfig`` describes."""
+    step counters and random cursors. The recorded ``n_actions`` sets the
+    state layout, and the kind must be ``device-scoring`` or ``dueling``;
+    other checkpoint versions are refused. The replay pool is not saved, so
+    training resumed from a checkpoint refills it from empty."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
+        kind = meta.get("network")
+        if kind not in (DeviceScoringNetwork.kind, DuelingNetwork.kind):
+            raise ValueError(f"unsupported checkpoint network kind {kind!r}")
         cfg_dict = dict(meta["config"])
         cfg_dict["hidden_sizes"] = tuple(cfg_dict["hidden_sizes"])
         config = TrainConfig(**cfg_dict)
-        kind = meta.get("network")
         learner = DqnLearner(
             config,
             meta["n_actions"],
             rng_init=np.random.default_rng(0),
             rng_explore=_rng_from_state(meta["rng_explore"]),
             rng_replay=_rng_from_state(meta["rng_replay"]),
-            dueling=kind == "dueling",
+            dueling=kind == DuelingNetwork.kind,
         )
-        if kind is not None and learner.net.kind != kind:
-            raise ValueError(f"checkpoint network kind {kind!r} does not match "
-                             f"its config ({learner.net.kind!r})")
         for role, net in (("net", learner.net), ("target", learner.target_net)):
             for i, p in enumerate(net.parameters()):
                 saved = data[f"{role}_{i}"]

@@ -19,7 +19,7 @@ import numpy as np
 from . import rng as rngmod
 from .baselines import GreedyEftScheduler, HeftStyleScheduler, RandomScheduler
 from .dqn_core import DqnLearner, TrainConfig, load_checkpoint, save_checkpoint
-from .mdp_agent import RewardParams, DqnScheduler, StateNorms, state_width
+from .mdp_agent import RewardParams, DqnScheduler
 from .mec_model import CapabilityChain, EdgeDevice, NetworkTopology
 from .sim_engine import SimulationTrace, run, write_csv
 from .task_graph import TaskGraph, compute_lct, load_workload_file, save_workload_file
@@ -78,10 +78,6 @@ class ExperimentConfig:
     write_traces: bool = False
 
     def __post_init__(self) -> None:
-        # the learner's input follows the fleet the observation covers
-        n = self.topology.n_devices
-        object.__setattr__(self, "agent", replace(
-            self.agent, state_dim=state_width(n), shared_devices=n))
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         for name in self.schedulers:
@@ -156,13 +152,13 @@ _CONFIG_KEYS = {
 _FIELD_NAMES = {"shape": "graph_shape", "mean_rate_mbps": "mean_rate",
                 "deadline_capability_mips": "deadline_capability",
                 "pool": "buffer_capacity", "lams": "compare_lams"}
+_INI_KEYS = {name: key for key, name in _FIELD_NAMES.items()}
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Read an INI file over the defaults; unknown sections and keys, values
     that do not parse and settings a section refuses raise ValueError naming
-    the section and the key or field. A list key left empty keeps its
-    default."""
+    the section and the key. A list key left empty keeps its default."""
     parser = configparser.ConfigParser()
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -187,7 +183,10 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         try:
             return cls(**values[section], **extra)
         except ValueError as exc:
-            raise ValueError(f"{path}: [{section}] {exc}") from None
+            # a refusal opens with its field's name; report the key as written
+            name, _, rest = str(exc).partition(" ")
+            key = _INI_KEYS.get(name, name)
+            raise ValueError(f"{path}: [{section}] {key} {rest}") from None
 
     topo = build("topology", TopologyConfig)
     cfg = ExperimentConfig(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +40,10 @@ class StateVector:
     """(sum of inter-device rates, uplink rate, sum of capabilities,
     ready-queue workload, device-queue workload), then the placed task's
     workload and slack, then per-device backlog and capability in device-id
-    order.
+    order: ``state_width(len(backlog))`` numbers in all.
 
-    The components after the five aggregates are present only when observed;
-    a state built from the aggregates alone flattens to five numbers. One is
-    built per observed decision, so the class is slotted rather than frozen;
-    nothing hashes it.
+    One is built per observed decision, so the class is slotted rather than
+    frozen; nothing hashes it.
     """
 
     sum_inter_rate: float  # Mbps
@@ -53,29 +51,18 @@ class StateVector:
     sum_capability: float  # MIPS
     ready_workload: float  # MI
     queued_workload: float  # MI
-    task_workload: float | None = None  # MI; 0 when no task is being placed
-    task_slack: float | None = None  # s, lct - now
-    backlog: tuple[float, ...] = ()  # s until each device's queue drains
-    capability: tuple[float, ...] = ()  # MIPS, current level of each device
-
-    def aggregates(self) -> np.ndarray:
-        return np.array(
-            [
-                self.sum_inter_rate,
-                self.uplink_rate,
-                self.sum_capability,
-                self.ready_workload,
-                self.queued_workload,
-            ],
-            dtype=float,
-        )
+    task_workload: float  # MI; 0 when no task is being placed
+    task_slack: float  # s, lct - now
+    backlog: tuple[float, ...]  # s until each device's queue drains
+    capability: tuple[float, ...]  # MIPS, current level of each device
 
     def as_array(self) -> np.ndarray:
         """Flat raw state, devices in id order."""
-        task = () if self.task_workload is None else (self.task_workload, self.task_slack)
-        return np.concatenate(
-            [self.aggregates(), task, self.backlog, self.capability]
-        ).astype(float)
+        return np.array([
+            self.sum_inter_rate, self.uplink_rate, self.sum_capability,
+            self.ready_workload, self.queued_workload, self.task_workload,
+            self.task_slack, *self.backlog, *self.capability,
+        ], dtype=float)
 
 
 def state_width(n_devices: int) -> int:
@@ -104,14 +91,11 @@ class StateNorms:
 
 
 @functools.lru_cache(maxsize=None)
-def _scales(norms: StateNorms, n_devices: int | None) -> np.ndarray:
-    """Scales of a state with per-task and per-device components for
-    ``n_devices`` devices, or of the five aggregates alone for None."""
-    head = [norms.rate, norms.rate, norms.capability, norms.workload, norms.workload]
-    if n_devices is not None:
-        head += [norms.task_workload, norms.slack]
-        head += [norms.device_time] * (2 * n_devices)
-    scales = np.array(head, dtype=float)
+def _scales(norms: StateNorms, n_devices: int) -> np.ndarray:
+    """Per-component scales of an ``n_devices`` fleet's observation."""
+    scales = np.array([norms.rate, norms.rate, norms.capability, norms.workload,
+                       norms.workload, norms.task_workload, norms.slack,
+                       *[norms.device_time] * (2 * n_devices)], dtype=float)
     if (scales <= 0).any():
         raise ValueError("normalization scales must be positive")
     return scales
@@ -124,8 +108,6 @@ def normalize_state(raw: StateVector, norms: StateNorms) -> np.ndarray:
     it (workload / capability), next to its backlog: the two seconds the
     device adds to the task's finish.
     """
-    if raw.task_workload is None:
-        return raw.aggregates() / _scales(norms, None)
     rho = raw.task_workload
     flat = np.array([
         raw.sum_inter_rate, raw.uplink_rate, raw.sum_capability,

@@ -209,9 +209,6 @@ def run(
             raise ValueError(
                 f"app {graph.app_id}: home device {graph.home_ecd} not in fleet"
             )
-        for t in graph.real_tasks():
-            if t.lct is None:
-                raise ValueError(f"app {graph.app_id}: priorities missing, run compute_lct")
 
     if len({g.app_id for g in apps}) != len(apps):
         raise ValueError("duplicate app ids")

@@ -326,7 +326,8 @@ def build_priority_list(graph: TaskGraph) -> tuple[int, ...]:
     """Real task ids in ascending LCT order, equal LCTs broken by task id."""
     real = graph.real_tasks()
     if any(t.lct is None for t in real):
-        raise ValueError("priorities require lct; run compute_lct first")
+        raise ValueError(f"app {graph.app_id}: priorities require lct; "
+                         f"run compute_lct first")
     return tuple(t.task_id for t in sorted(real, key=lambda t: (t.lct, t.task_id)))
 
 

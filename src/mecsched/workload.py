@@ -52,6 +52,9 @@ class WorkloadSpec:
                                  f"got {getattr(self, name)!r}")
         if self.arrival_mode not in ("gap", "rate"):
             raise ValueError("arrival_mode must be 'gap' or 'rate'")
+        if self.graph_shape not in _SHAPES:
+            raise ValueError(f"graph_shape must be one of {tuple(_SHAPES)}, "
+                             f"got {self.graph_shape!r}")
         for name in ("workload_range", "bc_range"):
             pair = getattr(self, name)
             if len(pair) != 2 or not 0.0 <= pair[0] <= pair[1] < math.inf:
@@ -104,8 +107,6 @@ def generate(spec: WorkloadSpec, rng: np.random.Generator | None = None) -> list
     ``bc_range`` and scaled by the fleet's mean link rate; dummy edges use
     the same rule. Home devices are uniform over the fleet.
     """
-    if spec.graph_shape not in _SHAPES:
-        raise ValueError(f"unknown graph shape {spec.graph_shape!r}")
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     n_tasks, edge_pairs = _SHAPES[spec.graph_shape]()

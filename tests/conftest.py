@@ -12,6 +12,7 @@ import numpy as np  # noqa: E402
 import pytest
 
 from mecsched.experiment import ExperimentConfig, TopologyConfig, build_topology
+from mecsched.mdp_agent import StateNorms, StateVector
 from mecsched.task_graph import Edge, Task, TaskGraph, augment_with_dummies, compute_lct
 
 
@@ -86,3 +87,20 @@ def random_app(rng: np.random.Generator, app_id: int, n_real: int,
 def with_lct(graph: TaskGraph, topo, max_capability=6000.0) -> TaskGraph:
     return compute_lct(graph, max_capability=max_capability,
                        max_rate=topo.max_rate, uplink_rate=topo.uplink_rate)
+
+
+UNIT_NORMS = StateNorms(*[1.0] * 6)
+
+
+def full_state(*aggregates, task_workload=1.0, slack=0.0, backlog=(0.0, 0.0),
+               capability=None) -> StateVector:
+    """A full-width observation: the five aggregates as given (zeros after
+    the last one given), the placed task, and one backlog and capability
+    per device. Capability defaults to 1 per device, so that with the
+    default task workload of 1, normalizing by ``UNIT_NORMS`` gives the raw
+    array back."""
+    head = [float(a) for a in aggregates] + [0.0] * (5 - len(aggregates))
+    if capability is None:
+        capability = (1.0,) * len(backlog)
+    return StateVector(*head, float(task_workload), float(slack),
+                       tuple(map(float, backlog)), tuple(map(float, capability)))

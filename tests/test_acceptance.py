@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import random_app
+from conftest import UNIT_NORMS, full_state, random_app
 from oracles import evaluate_schedule, fd_loss_gradients, value_iteration
 from mecsched import rng as rngmod
 from mecsched.dqn_core import (
@@ -39,9 +39,9 @@ from mecsched.experiment import (
 from mecsched.mdp_agent import (
     RewardParams,
     DqnScheduler,
-    StateNorms,
     StateVector,
     compute_reward,
+    normalize_state,
 )
 from mecsched.mec_model import CapabilityChain, EdgeDevice, NetworkTopology
 from mecsched.sim_engine import DecisionContext, OutcomeRecord, ScriptedScheduler, run
@@ -310,7 +310,11 @@ class PortDrivenToyEnv:
 
     @staticmethod
     def embed(state: int) -> StateVector:
-        return StateVector(*(1.0 if k == state else 0.0 for k in range(5)))
+        """The state one-hot in the five aggregates, then a unit task whose
+        slack is the state index, on two unit-capability devices with
+        backlogs 0 and 1."""
+        return full_state(*(1.0 if k == state else 0.0 for k in range(5)),
+                          slack=state, backlog=(0.0, 1.0))
 
     def episode(self, scheduler: DqnScheduler, horizon: int = 40) -> None:
         state = 0
@@ -343,14 +347,14 @@ def test_criterion_7_toy_mdp_matches_value_iteration():
                          episodes=80)
     learner = DqnLearner(config, 3, rngmod.stream(1007, "w"),
                          rngmod.stream(1007, "e"), rngmod.stream(1007, "r"))
-    scheduler = DqnScheduler(learner, 2, norms=StateNorms(1.0, 1.0, 1.0))
+    scheduler = DqnScheduler(learner, 2, norms=UNIT_NORMS)
     for _ in range(80):
         env.episode(scheduler)
 
     mask = np.array([False, True, True])
     learned = []
     for state in (0, 1):
-        q = learner.net.forward(env.embed(state).as_array())
+        q = learner.net.forward(normalize_state(env.embed(state), UNIT_NORMS))
         learned.append(int(np.argmax(np.where(mask, q, -np.inf))) - 1)
     _report(7, "toy MDP greedy policy equals value iteration",
             learned == optimal, f"learned {learned}, optimal {optimal}")

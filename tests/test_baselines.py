@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_graph, with_lct
+from conftest import full_state, make_graph, with_lct
 from oracles import fd_loss_gradients
 from mecsched import rng as rngmod
 from mecsched.baselines import (
@@ -13,13 +13,13 @@ from mecsched.baselines import (
 from mecsched.dqn_core import DqnLearner, DuelingNetwork, TrainConfig, loss_and_grads
 from mecsched.experiment import TopologyConfig, build_chains, build_devices, build_topology
 from mecsched.sim_engine import DecisionContext, ScriptedScheduler, run
-from mecsched.mdp_agent import StateVector, state_width
+from mecsched.mdp_agent import state_width
 
 
 def ctx_with_costs(costs, observation=None):
     return DecisionContext(
         now=0.0, app_id=1, task_id=1, workload=100.0, lct=1.0,
-        observation=observation or StateVector(0, 0, 0, 0, 0),
+        observation=observation or full_state(),
         valid_actions=tuple(sorted(costs)),
         finish_if=lambda m: costs[m],
     )
@@ -125,9 +125,9 @@ class TestDuelingNetwork:
         assert isinstance(net, DuelingNetwork)
         net.adv_w[:] = 0.0
         net.adv_b[:] = 2.0  # constant advantage across actions
-        q = net.forward(np.ones(5))
+        q = net.forward(np.ones(state_width(3)))
         assert np.allclose(q, q[0])
-        assert learner.act(np.ones(5), greedy=True) == 1
+        assert learner.act(np.ones(state_width(3)), greedy=True) == 1
 
     def test_hand_built_aggregation(self):
         net = DuelingNetwork([2, 2, 2], hidden_activation="linear",
@@ -158,7 +158,7 @@ class TestDuelingNetwork:
 
     def test_learner_trains_in_simulation(self, topology):
         config = TrainConfig(batch=16, buffer_capacity=2000, planned_steps=500,
-                             hidden_sizes=(8, 8), episodes=2, state_dim=state_width(4))
+                             hidden_sizes=(8, 8), episodes=2)
         learner = DqnLearner(config, 5, rngmod.stream(0, "w"), rngmod.stream(0, "e"),
                              rngmod.stream(0, "r"), dueling=True)
         from conftest import random_app

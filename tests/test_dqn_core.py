@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import full_state
 from oracles import fd_loss_gradients, value_iteration
 from mecsched.dqn_core import (
     AdamState,
@@ -66,7 +67,8 @@ class TestForward:
 
 
 def all_kinds(seed=60):
-    """One network of each kind over a 3-device observation."""
+    """The plain stack every kind is built from, and each learner's network
+    kind, over a 3-device observation."""
     width = state_width(3)
     return {
         "plain": ValueNetwork([width, 8, 6, 4], rng=rng(seed)),
@@ -136,8 +138,7 @@ class TestFlatParameters:
 
     def test_exploring_act_skips_the_network(self):
         config = TrainConfig(batch=8, buffer_capacity=64, planned_steps=100,
-                             epsilon_end=1.0, hidden_sizes=(8,),
-                             state_dim=state_width(3), shared_devices=3)
+                             epsilon_end=1.0, hidden_sizes=(8,))
         learner = DqnLearner(config, 4, rng(64), rng(65), rng(66))
         assert learner.epsilon() == 1.0
 
@@ -154,7 +155,7 @@ class TestFlatParameters:
 
 
 def stub_learner(q, epsilon=0.0, seed=0):
-    """A plain learner of ``len(q)`` actions whose network answers ``q``."""
+    """A learner of ``len(q)`` actions whose network answers ``q``."""
     config = TrainConfig(batch=1, buffer_capacity=1, planned_steps=0,
                          epsilon_end=epsilon, hidden_sizes=(2,))
     learner = DqnLearner(config, len(q), rng(), rng(seed), rng())
@@ -301,8 +302,7 @@ class TestDeviceScoringNetwork:
 
     def test_learner_checkpoint_round_trip(self, tmp_path):
         config = TrainConfig(batch=8, buffer_capacity=64, planned_steps=100,
-                             hidden_sizes=(8,), state_dim=state_width(3),
-                             shared_devices=3)
+                             hidden_sizes=(8,))
         learner = DqnLearner(config, 4, rng(43), rng(44), rng(45))
         assert isinstance(learner.net, DeviceScoringNetwork)
         r = rng(46)
@@ -443,7 +443,7 @@ class TestLearnerAndCheckpoint:
 
     def test_greedy_act_consumes_no_randomness(self):
         learner = self.make_learner()
-        state = np.ones(5)
+        state = np.ones(state_width(4))
         before = learner.rng_explore.bit_generator.state["state"]["state"]
         learner.act(state, greedy=True)
         after = learner.rng_explore.bit_generator.state["state"]["state"]
@@ -454,7 +454,7 @@ class TestLearnerAndCheckpoint:
         learner = self.make_learner()
         r = rng(34)
         for _ in range(40):
-            s, s2 = r.normal(size=5), r.normal(size=5)
+            s, s2 = r.normal(size=state_width(4)), r.normal(size=state_width(4))
             a = learner.act(s)
             learner.observe(MdpTransition(s, a, float(r.normal()), s2))
         path = tmp_path / "agent.npz"
@@ -474,27 +474,30 @@ class TestLearnerAndCheckpoint:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_old_checkpoint_version_refused(self, tmp_path):
-        # a checkpoint of the five-aggregate state layout carries version 1
+        # version 2 recorded the layout's width in its config (state_dim)
         learner = self.make_learner()
         path = tmp_path / "old.npz"
         save_checkpoint(learner, path)
         with np.load(path) as data:
             arrays = dict(data)
         meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
-        assert meta["config"]["state_dim"] == 5
-        meta["version"] = 1
+        assert meta["version"] == 3
+        meta["version"] = 2
+        meta["config"]["state_dim"] = state_width(4)
         arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
                                             dtype=np.uint8)
         np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
             load_checkpoint(path)
 
 
 class ToyTwoStateEnv:
     """Deterministic 2-state, 2-action MDP driven through the learner API.
 
-    State 0 embeds as basis vector e0, state 1 as e1; actions 1 and 2 map to
-    the MDP's two moves; action 0 stays masked like in the real system.
+    The MDP's two moves are the devices of a 2-device observation: state k
+    is basis vector e_k in the aggregates, then a unit task with slack k on
+    unit-capability devices with backlogs 0 and 1 (unit scales). Action 0
+    stays masked like in the real system.
     """
 
     TRANSITIONS = [[1, 0], [0, 1]]  # state -> action -> next state
@@ -506,9 +509,8 @@ class ToyTwoStateEnv:
 
     @staticmethod
     def embed(state: int) -> np.ndarray:
-        vec = np.zeros(5)
-        vec[state] = 1.0
-        return vec
+        return full_state(*(1.0 if k == state else 0.0 for k in range(5)),
+                          slack=state, backlog=(0.0, 1.0)).as_array()
 
     def run_episode(self, learner, learn=True) -> float:
         state = 0
@@ -552,20 +554,15 @@ class TestToyMdp:
 
 
 class TestCheckpointNetworkKinds:
-    """Every network kind a learner can carry survives save and load."""
+    """Every network kind a learner can carry survives save and load; a
+    checkpoint naming no kind, or any other kind, is refused by name."""
 
-    KINDS = {
-        "plain": (False, 0),
-        "device-scoring": (False, 3),
-        "dueling": (True, 0),
-    }
+    KINDS = {"device-scoring": False, "dueling": True}
 
     def trained(self, kind):
-        dueling, shared = self.KINDS[kind]
         config = TrainConfig(batch=8, buffer_capacity=64, planned_steps=100,
-                             hidden_sizes=(8, 8), state_dim=state_width(3),
-                             shared_devices=shared)
-        learner = DqnLearner(config, 4, rng(51), rng(52), rng(53), dueling=dueling)
+                             hidden_sizes=(8, 8))
+        learner = DqnLearner(config, 4, rng(51), rng(52), rng(53), dueling=self.KINDS[kind])
         r = rng(54)
         for _ in range(20):
             s, s2 = r.normal(size=state_width(3)), r.normal(size=state_width(3))
@@ -602,15 +599,16 @@ class TestCheckpointNetworkKinds:
                                             dtype=np.uint8)
         np.savez(path, **arrays)
 
-    def test_checkpoint_without_kind_follows_config(self, tmp_path):
+    def test_checkpoint_without_kind_refused(self, tmp_path):
         path = tmp_path / "agent.npz"
         save_checkpoint(self.trained("device-scoring"), path)
         self.rewrite_meta(path, lambda meta: meta.pop("network"))
-        assert isinstance(load_checkpoint(path).net, DeviceScoringNetwork)
+        with pytest.raises(ValueError, match="network kind None"):
+            load_checkpoint(path)
 
-    def test_kind_contradicting_config_refused(self, tmp_path):
+    def test_plain_kind_refused(self, tmp_path):
         path = tmp_path / "agent.npz"
-        save_checkpoint(self.trained("plain"), path)
-        self.rewrite_meta(path, lambda meta: meta.update(network="device-scoring"))
-        with pytest.raises(ValueError, match="network kind 'device-scoring'"):
+        save_checkpoint(self.trained("device-scoring"), path)
+        self.rewrite_meta(path, lambda meta: meta.update(network="plain"))
+        with pytest.raises(ValueError, match="network kind 'plain'"):
             load_checkpoint(path)

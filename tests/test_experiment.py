@@ -20,7 +20,7 @@ from mecsched.experiment import (
     load_config,
 )
 from mecsched.dqn_core import DqnLearner
-from mecsched.mdp_agent import StateNorms, normalize_state
+from mecsched.mdp_agent import StateNorms, normalize_state, state_width
 from mecsched.sim_engine import ReadyItem, observe_state
 from mecsched.task_graph import load_workload_file
 from mecsched.workload import WorkloadSpec
@@ -54,9 +54,10 @@ class TestConfigFile:
         obs = observe_state(0.0, build_topology(tc), devices,
                             [ReadyItem(1, 1, 2.0, 300.0)])
         state = normalize_state(obs, StateNorms())
-        assert state.shape == (cfg.agent.state_dim,)
+        assert state.shape == (state_width(n_devices),)
         learner = DqnLearner(cfg.agent, n_devices + 1, np.random.default_rng(0),
                              np.random.default_rng(1), np.random.default_rng(2))
+        assert learner.net.layer_sizes[0] == state_width(n_devices)
         assert 1 <= learner.act(state) <= n_devices
 
     def test_defaults_match_reference_setup(self):
@@ -107,10 +108,18 @@ class TestConfigFile:
         ("[topology]\nn_apps = 3\n", r"unknown config key 'n_apps' in \[topology\]"),
         ("[agents]\nepisodes = 3\n", r"unknown config section \[agents\]"),
         ("[agent]\nepisodes = many\n", r"\[agent\] episodes: invalid literal"),
-        ("[agent]\npool = 10\n", r"\[agent\] buffer_capacity \(pool\) must be >= batch"),
+        ("[agent]\npool = 10\n", r"\[agent\] pool must be >= batch"),
         ("[workload]\nlam = nan\n", r"\[workload\] lam must be positive and finite"),
+        ("[workload]\nmean_rate_mbps = 0\n",
+         r"\[workload\] mean_rate_mbps must be positive and finite"),
+        ("[workload]\ndeadline_capability_mips = -1\n",
+         r"\[workload\] deadline_capability_mips must be positive and finite"),
+        ("[workload]\nshape = montage26\n", r"\[workload\] shape must be one of .*'montage26'"),
+        ("[agent]\nhidden_activation = tanh\n",
+         r"\[agent\] hidden_activation must be one of .*'tanh'"),
     ], ids=["misspelt-key", "key-of-other-section", "unknown-section", "bad-value",
-            "pool-below-batch", "nan-lam"])
+            "pool-below-batch", "nan-lam", "zero-rate", "negative-deadline-capability",
+            "unknown-shape", "unknown-activation"])
     def test_bad_keys_rejected_with_location(self, tmp_path, text, message):
         path = tmp_path / "bad.ini"
         path.write_text(text)

@@ -22,7 +22,7 @@ from conftest import make_graph
 from oracles import evaluate_schedule, oracle_transfer
 from mecsched.baselines import GreedyEftScheduler, RandomScheduler
 from mecsched.dqn_core import DqnLearner, TrainConfig
-from mecsched.mdp_agent import DqnScheduler, state_width
+from mecsched.mdp_agent import DqnScheduler
 from mecsched.mec_model import CapabilityChain, EdgeDevice, NetworkTopology
 from mecsched.sim_engine import ScriptedScheduler, run
 from mecsched.task_graph import Edge, Task, TaskGraph, augment_with_dummies, compute_lct
@@ -86,9 +86,8 @@ def make_scheduler(kind, scenario):
         return GreedyEftScheduler()
     if kind == "random":
         return RandomScheduler(n_dev, np.random.default_rng(7))
-    config = TrainConfig(state_dim=state_width(n_dev), shared_devices=n_dev)
     rngs = [np.random.default_rng(seed) for seed in (11, 12, 13)]
-    return DqnScheduler(DqnLearner(config, n_dev + 1, *rngs), n_dev, training=False)
+    return DqnScheduler(DqnLearner(TrainConfig(), n_dev + 1, *rngs), n_dev, training=False)
 
 
 class QueueAudit:

@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from conftest import UNIT_NORMS, full_state
+from mecsched.experiment import TopologyConfig, build_topology
 from mecsched.mdp_agent import (
     MdpTransition,
     RewardParams,
     DqnScheduler,
     StateNorms,
-    StateVector,
     compute_reward,
+    device_feature_index,
     normalize_state,
+    state_width,
 )
+from mecsched.mec_model import EdgeDevice
 from mecsched.scheduler_port import SchedulerPort
-from mecsched.sim_engine import DecisionContext, OutcomeRecord
+from mecsched.sim_engine import DecisionContext, OutcomeRecord, ReadyItem, observe_state
 
 
 def make_ctx(obs, task_id=1, workload=300.0):
@@ -95,22 +99,45 @@ class TestReward:
 
 class TestNormalization:
     def test_identity_scaling(self):
-        raw = StateVector(1000.0, 1000.0, 24000.0, 10000.0, 10000.0)
-        assert np.allclose(normalize_state(raw, StateNorms()), np.ones(5))
+        raw = full_state(1000.0, 1000.0, 24000.0, 10000.0, 10000.0, task_workload=500.0,
+                         slack=1.0, backlog=(0.1, 0.1), capability=(5000.0, 5000.0))
+        assert np.allclose(normalize_state(raw, StateNorms()), np.ones(state_width(2)))
 
     def test_zero_state(self):
-        raw = StateVector(0.0, 0.0, 0.0, 0.0, 0.0)
-        assert np.allclose(normalize_state(raw, StateNorms()), np.zeros(5))
+        raw = full_state(0.0, 0.0, 0.0, 0.0, 0.0, task_workload=0.0)
+        assert np.allclose(normalize_state(raw, StateNorms()), np.zeros(state_width(2)))
 
     def test_reference_topology_magnitudes(self):
-        raw = StateVector(12 * 440.0, 1000.0, 24000.0, 2500.0, 30000.0)
+        raw = full_state(12 * 440.0, 1000.0, 24000.0, 2500.0, 30000.0, task_workload=300.0,
+                         slack=2.0, backlog=(0.05, 0.3, 0.0, 0.0),
+                         capability=(6000.0, 5500.0, 5000.0, 4500.0))
         vec = normalize_state(raw, StateNorms())
         assert vec.max() <= 10.0
         assert vec[0] == pytest.approx(5.28)
 
     def test_positive_scales_required(self):
         with pytest.raises(ValueError):
-            normalize_state(StateVector(1, 1, 1, 1, 1), StateNorms(rate=0.0))
+            normalize_state(full_state(1, 1, 1, 1, 1), StateNorms(rate=0.0))
+
+
+class TestLayout:
+    """``state_width`` and ``device_feature_index``, from which the learner
+    takes its whole shape, agree with what ``normalize_state`` lays out."""
+
+    @pytest.mark.parametrize("n_devices", [1, 2, 4, 8])
+    def test_device_rows_hold_each_devices_features(self, n_devices):
+        tc = TopologyConfig(n_devices=n_devices)
+        devices = [EdgeDevice(m, tc.capability_levels, current_level=m % 5,
+                              queue_free_at=0.25 * m) for m in range(1, n_devices + 1)]
+        now, rho, lct = 0.5, 320.0, 2.0
+        obs = observe_state(now, build_topology(tc), devices, [ReadyItem(1, 3, lct, rho)])
+        state = normalize_state(obs, StateNorms())
+        assert state.shape == (state_width(n_devices),)
+        rows = state[device_feature_index(n_devices)]
+        for d, row in zip(devices, rows):
+            backlog = max(d.queue_free_at - now, 0.0)
+            assert row.tolist() == [rho / 500.0, (lct - now) / 1.0, backlog / 0.1,
+                                    rho / d.capability / 0.1]
 
 
 class TestDqnScheduler:
@@ -121,16 +148,16 @@ class TestDqnScheduler:
 
     def test_first_step_stores_nothing(self):
         learner = RecordingLearner([1])
-        agent = DqnScheduler(learner, 4, norms=StateNorms(1, 1, 1))
-        action = agent.decide(make_ctx(StateVector(1, 0, 0, 0, 0)))
+        agent = DqnScheduler(learner, 4, norms=UNIT_NORMS)
+        action = agent.decide(make_ctx(full_state(1, 0, 0, 0, 0)))
         assert action == 1
         assert learner.seen == []
 
     def test_second_step_stores_one_transition(self):
         learner = RecordingLearner([1, 2])
-        agent = DqnScheduler(learner, 4, norms=StateNorms(1, 1, 1))
-        s1 = StateVector(1, 0, 0, 0, 0)
-        s2 = StateVector(0, 1, 0, 0, 0)
+        agent = DqnScheduler(learner, 4, norms=UNIT_NORMS)
+        s1 = full_state(1, 0, 0, 0, 0)
+        s2 = full_state(0, 1, 0, 0, 0)
         agent.decide(make_ctx(s1))
         agent.notify_outcome(make_outcome(2.5))
         agent.decide(make_ctx(s2))
@@ -143,35 +170,35 @@ class TestDqnScheduler:
 
     def test_stream_is_contiguous(self):
         learner = RecordingLearner([1, 2, 3, 4])
-        agent = DqnScheduler(learner, 4, norms=StateNorms(1, 1, 1))
-        states = [StateVector(float(k), 0, 0, 0, 0) for k in range(4)]
+        agent = DqnScheduler(learner, 4, norms=UNIT_NORMS)
+        states = [full_state(float(k), 0, 0, 0, 0) for k in range(4)]
         for k, s in enumerate(states):
             agent.decide(make_ctx(s))
             agent.notify_outcome(make_outcome(float(k)))
-        agent.end_episode(StateVector(9, 9, 9, 9, 9))
+        agent.end_episode(full_state(9, 9, 9, 9, 9))
         assert len(learner.seen) == 4
         for a, b in zip(learner.seen, learner.seen[1:]):
             assert np.allclose(a.next_state, b.state)
 
     def test_episode_end_flushes_final_transition(self):
         learner = RecordingLearner([3])
-        agent = DqnScheduler(learner, 4, norms=StateNorms(1, 1, 1))
-        agent.decide(make_ctx(StateVector(1, 0, 0, 0, 0)))
+        agent = DqnScheduler(learner, 4, norms=UNIT_NORMS)
+        agent.decide(make_ctx(full_state(1, 0, 0, 0, 0)))
         agent.notify_outcome(make_outcome(1.5))
-        final = StateVector(0, 0, 0, 0, 0)
+        final = full_state(0, 0, 0, 0, 0)
         agent.end_episode(final)
         assert len(learner.seen) == 1
         assert np.allclose(learner.seen[0].next_state, final.as_array())
 
     def test_no_transition_bridges_episodes(self):
         learner = RecordingLearner([1, 2])
-        agent = DqnScheduler(learner, 4, norms=StateNorms(1, 1, 1))
-        agent.decide(make_ctx(StateVector(1, 0, 0, 0, 0)))
+        agent = DqnScheduler(learner, 4, norms=UNIT_NORMS)
+        agent.decide(make_ctx(full_state(1, 0, 0, 0, 0)))
         agent.notify_outcome(make_outcome(1.0))
-        agent.end_episode(StateVector(0, 0, 0, 0, 0))
-        agent.decide(make_ctx(StateVector(2, 0, 0, 0, 0)))
+        agent.end_episode(full_state(0, 0, 0, 0, 0))
+        agent.decide(make_ctx(full_state(2, 0, 0, 0, 0)))
         agent.notify_outcome(make_outcome(2.0))
-        agent.end_episode(StateVector(0, 0, 0, 0, 0))
+        agent.end_episode(full_state(0, 0, 0, 0, 0))
         assert len(learner.seen) == 2
         assert learner.seen[0].reward == 1.0
         assert learner.seen[1].reward == 2.0
@@ -179,15 +206,15 @@ class TestDqnScheduler:
 
     def test_masked_action_from_learner_rejected(self):
         learner = RecordingLearner([0])
-        agent = DqnScheduler(learner, 4, norms=StateNorms(1, 1, 1))
+        agent = DqnScheduler(learner, 4, norms=UNIT_NORMS)
         with pytest.raises(RuntimeError, match="masked action"):
-            agent.decide(make_ctx(StateVector(1, 0, 0, 0, 0)))
+            agent.decide(make_ctx(full_state(1, 0, 0, 0, 0)))
 
     def test_eval_mode_never_trains(self):
         learner = RecordingLearner([1, 2, 3])
-        agent = DqnScheduler(learner, 4, norms=StateNorms(1, 1, 1), training=False)
+        agent = DqnScheduler(learner, 4, norms=UNIT_NORMS, training=False)
         for k in range(3):
-            agent.decide(make_ctx(StateVector(float(k), 0, 0, 0, 0)))
+            agent.decide(make_ctx(full_state(float(k), 0, 0, 0, 0)))
             agent.notify_outcome(make_outcome(float(k)))
-        agent.end_episode(StateVector(0, 0, 0, 0, 0))
+        agent.end_episode(full_state(0, 0, 0, 0, 0))
         assert learner.seen == []

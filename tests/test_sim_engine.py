@@ -203,6 +203,13 @@ class TestRun:
         with pytest.raises(SchedulingError):
             run([graph], topology, simple_devices([5000.0]), Bad(), identity_chains(1))
 
+    def test_app_without_lct_refused_by_name(self, topology):
+        ready = with_lct(make_graph({}, {1: 100.0}, app_id=1), topology)
+        bare = make_graph({}, {1: 100.0}, app_id=7)  # compute_lct never ran
+        with pytest.raises(ValueError, match=r"^app 7: priorities require lct"):
+            run([ready, bare], topology, simple_devices([5000.0]),
+                ScriptedScheduler({(1, 1): 1, (7, 1): 1}), identity_chains(1))
+
     @pytest.mark.parametrize("bad", [0, 5, -1])
     def test_finish_if_rejects_devices_outside_the_fleet(self, topology, bad):
         graph = with_lct(make_graph({}, {1: 100.0}), topology)
@@ -297,14 +304,14 @@ class TestStartTimeBounds:
 
     def test_untrained_agent_never_picks_masked_action(self, topology):
         from mecsched.dqn_core import DqnLearner, TrainConfig
-        from mecsched.mdp_agent import DqnScheduler, state_width
+        from mecsched.mdp_agent import DqnScheduler
 
         rng = np.random.default_rng(34)
         tc = TopologyConfig()
         graphs = [with_lct(random_app(rng, n, 6, release=0.02 * n), topology)
                   for n in (1, 2)]
         config = TrainConfig(batch=8, buffer_capacity=512, planned_steps=100,
-                             hidden_sizes=(8, 8), episodes=1, state_dim=state_width(4))
+                             hidden_sizes=(8, 8), episodes=1)
         learner = DqnLearner(config, 5, rngmod.stream(35, "w"),
                              rngmod.stream(35, "e"), rngmod.stream(35, "r"))
         sched = DqnScheduler(learner, 4, training=True)
@@ -422,10 +429,10 @@ class TestObservationOnRead:
 
     def test_untrained_dqn_observes_every_decision(self, topology, observed):
         from mecsched.dqn_core import DqnLearner, TrainConfig
-        from mecsched.mdp_agent import DqnScheduler, state_width
+        from mecsched.mdp_agent import DqnScheduler
 
         config = TrainConfig(batch=8, buffer_capacity=512, planned_steps=100,
-                             hidden_sizes=(8, 8), episodes=1, state_dim=state_width(4))
+                             hidden_sizes=(8, 8), episodes=1)
         learner = DqnLearner(config, 5, rngmod.stream(54, "w"),
                              rngmod.stream(54, "e"), rngmod.stream(54, "r"))
         trace = self.simulate(topology, DqnScheduler(learner, 4, training=False),
