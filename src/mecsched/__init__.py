@@ -8,9 +8,18 @@ import sys as _sys
 # which only adds CPU time: use one BLAS thread unless the caller chose a
 # count. BLAS reads this when numpy is first imported; ``python -m
 # mecsched`` imports this package before its ``__main__``, so it sits here.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 if "numpy" not in _sys.modules:
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for _var in _BLAS_VARS:
         _os.environ.setdefault(_var, "1")
+elif not any(_var in _os.environ for _var in _BLAS_VARS):
+    import warnings as _warnings
+
+    _warnings.warn(
+        "numpy was imported before mecsched with no BLAS thread count set, so "
+        "OpenBLAS runs a thread per core, which slows the learner; set "
+        "OPENBLAS_NUM_THREADS=1 before numpy is imported, or import mecsched first",
+        RuntimeWarning, stacklevel=2)
 
 from .task_graph import (
     Task,
@@ -51,7 +60,6 @@ from .sim_engine import (
 )
 from .dqn_core import (
     ValueNetwork,
-    DuelingNetwork,
     ReplayBuffer,
     AdamState,
     TrainConfig,

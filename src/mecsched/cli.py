@@ -5,7 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiment import cmd_compare, cmd_evaluate, cmd_gen_workload, cmd_train, load_config
+from .experiment import (SCHEDULER_NAMES, cmd_compare, cmd_evaluate, cmd_gen_workload,
+                         cmd_train, load_config)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -30,8 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate one scheduler")
     _add_common(p)
     p.add_argument("--checkpoint", default=None, help="agent checkpoint (.npz)")
-    p.add_argument("--scheduler", default="dqn",
-                   choices=("dqn", "random", "greedy_eft", "heft"))
+    p.add_argument("--scheduler", default="dqn", choices=SCHEDULER_NAMES)
 
     p = sub.add_parser("compare", help="run all configured schedulers on shared workloads")
     _add_common(p)

@@ -11,14 +11,13 @@ Action ``a`` in 1..M places the task on device ``a``. Action 0 (run locally)
 keeps its output column, but no real task may run locally, so the learner
 never chooses it and targets never maximize over it.
 
-The stack (``ValueNetwork``) is the block that the learner's two network
-kinds, ``DeviceScoringNetwork`` and ``DuelingNetwork``, are built from; the
-learner takes their shape from its action count. Each network keeps all
-its parameters in one float64 vector ``flat`` and their gradient in
-``grad``, with per-tensor views for ``parameters()`` and the gradient list;
-passes reuse work buffers per batch size, Adam and target syncs act on the
-whole vectors in place, and a training ``act`` runs the network only to
-exploit.
+The learner's network, ``DeviceScoringNetwork``, is built from two stacks
+(``ValueNetwork`` blocks), and the learner takes its shape from its action
+count. Each network keeps all its parameters in one float64 vector
+``flat`` and their gradient in ``grad``, with per-tensor views for
+``parameters()`` and the gradient list; passes reuse work buffers per batch
+size, Adam and target syncs act on the whole vectors in place, and a
+training ``act`` runs the network only to exploit.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ __all__ = [
     "FlatNetwork",
     "ValueNetwork",
     "DeviceScoringNetwork",
-    "DuelingNetwork",
     "ReplayBuffer",
     "AdamState",
     "TrainConfig",
@@ -50,7 +48,7 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 3  # 3: the state layout follows n_actions alone
-ACTIVATIONS = ("relu", "linear")
+ACTIVATIONS = ("relu",)
 
 # DeviceScoringNetwork's shared advantage stack: hidden width, output scale
 ADVANTAGE_HIDDEN = 32
@@ -93,7 +91,7 @@ def _draw_weights(weights, rng: np.random.Generator | None) -> None:
 
 
 class FlatNetwork:
-    """What the stack and the two network kinds built from it share.
+    """What the stack and the device-scoring network built from it share.
 
     ``parameters()`` and the list ``backward_from_q_grad`` returns are
     per-tensor views into ``flat`` and ``grad``, in the same order.
@@ -103,10 +101,6 @@ class FlatNetwork:
     """
 
     layer_sizes: list[int]
-
-    @property
-    def n_actions(self) -> int:
-        return self.layer_sizes[-1]
 
     def parameters(self) -> list[np.ndarray]:
         return self._params
@@ -124,49 +118,25 @@ class FlatNetwork:
             raise ValueError(f"expected shape (batch, {self.layer_sizes[0]})")
         return x
 
-    def _compose(self, params, rng, hidden_activation: str, *blocks) -> list["ValueNetwork"]:
-        """Lay ``blocks`` out end to end on one parameter vector and one
-        gradient vector; each block is (layer sizes, last layer activated).
-        Fresh weights are drawn block after block."""
-        counts = [_n_params(sizes) for sizes, _ in blocks]
-        self.flat = np.zeros(sum(counts)) if params is None else params
-        self.grad = np.zeros_like(self.flat)
-        built, lo = [], 0
-        for (sizes, activate_last), n in zip(blocks, counts):
-            built.append(ValueNetwork(sizes, hidden_activation, params=self.flat[lo:lo + n],
-                                      grad=self.grad[lo:lo + n], activate_last=activate_last))
-            lo += n
-        self._params = [p for block in built for p in block.parameters()]
-        self._grads = [g for block in built for g in block._grads]
-        if params is None:
-            _draw_weights([w for block in built for w in block.weights], rng)
-        return built
-
 
 class ValueNetwork(FlatNetwork):
     """Q-value approximator mapping a state vector to one value per action.
 
-    A fully connected stack, linear in its last layer unless
-    ``activate_last``; also the block the other kinds are built from, with
-    ``grad`` the gradient vector to live in. ``forward_layers`` returns
-    every layer's activation, input first, and ``backward_layers`` writes
-    the gradient into ``grad``; both use work buffers kept per batch size,
-    which the block's next pass of that size overwrites.
+    A fully connected stack, rectified in every layer but the last; also the
+    block the device-scoring network is built from, with ``grad`` the
+    gradient vector to live in. ``forward_layers`` returns every layer's
+    activation, input first, and ``backward_layers`` writes the gradient
+    into ``grad``; both use work buffers kept per batch size, which the
+    block's next pass of that size overwrites.
     """
 
-    def __init__(self, layer_sizes, hidden_activation: str = "relu",
-                 rng: np.random.Generator | None = None, *, params=None, grad=None,
-                 activate_last: bool = False):
+    def __init__(self, layer_sizes, rng: np.random.Generator | None = None, *,
+                 params=None, grad=None):
         sizes = [int(s) for s in layer_sizes]
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        if hidden_activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {hidden_activation!r}")
         self.layer_sizes = sizes
-        self.hidden_activation = hidden_activation
-        self.activate_last = activate_last
-        relu = hidden_activation == "relu"
-        self._relu = [relu] * (len(sizes) - 2) + [relu and activate_last]
+        self._relu = [True] * (len(sizes) - 2) + [False]
         self.flat = np.zeros(_n_params(sizes)) if params is None else params
         self.grad = np.zeros_like(self.flat) if grad is None else grad
         self._params = _layer_views(self.flat, sizes)
@@ -197,10 +167,9 @@ class ValueNetwork(FlatNetwork):
             acts.append(out)
         return acts
 
-    def backward_layers(self, acts, d_out: np.ndarray, input_grad: bool = False):
+    def backward_layers(self, acts, d_out: np.ndarray) -> None:
         """Gradient of a scalar loss given d(loss)/d(output) of the pass
-        ``acts``; returns d(loss)/d(input) when ``input_grad``, which the
-        first layer otherwise skips."""
+        ``acts``; the first layer's input gets none."""
         _, deltas, masks = self._buffers(d_out.shape[0])
         delta = d_out
         for layer in range(len(self.weights) - 1, -1, -1):
@@ -210,9 +179,8 @@ class ValueNetwork(FlatNetwork):
                 delta = np.multiply(delta, mask, out=deltas[layer + 1])
             np.matmul(acts[layer].T, delta, out=self._grads[2 * layer])
             np.add.reduce(delta, axis=0, out=self._grads[2 * layer + 1])
-            if layer or input_grad:
+            if layer:
                 delta = np.matmul(delta, self.weights[layer].T, out=deltas[layer])
-        return delta if input_grad else None
 
     def forward_batch(self, x):
         acts = self.forward_layers(self._check_batch(x))
@@ -223,8 +191,7 @@ class ValueNetwork(FlatNetwork):
         return self._grads
 
     def clone(self) -> "ValueNetwork":
-        return ValueNetwork(self.layer_sizes, self.hidden_activation,
-                            params=self.flat.copy(), activate_last=self.activate_last)
+        return ValueNetwork(self.layer_sizes, params=self.flat.copy())
 
 
 class DeviceScoringNetwork(FlatNetwork):
@@ -243,11 +210,14 @@ class DeviceScoringNetwork(FlatNetwork):
     size, so a head's output jitters by an amount set by the learning rate,
     not by the values it fits; the scale brings the advantage head's jitter
     down to the size of the gaps between devices, far below ``V``'s.
+
+    ``V`` and ``A`` are ``ValueNetwork`` blocks laid end to end on ``flat``
+    and ``grad``; fresh weights are drawn for ``V`` first.
     """
 
     kind = "device-scoring"  # recorded in checkpoints
 
-    def __init__(self, layer_sizes, feature_index, hidden_activation: str = "relu",
+    def __init__(self, layer_sizes, feature_index,
                  rng: np.random.Generator | None = None, *, params=None):
         sizes = [int(s) for s in layer_sizes]
         index = np.asarray(feature_index, dtype=np.int64)
@@ -255,12 +225,20 @@ class DeviceScoringNetwork(FlatNetwork):
             raise ValueError("need one feature row per device and actions = devices + 1")
         self.layer_sizes = sizes
         self.feature_index = index
-        self.hidden_activation = hidden_activation
-        self.value, self.advantage = self._compose(
-            params, rng, hidden_activation,
-            (sizes[:-1] + [1], False),
-            ([index.shape[1], ADVANTAGE_HIDDEN, 1], False),
-        )
+        value_sizes = sizes[:-1] + [1]
+        split = _n_params(value_sizes)
+        advantage_sizes = [index.shape[1], ADVANTAGE_HIDDEN, 1]
+        self.flat = (np.zeros(split + _n_params(advantage_sizes))
+                     if params is None else params)
+        self.grad = np.zeros_like(self.flat)
+        self.value = ValueNetwork(value_sizes, params=self.flat[:split],
+                                  grad=self.grad[:split])
+        self.advantage = ValueNetwork(advantage_sizes, params=self.flat[split:],
+                                      grad=self.grad[split:])
+        self._params = self.value.parameters() + self.advantage.parameters()
+        self._grads = self.value._grads + self.advantage._grads
+        if params is None:
+            _draw_weights(self.value.weights + self.advantage.weights, rng)
 
     def forward_batch(self, x):
         x = self._check_batch(x)
@@ -279,58 +257,7 @@ class DeviceScoringNetwork(FlatNetwork):
 
     def clone(self) -> "DeviceScoringNetwork":
         return DeviceScoringNetwork(self.layer_sizes, self.feature_index,
-                                    self.hidden_activation, params=self.flat.copy())
-
-
-class DuelingNetwork(FlatNetwork):
-    """Q-network with separate state-value and advantage heads.
-
-    A shared trunk feeds a scalar value head and a per-action advantage head;
-    the heads combine as Q = V + A - mean(A), which removes the unidentifiable
-    common offset between them. Trunk (its last layer activated too) and
-    heads are ``ValueNetwork`` blocks on slices of one parameter vector, and
-    the network exposes the same forward/backward protocol as ValueNetwork,
-    so the training loop needs no special cases.
-    """
-
-    kind = "dueling"  # recorded in checkpoints
-
-    def __init__(self, layer_sizes, hidden_activation: str = "relu",
-                 rng: np.random.Generator | None = None, *, params=None):
-        sizes = [int(s) for s in layer_sizes]
-        if len(sizes) < 3:
-            raise ValueError("need input, at least one hidden, and output sizes")
-        self.layer_sizes = sizes
-        self.hidden_activation = hidden_activation
-        width, out = sizes[-2], sizes[-1]
-        self.trunk, self.value_head, self.adv_head = self._compose(
-            params, rng, hidden_activation,
-            (sizes[:-1], True), ([width, 1], False), ([width, out], False),
-        )
-        self.trunk_weights, self.trunk_biases = self.trunk.weights, self.trunk.biases
-        self.value_w, self.value_b = self.value_head.parameters()
-        self.adv_w, self.adv_b = self.adv_head.parameters()
-
-    def forward_batch(self, x):
-        t_acts = self.trunk.forward_layers(self._check_batch(x))
-        v_acts = self.value_head.forward_layers(t_acts[-1])
-        a_acts = self.adv_head.forward_layers(t_acts[-1])
-        value, adv = v_acts[-1], a_acts[-1]
-        q = value + adv - adv.mean(axis=1, keepdims=True)
-        return q, (t_acts, v_acts, a_acts)
-
-    def backward_from_q_grad(self, cache, d_q) -> list[np.ndarray]:
-        t_acts, v_acts, a_acts = cache
-        d_sum = d_q.sum(axis=1, keepdims=True)
-        d_feats = self.value_head.backward_layers(v_acts, d_sum, input_grad=True)
-        d_feats += self.adv_head.backward_layers(a_acts, d_q - d_sum / self.n_actions,
-                                                 input_grad=True)
-        self.trunk.backward_layers(t_acts, d_feats)
-        return self._grads
-
-    def clone(self) -> "DuelingNetwork":
-        return DuelingNetwork(self.layer_sizes, self.hidden_activation,
-                              params=self.flat.copy())
+                                    params=self.flat.copy())
 
 
 def sync_target(net, target_net) -> None:
@@ -495,7 +422,7 @@ class TrainConfig:
     episodes: int = 800
     planned_steps: int = 0  # total decision steps expected; 0 = fully decayed
     hidden_sizes: tuple[int, ...] = (128, 64, 32, 16)
-    hidden_activation: str = "relu"
+    hidden_activation: str = "relu"  # the only one; INI files and checkpoints name it
 
     def __post_init__(self) -> None:
         for name in ("gamma", "epsilon_start", "epsilon_end"):
@@ -529,31 +456,24 @@ class DqnLearner:
     The target net re-syncs every ``target_sync_steps`` decision steps.
 
     The fleet sets the network's shape: ``n_actions - 1`` devices give a
-    ``state_width``-wide input, which the replay pool stores too. The
-    network is the dueling kind when ``dueling``, else the device-scoring
-    kind over ``device_feature_index``.
+    ``state_width``-wide input, which the replay pool stores too, and the
+    device-scoring network scores the devices' ``device_feature_index``
+    rows.
     """
 
     def __init__(self, config: TrainConfig, n_actions: int,
                  rng_init: np.random.Generator,
                  rng_explore: np.random.Generator,
-                 rng_replay: np.random.Generator, *, dueling: bool = False):
+                 rng_replay: np.random.Generator):
         if n_actions < 2:
             raise ValueError(f"need at least one device action, got n_actions={n_actions}")
         self.config = config
         self.n_actions = int(n_actions)
         n_devices = self.n_actions - 1
         sizes = [state_width(n_devices), *config.hidden_sizes, self.n_actions]
-        # A dueling learner still draws the device-scoring network from
-        # rng_init first and discards it: the dueling weights are the draws
-        # that follow, and the golden training digests pin them.
-        net = DeviceScoringNetwork(sizes, device_feature_index(n_devices),
-                                   config.hidden_activation, rng_init)
-        if dueling:
-            net = DuelingNetwork(sizes, config.hidden_activation, rng_init)
-        self.net = net
-        self.target_net = net.clone()
-        self.opt = AdamState(net.parameters(), learning_rate=config.learning_rate)
+        self.net = DeviceScoringNetwork(sizes, device_feature_index(n_devices), rng_init)
+        self.target_net = self.net.clone()
+        self.opt = AdamState(self.net.parameters(), learning_rate=config.learning_rate)
         self.buffer = ReplayBuffer(config.buffer_capacity, sizes[0], rng_replay)
         self.rng_explore = rng_explore
         self.decision_steps = 0
@@ -625,17 +545,17 @@ def save_checkpoint(learner: DqnLearner, path) -> None:
 
 
 def load_checkpoint(path) -> DqnLearner:
-    """Rebuild a saved learner: its network kind, parameters, Adam state,
-    step counters and random cursors. The recorded ``n_actions`` sets the
-    state layout, and the kind must be ``device-scoring`` or ``dueling``;
-    other checkpoint versions are refused. The replay pool is not saved, so
+    """Rebuild a saved learner: its parameters, Adam state, step counters
+    and random cursors. The recorded ``n_actions`` sets the state layout,
+    and the kind must be ``device-scoring``; other kinds and checkpoint
+    versions are refused. The replay pool is not saved, so
     training resumed from a checkpoint refills it from empty."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
         kind = meta.get("network")
-        if kind not in (DeviceScoringNetwork.kind, DuelingNetwork.kind):
+        if kind != DeviceScoringNetwork.kind:
             raise ValueError(f"unsupported checkpoint network kind {kind!r}")
         cfg_dict = dict(meta["config"])
         cfg_dict["hidden_sizes"] = tuple(cfg_dict["hidden_sizes"])
@@ -646,7 +566,6 @@ def load_checkpoint(path) -> DqnLearner:
             rng_init=np.random.default_rng(0),
             rng_explore=_rng_from_state(meta["rng_explore"]),
             rng_replay=_rng_from_state(meta["rng_replay"]),
-            dueling=kind == DuelingNetwork.kind,
         )
         for role, net in (("net", learner.net), ("target", learner.target_net)):
             for i, p in enumerate(net.parameters()):

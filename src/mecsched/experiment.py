@@ -82,10 +82,11 @@ class ExperimentConfig:
             raise ValueError("replications must be >= 1")
         for name in self.schedulers:
             if name not in SCHEDULER_NAMES:
-                raise ValueError(f"unknown scheduler {name!r}")
+                raise ValueError(f"schedulers must each be one of {SCHEDULER_NAMES}, "
+                                 f"got {name!r}")
 
 
-SCHEDULER_NAMES = ("dqn", "random", "greedy_eft", "heft", "dueling")
+SCHEDULER_NAMES = ("dqn", "random", "greedy_eft", "heft")
 
 
 @dataclass
@@ -189,12 +190,12 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             raise ValueError(f"{path}: [{section}] {key} {rest}") from None
 
     topo = build("topology", TopologyConfig)
-    cfg = ExperimentConfig(
+    cfg = build(
+        "experiment", ExperimentConfig,
         topology=topo,
         workload=build("workload", WorkloadSpec, n_devices=topo.n_devices),
         agent=build("agent", TrainConfig),
         reward=build("reward", RewardParams),
-        **values["experiment"],
     )
     if overrides:
         cfg = replace(cfg, **overrides)
@@ -242,32 +243,29 @@ def _planned_steps(cfg: ExperimentConfig) -> int:
     return cfg.agent.episodes * cfg.workload.n_apps * n_tasks
 
 
-def _make_learner(cfg: ExperimentConfig, dueling: bool = False) -> DqnLearner:
+def _make_learner(cfg: ExperimentConfig) -> DqnLearner:
     agent_cfg = replace(cfg.agent, planned_steps=_planned_steps(cfg))
-    tag = "dueling-" if dueling else ""
     return DqnLearner(
         agent_cfg,
         cfg.topology.n_devices + 1,
-        rngmod.stream(cfg.master_seed, tag + "weights"),
-        rngmod.stream(cfg.master_seed, tag + "explore"),
-        rngmod.stream(cfg.master_seed, tag + "replay"),
-        dueling=dueling,
+        rngmod.stream(cfg.master_seed, "weights"),
+        rngmod.stream(cfg.master_seed, "explore"),
+        rngmod.stream(cfg.master_seed, "replay"),
     )
 
 
-def train_agent(cfg: ExperimentConfig, dueling: bool = False):
+def train_agent(cfg: ExperimentConfig):
     """Train a value learner over fresh workload draws; returns (learner, curve)."""
     topo = build_topology(cfg.topology)
-    learner = _make_learner(cfg, dueling=dueling)
+    learner = _make_learner(cfg)
     scheduler = DqnScheduler(learner, cfg.topology.n_devices, training=True)
-    tag = "dueling-" if dueling else ""
 
     curve = np.zeros(cfg.agent.episodes)
     for episode in range(cfg.agent.episodes):
-        graphs = generate(cfg.workload, rngmod.stream(cfg.master_seed, tag + "train-workload", episode))
+        graphs = generate(cfg.workload, rngmod.stream(cfg.master_seed, "train-workload", episode))
         graphs = prepare_graphs(graphs, cfg.topology, topo)
         devices = build_devices(cfg.topology)
-        chains = build_chains(cfg.topology, cfg.master_seed, tag + "train-capability", episode)
+        chains = build_chains(cfg.topology, cfg.master_seed, "train-capability", episode)
         trace = run(graphs, topo, devices, scheduler, chains, cfg.reward,
                     record_rows=False)
         curve[episode] = trace.cumulative_reward
@@ -280,7 +278,7 @@ def train_agent(cfg: ExperimentConfig, dueling: bool = False):
 
 
 def _make_eval_scheduler(name: str, cfg: ExperimentConfig, topo: NetworkTopology,
-                         rep: int, learners: dict):
+                         rep: int, learner: DqnLearner | None):
     n = cfg.topology.n_devices
     if name == "random":
         return RandomScheduler(n, rngmod.stream(cfg.master_seed, "baseline-random", rep))
@@ -288,16 +286,14 @@ def _make_eval_scheduler(name: str, cfg: ExperimentConfig, topo: NetworkTopology
         return GreedyEftScheduler()
     if name == "heft":
         return HeftStyleScheduler(topo, cfg.topology.capability_levels)
-    if name in ("dqn", "dueling"):
-        if name not in learners:
-            raise ValueError(f"no trained learner available for {name!r}")
-        return DqnScheduler(learners[name], n, training=False)
+    if name == "dqn":
+        return DqnScheduler(learner, n, training=False)
     raise ValueError(f"unknown scheduler {name!r}")
 
 
 def _run_replication(cfg: ExperimentConfig, topo, graphs, name: str, rep: int,
-                     learners: dict) -> SimulationTrace:
-    scheduler = _make_eval_scheduler(name, cfg, topo, rep, learners)
+                     learner: DqnLearner | None) -> SimulationTrace:
+    scheduler = _make_eval_scheduler(name, cfg, topo, rep, learner)
     devices = build_devices(cfg.topology)
     chains = build_chains(cfg.topology, cfg.master_seed, "eval-capability", rep)
     return run(graphs, topo, devices, scheduler, chains, cfg.reward,
@@ -341,12 +337,12 @@ def cmd_train(cfg: ExperimentConfig, outdir) -> dict[str, str]:
 
 
 def _evaluate_scheduler(cfg: ExperimentConfig, topo, name: str, lam: float,
-                        learners: dict, workload_files: list[str]) -> MetricsReport:
+                        learner: DqnLearner | None, workload_files: list[str]) -> MetricsReport:
     makespans, violations, rewards = [], [], []
     for rep in range(cfg.replications):
         graphs = load_workload_file(workload_files[rep])
         graphs = prepare_graphs(graphs, cfg.topology, topo)
-        trace = _run_replication(cfg, topo, graphs, name, rep, learners)
+        trace = _run_replication(cfg, topo, graphs, name, rep, learner)
         makespans.append(trace.avg_makespan())
         violations.append(trace.violation_rate())
         rewards.append(trace.cumulative_reward)
@@ -377,13 +373,13 @@ def cmd_evaluate(cfg: ExperimentConfig, outdir, checkpoint=None,
     """Greedy evaluation of one scheduler over replicated workloads."""
     os.makedirs(outdir, exist_ok=True)
     topo = build_topology(cfg.topology)
-    learners: dict = {}
+    learner = None
     if scheduler == "dqn":
         if checkpoint is None:
             raise ValueError("evaluating 'dqn' requires a checkpoint")
-        learners["dqn"] = load_checkpoint(checkpoint)
+        learner = load_checkpoint(checkpoint)
     files = _write_workload_files(cfg, cfg.workload.lam, outdir)
-    report = _evaluate_scheduler(cfg, topo, scheduler, cfg.workload.lam, learners, files)
+    report = _evaluate_scheduler(cfg, topo, scheduler, cfg.workload.lam, learner, files)
     write_csv(
         os.path.join(outdir, "evaluation.csv"),
         ("scheduler", "rep", "avg_makespan", "violation_pct", "cumulative_reward"),
@@ -406,21 +402,19 @@ def cmd_compare(cfg: ExperimentConfig, outdir, checkpoint=None) -> list[MetricsR
     """
     os.makedirs(outdir, exist_ok=True)
     topo = build_topology(cfg.topology)
-    learners: dict = {}
+    learner = None
     if "dqn" in cfg.schedulers:
         if checkpoint is not None:
-            learners["dqn"] = load_checkpoint(checkpoint)
+            learner = load_checkpoint(checkpoint)
         else:
-            learners["dqn"], _ = train_agent(cfg)
-    if "dueling" in cfg.schedulers:
-        learners["dueling"], _ = train_agent(cfg, dueling=True)
+            learner, _ = train_agent(cfg)
 
     lams = cfg.compare_lams if cfg.compare_lams else (cfg.workload.lam,)
     reports: list[MetricsReport] = []
     for lam in lams:
         files = _write_workload_files(cfg, lam, outdir)
         lam_reports = [
-            _evaluate_scheduler(cfg, topo, name, lam, learners, files)
+            _evaluate_scheduler(cfg, topo, name, lam, learner, files)
             for name in cfg.schedulers
         ]
         reports.extend(lam_reports)

@@ -2,18 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import full_state, make_graph, with_lct
-from oracles import fd_loss_gradients
-from mecsched import rng as rngmod
 from mecsched.baselines import (
     GreedyEftScheduler,
     HeftStyleScheduler,
     RandomScheduler,
     upward_rank,
 )
-from mecsched.dqn_core import DqnLearner, DuelingNetwork, TrainConfig, loss_and_grads
 from mecsched.experiment import TopologyConfig, build_chains, build_devices, build_topology
 from mecsched.sim_engine import DecisionContext, ScriptedScheduler, run
-from mecsched.mdp_agent import state_width
 
 
 def ctx_with_costs(costs, observation=None):
@@ -115,61 +111,3 @@ class TestHeftStyle:
         trace = run(graphs, topology, build_devices(tc), sched,
                     build_chains(tc, 4, "c", 0))
         assert len(trace.app_makespans) == 2
-
-
-class TestDuelingNetwork:
-    def test_equal_advantages_reduce_to_value(self):
-        learner = DqnLearner(TrainConfig(hidden_sizes=(8,)), 4, np.random.default_rng(5),
-                             np.random.default_rng(), np.random.default_rng(), dueling=True)
-        net = learner.net
-        assert isinstance(net, DuelingNetwork)
-        net.adv_w[:] = 0.0
-        net.adv_b[:] = 2.0  # constant advantage across actions
-        q = net.forward(np.ones(state_width(3)))
-        assert np.allclose(q, q[0])
-        assert learner.act(np.ones(state_width(3)), greedy=True) == 1
-
-    def test_hand_built_aggregation(self):
-        net = DuelingNetwork([2, 2, 2], hidden_activation="linear",
-                             rng=np.random.default_rng(6))
-        net.trunk_weights[0][:] = np.eye(2)
-        net.trunk_biases[0][:] = 0.0
-        net.value_w[:] = np.array([[1.0], [0.0]])
-        net.value_b[:] = 0.5
-        net.adv_w[:] = np.array([[1.0, -1.0], [0.0, 0.0]])
-        net.adv_b[:] = 0.0
-        q = net.forward(np.array([2.0, 7.0]))
-        # V = 2.5, A = (2, -2), mean A = 0 -> Q = (4.5, 0.5)
-        assert np.allclose(q, [4.5, 0.5])
-
-    def test_gradients_match_finite_differences(self):
-        net = DuelingNetwork([4, 6, 3], rng=np.random.default_rng(7))
-        r = np.random.default_rng(8)
-        states = r.normal(size=(5, 4))
-        actions = r.integers(0, 3, size=5)
-        targets = r.normal(size=5)
-        _, grads = loss_and_grads(net, states, actions, targets)
-        fd = fd_loss_gradients(net, states, actions, targets)
-        for g, pairs in zip(grads, fd):
-            flat = g.ravel()
-            for idx, fd_val in pairs:
-                denom = max(abs(fd_val), abs(flat[idx]), 1e-8)
-                assert abs(flat[idx] - fd_val) / denom < 1e-4
-
-    def test_learner_trains_in_simulation(self, topology):
-        config = TrainConfig(batch=16, buffer_capacity=2000, planned_steps=500,
-                             hidden_sizes=(8, 8), episodes=2)
-        learner = DqnLearner(config, 5, rngmod.stream(0, "w"), rngmod.stream(0, "e"),
-                             rngmod.stream(0, "r"), dueling=True)
-        from conftest import random_app
-        from mecsched.mdp_agent import DqnScheduler
-        tc = TopologyConfig()
-        rng = np.random.default_rng(9)
-        sched = DqnScheduler(learner, 4, training=True)
-        for episode in range(2):
-            graphs = [with_lct(random_app(rng, n, 6, release=0.05 * n), topology)
-                      for n in (1, 2, 3)]
-            run(graphs, topology, build_devices(tc), sched,
-                build_chains(tc, episode, "c", 0))
-        assert learner.last_loss is not None
-        assert np.isfinite(learner.last_loss)

@@ -10,7 +10,6 @@ from mecsched.dqn_core import (
     DeviceScoringNetwork,
     DivergenceError,
     DqnLearner,
-    DuelingNetwork,
     ReplayBuffer,
     TrainConfig,
     ValueNetwork,
@@ -57,24 +56,15 @@ class TestForward:
         with pytest.raises(ValueError):
             net.forward(np.ones(4))
 
-    def test_linear_variant_collapses_to_affine(self):
-        net = ValueNetwork([3, 4, 2], hidden_activation="linear", rng=rng(3))
-        xs = rng(4).normal(size=(10, 3))
-        q, _ = net.forward_batch(xs)
-        combined_w = net.weights[0] @ net.weights[1]
-        combined_b = net.biases[0] @ net.weights[1] + net.biases[1]
-        assert np.allclose(q, xs @ combined_w + combined_b)
-
 
 def all_kinds(seed=60):
-    """The plain stack every kind is built from, and each learner's network
-    kind, over a 3-device observation."""
+    """The plain stack and the learner's network built from it, over a
+    3-device observation."""
     width = state_width(3)
     return {
         "plain": ValueNetwork([width, 8, 6, 4], rng=rng(seed)),
         "device-scoring": DeviceScoringNetwork([width, 8, 6, 4], device_feature_index(3),
                                                rng=rng(seed)),
-        "dueling": DuelingNetwork([width, 8, 6, 4], rng=rng(seed)),
     }
 
 
@@ -82,7 +72,7 @@ class TestFlatParameters:
     """Parameters, gradients and work buffers are shared storage; what a
     caller is handed must not change behind its back."""
 
-    @pytest.mark.parametrize("kind", ["plain", "device-scoring", "dueling"])
+    @pytest.mark.parametrize("kind", ["plain", "device-scoring"])
     def test_successive_results_are_independent(self, kind):
         net = all_kinds()[kind]
         r = rng(61)
@@ -98,7 +88,7 @@ class TestFlatParameters:
         net.forward(xs[1][0])
         assert np.array_equal(single, kept)
 
-    @pytest.mark.parametrize("kind", ["plain", "device-scoring", "dueling"])
+    @pytest.mark.parametrize("kind", ["plain", "device-scoring"])
     def test_parameters_are_views_into_one_vector(self, kind):
         net = all_kinds()[kind]
         params = net.parameters()
@@ -114,7 +104,7 @@ class TestFlatParameters:
         assert [g.shape for g in grads] == [p.shape for p in params]
         assert all(np.shares_memory(g, net.grad) for g in grads)
 
-    @pytest.mark.parametrize("kind", ["plain", "device-scoring", "dueling"])
+    @pytest.mark.parametrize("kind", ["plain", "device-scoring"])
     def test_training_leaves_a_synced_target_alone(self, kind):
         net = all_kinds()[kind]
         target = net.clone()
@@ -554,24 +544,22 @@ class TestToyMdp:
 
 
 class TestCheckpointNetworkKinds:
-    """Every network kind a learner can carry survives save and load; a
+    """The network kind a learner carries survives save and load; a
     checkpoint naming no kind, or any other kind, is refused by name."""
 
-    KINDS = {"device-scoring": False, "dueling": True}
-
-    def trained(self, kind):
+    def trained(self):
         config = TrainConfig(batch=8, buffer_capacity=64, planned_steps=100,
                              hidden_sizes=(8, 8))
-        learner = DqnLearner(config, 4, rng(51), rng(52), rng(53), dueling=self.KINDS[kind])
+        learner = DqnLearner(config, 4, rng(51), rng(52), rng(53))
         r = rng(54)
         for _ in range(20):
             s, s2 = r.normal(size=state_width(3)), r.normal(size=state_width(3))
             learner.observe(MdpTransition(s, learner.act(s), float(r.normal()), s2))
         return learner
 
-    @pytest.mark.parametrize("kind", list(KINDS))
+    @pytest.mark.parametrize("kind", ["device-scoring"])
     def test_round_trip(self, tmp_path, kind):
-        learner = self.trained(kind)
+        learner = self.trained()
         assert learner.net.kind == kind
         path = tmp_path / "agent.npz"
         save_checkpoint(learner, path)
@@ -601,14 +589,18 @@ class TestCheckpointNetworkKinds:
 
     def test_checkpoint_without_kind_refused(self, tmp_path):
         path = tmp_path / "agent.npz"
-        save_checkpoint(self.trained("device-scoring"), path)
+        save_checkpoint(self.trained(), path)
         self.rewrite_meta(path, lambda meta: meta.pop("network"))
         with pytest.raises(ValueError, match="network kind None"):
             load_checkpoint(path)
 
     def test_plain_kind_refused(self, tmp_path):
+        """Neither the bare stack nor the retired dueling network is a kind
+        a learner carries."""
         path = tmp_path / "agent.npz"
-        save_checkpoint(self.trained("device-scoring"), path)
-        self.rewrite_meta(path, lambda meta: meta.update(network="plain"))
-        with pytest.raises(ValueError, match="network kind 'plain'"):
-            load_checkpoint(path)
+        save_checkpoint(self.trained(), path)
+        for kind in ("plain", "dueling"):
+            self.rewrite_meta(path, lambda meta: meta.update(network=kind))
+            with pytest.raises(ValueError,
+                               match=f"unsupported checkpoint network kind '{kind}'"):
+                load_checkpoint(path)

@@ -117,9 +117,18 @@ class TestConfigFile:
         ("[workload]\nshape = montage26\n", r"\[workload\] shape must be one of .*'montage26'"),
         ("[agent]\nhidden_activation = tanh\n",
          r"\[agent\] hidden_activation must be one of .*'tanh'"),
+        ("[agent]\nhidden_activation = linear\n",
+         r"\[agent\] hidden_activation must be one of .*'linear'"),
+        ("[experiment]\nreplications = 0\n",
+         r"bad\.ini: \[experiment\] replications must be >= 1"),
+        ("[experiment]\nschedulers = dqn mystery\n",
+         r"bad\.ini: \[experiment\] schedulers .*'mystery'"),
+        ("[experiment]\nschedulers = dueling\n",
+         r"bad\.ini: \[experiment\] schedulers .*'dueling'"),
     ], ids=["misspelt-key", "key-of-other-section", "unknown-section", "bad-value",
             "pool-below-batch", "nan-lam", "zero-rate", "negative-deadline-capability",
-            "unknown-shape", "unknown-activation"])
+            "unknown-shape", "unknown-activation", "retired-activation", "no-replications",
+            "unknown-scheduler", "retired-scheduler"])
     def test_bad_keys_rejected_with_location(self, tmp_path, text, message):
         path = tmp_path / "bad.ini"
         path.write_text(text)
@@ -208,13 +217,6 @@ class TestCompareCommand:
         assert [f for f in files if f.endswith(".wl")] == [
             "lam9_rep0.wl", "lam9_rep1.wl",
         ]
-
-    def test_dueling_scheduler_trains_and_compares(self, tmp_path):
-        cfg = replace(tiny_config(replications=1), write_traces=False,
-                      schedulers=("dueling", "random"))
-        reports = {r.scheduler: r for r in cmd_compare(cfg, tmp_path / "cmp")}
-        assert set(reports) == {"dueling", "random"}
-        assert np.isfinite(reports["dueling"].avg_makespans).all()
 
     def test_greedy_beats_random_on_congested_workload(self, tmp_path):
         cfg = replace(tiny_config(replications=6, n_apps=8), write_traces=False)

@@ -1,11 +1,11 @@
 """Bit-level guard on training.
 
-A few ``train_agent`` episodes are run for the device-scoring learner and the
-dueling learner, and the sha256 of everything training produces is pinned:
-the learning curve, every prediction and target parameter, Adam's two moment
-vectors and the last loss. Any change to the networks' arithmetic, the
-optimizer, replay sampling, exploration draws or target syncing shows up
-here, down to the last bit of a float.
+A few ``train_agent`` episodes are run for the learner, whose network is the
+device-scoring kind, and the sha256 of everything training produces is
+pinned: the learning curve, every prediction and target parameter, Adam's
+two moment vectors and the last loss. Any change to the network's
+arithmetic, the optimizer, replay sampling, exploration draws or target
+syncing shows up here, down to the last bit of a float.
 
 The digests depend on numpy's random streams and on the BLAS's rounding; if
 they change with a numpy or Python upgrade alone, re-record them under the
@@ -30,7 +30,6 @@ RECORDED_UNDER = "numpy 2.4.6, Python 3.11.7"
 
 GOLDEN = {
     "device-scoring": "eeb8b0fe9f570538417e6fc2c66b7037516b901bf4e5f51d46cbbd13ef770655",
-    "dueling": "5551ce2c64c491d91972ad29ff159b8783e5016f7c3a8b899854f35970d3f0ca",
 }
 
 
@@ -46,7 +45,7 @@ def training_config() -> ExperimentConfig:
 
 
 def training_digest(kind: str) -> str:
-    learner, curve = train_agent(training_config(), dueling=kind == "dueling")
+    learner, curve = train_agent(training_config())
     assert learner.net.kind == kind
     h = hashlib.sha256()
     h.update(curve.tobytes())
@@ -94,15 +93,23 @@ def test_digest_does_not_depend_on_blas_threads():
 @pytest.mark.parametrize("preset", [None, "3"])
 def test_package_defaults_to_one_blas_thread(preset):
     """Importing the package before numpy pins BLAS to one thread unless
-    the caller chose a count."""
+    the caller chose a count. Imported after numpy, it can no longer pin
+    the count, and warns when the caller chose none."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = preset
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    code = ("import os, mecsched; "
-            "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
+
+    def python(code):
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+
+    out = python("import os, mecsched, numpy; "
+                 "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
     expected = preset or "1"
     assert out.stdout.split() == [expected, expected]
+    assert "Warning" not in out.stderr
+    warned = "RuntimeWarning: numpy was imported before mecsched" in python(
+        "import numpy, mecsched").stderr
+    assert warned == (preset is None)
