@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .mec_model import NetworkTopology
-from .scheduler_port import DecisionContext, ReadyItem, SchedulerPort
-from .task_graph import TaskGraph
+from .scheduler_port import DecisionContext, SchedulerPort
+from .task_graph import Task, TaskGraph
 
 __all__ = [
     "RandomScheduler",
@@ -80,12 +80,16 @@ class HeftStyleScheduler(GreedyEftScheduler):
         off = ~np.eye(topo.n_devices, dtype=bool)
         rates = list(topo.inter_ecd_rate[off]) + [topo.uplink_rate]
         self.mean_rate = float(np.mean(rates))
-        self._ranks: dict[tuple[int, int], float] = {}
+        # app id -> (the graph ranked, its ranks by task id)
+        self._ranks: dict[int, tuple[TaskGraph, dict[int, float]]] = {}
 
-    def on_app_arrival(self, graph: TaskGraph) -> None:
-        for task_id, rank in upward_rank(graph, self.mean_capability, self.mean_rate).items():
-            self._ranks[(graph.app_id, task_id)] = rank
-
-    def ready_sort_key(self, item: ReadyItem):
-        return (-self._ranks[(item.app_id, item.task_id)], item.app_id, item.task_id)
-
+    def order_ready(self, graph: TaskGraph, ready: list[Task]) -> None:
+        """Sort by descending upward rank, ties by task id. A graph is
+        ranked the first time it is seen; a later graph reusing its app id
+        (the next workload of a reused scheduler) is ranked afresh."""
+        cached = self._ranks.get(graph.app_id)
+        if cached is None or cached[0] is not graph:
+            cached = self._ranks[graph.app_id] = (
+                graph, upward_rank(graph, self.mean_capability, self.mean_rate))
+        ranks = cached[1]
+        ready.sort(key=lambda t: (-ranks[t.task_id], t.task_id))

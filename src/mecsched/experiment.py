@@ -80,6 +80,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.workload.n_devices != self.topology.n_devices:
+            raise ValueError(f"workload.n_devices ({self.workload.n_devices}) must equal "
+                             f"topology.n_devices ({self.topology.n_devices})")
         for name in self.schedulers:
             if name not in SCHEDULER_NAMES:
                 raise ValueError(f"schedulers must each be one of {SCHEDULER_NAMES}, "
@@ -254,6 +257,15 @@ def _make_learner(cfg: ExperimentConfig) -> DqnLearner:
     )
 
 
+def _simulate(cfg: ExperimentConfig, topo, graphs, scheduler, purpose: str, index: int,
+              record_rows: bool) -> SimulationTrace:
+    """Run prepared graphs on a fresh fleet whose capability chains draw from
+    the named streams ``(purpose, index, device)``."""
+    devices = build_devices(cfg.topology)
+    chains = build_chains(cfg.topology, cfg.master_seed, purpose, index)
+    return run(graphs, topo, devices, scheduler, chains, cfg.reward, record_rows=record_rows)
+
+
 def train_agent(cfg: ExperimentConfig):
     """Train a value learner over fresh workload draws; returns (learner, curve)."""
     topo = build_topology(cfg.topology)
@@ -264,10 +276,8 @@ def train_agent(cfg: ExperimentConfig):
     for episode in range(cfg.agent.episodes):
         graphs = generate(cfg.workload, rngmod.stream(cfg.master_seed, "train-workload", episode))
         graphs = prepare_graphs(graphs, cfg.topology, topo)
-        devices = build_devices(cfg.topology)
-        chains = build_chains(cfg.topology, cfg.master_seed, "train-capability", episode)
-        trace = run(graphs, topo, devices, scheduler, chains, cfg.reward,
-                    record_rows=False)
+        trace = _simulate(cfg, topo, graphs, scheduler, "train-capability", episode,
+                          record_rows=False)
         curve[episode] = trace.cumulative_reward
     return learner, curve
 
@@ -291,13 +301,53 @@ def _make_eval_scheduler(name: str, cfg: ExperimentConfig, topo: NetworkTopology
     raise ValueError(f"unknown scheduler {name!r}")
 
 
-def _run_replication(cfg: ExperimentConfig, topo, graphs, name: str, rep: int,
-                     learner: DqnLearner | None) -> SimulationTrace:
-    scheduler = _make_eval_scheduler(name, cfg, topo, rep, learner)
-    devices = build_devices(cfg.topology)
-    chains = build_chains(cfg.topology, cfg.master_seed, "eval-capability", rep)
-    return run(graphs, topo, devices, scheduler, chains, cfg.reward,
-               record_rows=cfg.write_traces)
+def _evaluate(cfg: ExperimentConfig, topo, lam: float, names, learner: DqnLearner | None,
+              outdir) -> list[MetricsReport]:
+    """Every named scheduler over ``cfg.replications`` workloads at arrival
+    rate ``lam``. Each replication's workload is drawn once, written to
+    ``workloads/`` and loaded back for every scheduler; its capability
+    chains are re-seeded per replication, so every scheduler sees the same
+    environment randomness. Traces, when on, go next to the workloads."""
+    wl_dir = os.path.join(outdir, "workloads")
+    os.makedirs(wl_dir, exist_ok=True)
+    spec = replace(cfg.workload, lam=lam)
+    files = []
+    for rep in range(cfg.replications):
+        path = os.path.join(wl_dir, f"lam{lam:g}_rep{rep}.wl")
+        save_workload_file(generate(spec, rngmod.stream(cfg.master_seed, "eval-workload", rep)),
+                           path)
+        files.append(path)
+
+    reports = []
+    for name in names:
+        makespans, violations, rewards = [], [], []
+        for rep, path in enumerate(files):
+            graphs = prepare_graphs(load_workload_file(path), cfg.topology, topo)
+            scheduler = _make_eval_scheduler(name, cfg, topo, rep, learner)
+            trace = _simulate(cfg, topo, graphs, scheduler, "eval-capability", rep,
+                              record_rows=cfg.write_traces)
+            makespans.append(trace.avg_makespan())
+            violations.append(trace.violation_rate())
+            rewards.append(trace.cumulative_reward)
+            if cfg.write_traces:
+                trace.to_csv(os.path.join(wl_dir, f"trace_{name}_lam{lam:g}_rep{rep}.csv"))
+        reports.append(MetricsReport(name, lam, np.array(makespans), np.array(violations),
+                                     np.array(rewards)))
+    return reports
+
+
+def _write_replications(path, reports: list[MetricsReport]) -> None:
+    """One row per scheduler and replication."""
+    write_csv(
+        path,
+        ("scheduler", "rep", "avg_makespan", "violation_pct", "cumulative_reward"),
+        [
+            (r.scheduler, rep, float(makespan), float(violation), float(reward))
+            for r in reports
+            for rep, (makespan, violation, reward) in enumerate(
+                zip(r.avg_makespans, r.violation_rates, r.cumulative_rewards))
+        ],
+    )
 
 
 def _write_manifest(cfg: ExperimentConfig, outdir, extra: dict | None = None) -> None:
@@ -336,70 +386,30 @@ def cmd_train(cfg: ExperimentConfig, outdir) -> dict[str, str]:
     return {"checkpoint": checkpoint, "curve": curve_path}
 
 
-def _evaluate_scheduler(cfg: ExperimentConfig, topo, name: str, lam: float,
-                        learner: DqnLearner | None, workload_files: list[str]) -> MetricsReport:
-    makespans, violations, rewards = [], [], []
-    for rep in range(cfg.replications):
-        graphs = load_workload_file(workload_files[rep])
-        graphs = prepare_graphs(graphs, cfg.topology, topo)
-        trace = _run_replication(cfg, topo, graphs, name, rep, learner)
-        makespans.append(trace.avg_makespan())
-        violations.append(trace.violation_rate())
-        rewards.append(trace.cumulative_reward)
-        if cfg.write_traces:
-            trace.to_csv(os.path.join(
-                os.path.dirname(workload_files[rep]),
-                f"trace_{name}_lam{lam:g}_rep{rep}.csv",
-            ))
-    return MetricsReport(name, lam, np.array(makespans), np.array(violations),
-                         np.array(rewards))
-
-
-def _write_workload_files(cfg: ExperimentConfig, lam: float, outdir) -> list[str]:
-    wl_dir = os.path.join(outdir, "workloads")
-    os.makedirs(wl_dir, exist_ok=True)
-    spec = replace(cfg.workload, lam=lam)
-    files = []
-    for rep in range(cfg.replications):
-        graphs = generate(spec, rngmod.stream(cfg.master_seed, "eval-workload", rep))
-        path = os.path.join(wl_dir, f"lam{lam:g}_rep{rep}.wl")
-        save_workload_file(graphs, path)
-        files.append(path)
-    return files
-
-
 def cmd_evaluate(cfg: ExperimentConfig, outdir, checkpoint=None,
                  scheduler: str = "dqn") -> MetricsReport:
-    """Greedy evaluation of one scheduler over replicated workloads."""
-    os.makedirs(outdir, exist_ok=True)
-    topo = build_topology(cfg.topology)
+    """Greedy evaluation of one scheduler over replicated workloads.
+
+    An unknown scheduler, or ``dqn`` without a checkpoint, is refused
+    before anything is written."""
+    if scheduler not in SCHEDULER_NAMES:
+        raise ValueError(f"unknown scheduler {scheduler!r}")
     learner = None
     if scheduler == "dqn":
         if checkpoint is None:
             raise ValueError("evaluating 'dqn' requires a checkpoint")
         learner = load_checkpoint(checkpoint)
-    files = _write_workload_files(cfg, cfg.workload.lam, outdir)
-    report = _evaluate_scheduler(cfg, topo, scheduler, cfg.workload.lam, learner, files)
-    write_csv(
-        os.path.join(outdir, "evaluation.csv"),
-        ("scheduler", "rep", "avg_makespan", "violation_pct", "cumulative_reward"),
-        [
-            (report.scheduler, rep, float(report.avg_makespans[rep]),
-             float(report.violation_rates[rep]), float(report.cumulative_rewards[rep]))
-            for rep in range(cfg.replications)
-        ],
-    )
+    os.makedirs(outdir, exist_ok=True)
+    [report] = _evaluate(cfg, build_topology(cfg.topology), cfg.workload.lam, (scheduler,),
+                         learner, outdir)
+    _write_replications(os.path.join(outdir, "evaluation.csv"), [report])
     _write_manifest(cfg, outdir, {"evaluated_scheduler": scheduler})
     return report
 
 
 def cmd_compare(cfg: ExperimentConfig, outdir, checkpoint=None) -> list[MetricsReport]:
-    """Run every configured scheduler over identical workload replications.
-
-    Each replication's workload is generated once, written to a file, and
-    loaded back for every scheduler; capability chains are re-seeded per
-    replication so every scheduler sees the same environment randomness.
-    """
+    """Run every configured scheduler over identical workload replications
+    at each arrival rate; see ``_evaluate``."""
     os.makedirs(outdir, exist_ok=True)
     topo = build_topology(cfg.topology)
     learner = None
@@ -412,11 +422,7 @@ def cmd_compare(cfg: ExperimentConfig, outdir, checkpoint=None) -> list[MetricsR
     lams = cfg.compare_lams if cfg.compare_lams else (cfg.workload.lam,)
     reports: list[MetricsReport] = []
     for lam in lams:
-        files = _write_workload_files(cfg, lam, outdir)
-        lam_reports = [
-            _evaluate_scheduler(cfg, topo, name, lam, learner, files)
-            for name in cfg.schedulers
-        ]
+        lam_reports = _evaluate(cfg, topo, lam, cfg.schedulers, learner, outdir)
         reports.extend(lam_reports)
         write_csv(
             os.path.join(outdir, f"comparison_lam{lam:g}.csv"),
@@ -429,15 +435,6 @@ def cmd_compare(cfg: ExperimentConfig, outdir, checkpoint=None) -> list[MetricsR
                 for r in lam_reports
             ],
         )
-        write_csv(
-            os.path.join(outdir, f"replications_lam{lam:g}.csv"),
-            ("scheduler", "rep", "avg_makespan", "violation_pct", "cumulative_reward"),
-            [
-                (r.scheduler, rep, float(r.avg_makespans[rep]),
-                 float(r.violation_rates[rep]), float(r.cumulative_rewards[rep]))
-                for r in lam_reports
-                for rep in range(cfg.replications)
-            ],
-        )
+        _write_replications(os.path.join(outdir, f"replications_lam{lam:g}.csv"), lam_reports)
     _write_manifest(cfg, outdir, {"compare_lams": list(lams)})
     return reports

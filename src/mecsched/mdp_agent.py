@@ -197,8 +197,8 @@ class DqnScheduler(SchedulerPort):
     def notify_outcome(self, outcome) -> None:
         self._pending_reward = outcome.reward
 
-    def end_episode(self, final_observation: StateVector) -> None:
-        self._absorb(normalize_state(final_observation, self.norms))
+    def end_episode(self, observation: StateVector) -> None:
+        self._absorb(normalize_state(observation, self.norms))
         self._pending = None
         self._pending_reward = None
 

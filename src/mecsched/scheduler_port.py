@@ -1,10 +1,14 @@
 """The scheduler port: the interface the event kernel drives, and the
 records it passes through it.
 
-Every scheduler, learned or not, subclasses ``SchedulerPort``. For each
-decision the kernel hands ``decide`` a ``DecisionContext``; after the
-commit it reports the decision's ``OutcomeRecord`` to ``notify_outcome``.
-The records are plain slotted classes, built once per decision.
+Every scheduler, learned or not, subclasses ``SchedulerPort``. When an
+event makes tasks of an application ready, the kernel hands that list of
+the graph's own ``Task``s, in ascending LCT order, to ``order_ready``,
+which may reorder it in place. For each task in turn it hands ``decide`` a
+``DecisionContext``; after the commit it reports the decision's
+``OutcomeRecord`` to ``notify_outcome``. Once every application has
+completed, ``end_episode`` receives the system state. The records are
+plain slotted classes, built once per decision.
 """
 
 from __future__ import annotations
@@ -14,19 +18,9 @@ from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from .mdp_agent import StateVector
-    from .task_graph import TaskGraph
+    from .task_graph import Task, TaskGraph
 
-__all__ = ["ReadyItem", "DecisionContext", "OutcomeRecord", "SchedulerPort"]
-
-
-@dataclass(slots=True)
-class ReadyItem:
-    """A task whose parents have all completed, waiting for its decision."""
-
-    app_id: int
-    task_id: int
-    lct: float
-    workload: float
+__all__ = ["DecisionContext", "OutcomeRecord", "SchedulerPort"]
 
 
 class DecisionContext:
@@ -34,12 +28,11 @@ class DecisionContext:
 
     ``finish_if`` maps a candidate device to the task's finish time there,
     and ``observation`` is the system state at the decision instant
-    (``sim_engine.observe_state``). The kernel passes ``observation=None``
-    and an ``observe`` callable instead, so the state is computed on the
-    first read and cached; schedulers that never read it never pay for it.
-    Both answer only while the decision is being made: once ``close`` has
-    run, ``observation`` returns the value already read or raises, and
-    ``finish_if`` raises.
+    (``sim_engine.observe_state``). It comes from the ``observe`` callable,
+    called on the first read and cached, so schedulers that never read it
+    never pay for it. Both answer only while the decision is being made:
+    once ``close`` has run, ``observation`` returns the value already read
+    or raises, and ``finish_if`` raises.
     """
 
     __slots__ = ("now", "app_id", "task_id", "workload", "lct", "valid_actions",
@@ -52,11 +45,9 @@ class DecisionContext:
         task_id: int,
         workload: float,
         lct: float,
-        observation: StateVector | None,
         valid_actions: tuple[int, ...],
         finish_if: Callable[[int], float],  # candidate device -> finish time
-        *,
-        observe: Callable[[], StateVector] | None = None,
+        observe: Callable[[], StateVector],
     ) -> None:
         self.now = now
         self.app_id = app_id
@@ -65,7 +56,7 @@ class DecisionContext:
         self.lct = lct
         self.valid_actions = valid_actions
         self.finish_if = finish_if
-        self._observation = observation
+        self._observation = None
         self._observe = observe
 
     @property
@@ -116,13 +107,10 @@ class SchedulerPort:
     def notify_outcome(self, outcome: OutcomeRecord) -> None:
         pass
 
-    def on_app_arrival(self, graph: TaskGraph) -> None:
-        pass
+    def order_ready(self, graph: TaskGraph, ready: list[Task]) -> None:
+        """Reorder, in place, the ready tasks of ``graph`` that the kernel
+        is about to place, in ascending LCT order; by default it keeps
+        that order."""
 
-    def ready_sort_key(self, item: ReadyItem):
-        """Return a sort key to reorder the ready queue, or None for the
-        default ascending-LCT order."""
-        return None
-
-    def end_episode(self, final_observation: StateVector) -> None:
-        pass
+    def end_episode(self, observation: StateVector) -> None:
+        """Receive the system state once every application has completed."""

@@ -3,12 +3,14 @@
 Two event kinds drive the run: application arrivals and task completions.
 An event completes a task of one application only, so only that
 application's priority list can gain ready tasks (all parents completed): the
-kernel pops its ready prefix, already in ascending LCT order, and walks it
-asking the pluggable scheduler for a target device per task. Each placement
+kernel pops its ready prefix, the graph's own ``Task``s in ascending LCT
+order, lets the pluggable scheduler reorder it (``order_ready``), and walks
+it asking the scheduler for a target device per task. Each placement
 is planned once per candidate device; the plan the scheduler saw is the one
-committed. The decision's observation (``observe_state``) is computed only
-when something reads it: the scheduler during ``decide``, or the kernel when
-it records trace rows. Either way it comes from the state before the commit.
+committed. The decision's observation (``observe_state``) is computed, by the
+context's ``observe`` callable, only when something reads it: the scheduler
+during ``decide``, or the kernel when it records trace rows. Either way it
+comes from the state before the commit.
 A commitment updates the chosen device's FCFS queue before the next
 decision, schedules the task's completion event, and reports the decision's
 reward back to the scheduler one step later.
@@ -35,11 +37,10 @@ from .mec_model import (
     transfer_time,
     transition_capability,
 )
-from .scheduler_port import DecisionContext, OutcomeRecord, ReadyItem, SchedulerPort
-from .task_graph import Edge, TaskGraph, build_priority_list
+from .scheduler_port import DecisionContext, OutcomeRecord, SchedulerPort
+from .task_graph import Edge, Task, TaskGraph, build_priority_list
 
 __all__ = [
-    "ReadyItem",
     "DecisionContext",
     "OutcomeRecord",
     "SchedulerPort",
@@ -85,29 +86,29 @@ def collect_ready(
     pending: list[int],
     completed: set[tuple[int, int]],
     graph: TaskGraph,
-) -> list[ReadyItem]:
-    """Pop the ready prefix of one application's priority list.
+) -> list[Task]:
+    """Pop the ready prefix of one application's priority list, as the
+    graph's tasks.
 
     A task is ready once all of its parents have completed. The list is in
     ascending (LCT, task id) order, so the prefix is too; it is consumed in
     place.
     """
     app_id = graph.app_id
-    items: list[ReadyItem] = []
+    tasks: list[Task] = []
     for head in pending:
         if any((app_id, p) not in completed for p in graph.parents_of(head)):
             break
-        task = graph.task(head)
-        items.append(ReadyItem(app_id, head, task.lct, task.workload))
-    del pending[:len(items)]
-    return items
+        tasks.append(graph.task(head))
+    del pending[:len(tasks)]
+    return tasks
 
 
 def observe_state(
     now: float,
     topo: NetworkTopology,
     devices: Sequence[EdgeDevice],
-    ready_items: Sequence[ReadyItem],
+    ready: Sequence[Task],
 ) -> StateVector:
     """System summary at a decision instant.
 
@@ -115,18 +116,18 @@ def observe_state(
     work; the queued workload counts every task assigned to a device whose
     completion has not fired yet, the executing one at full weight (each
     device's running total, added up in device order). The head
-    of ``ready_items`` is the task being placed: its workload and slack
+    of ``ready`` is the task being placed: its workload and slack
     (``lct - now``) follow the aggregates, both 0 when nothing is ready.
     Last come each device's backlog (seconds from now until its queue
     drains, 0 when idle) and current capability, in device-id order.
     """
-    head = ready_items[0] if ready_items else None
+    head = ready[0] if ready else None
     capability = tuple([d.capability for d in devices])
     return StateVector(
         sum_inter_rate=topo.sum_rate,
         uplink_rate=topo.uplink_rate,
         sum_capability=ordered_sum(capability),
-        ready_workload=ordered_sum([it.workload for it in ready_items]),
+        ready_workload=ordered_sum([t.workload for t in ready]),
         queued_workload=ordered_sum([d.queued_workload() for d in devices]),
         task_workload=head.workload if head else 0.0,
         task_slack=head.lct - now if head else 0.0,
@@ -146,7 +147,6 @@ class SimulationTrace:
         self.app_makespans: dict[int, float] = {}
         self.app_deadlines: dict[int, float] = {}
         self.rewards: list[float] = []
-        self.final_observation: StateVector | None = None
 
     @property
     def cumulative_reward(self) -> float:
@@ -263,7 +263,7 @@ def run(
         if m not in plans:
             if m not in valid_actions:
                 raise SchedulingError(
-                    f"no device {m!r} to plan task ({app_id},{item.task_id}) on; "
+                    f"no device {m!r} to plan task ({app_id},{task.task_id}) on; "
                     f"valid: {valid_actions}"
                 )
             device = devices[m - 1]
@@ -289,7 +289,6 @@ def run(
 
         if kind == ARRIVAL:
             trace.assignments[(app_id, 0)] = Assignment(app_id, 0, MU_DEVICE, now, now)
-            scheduler.on_app_arrival(graph)
             if record_rows:
                 trace.rows.append((now, ARRIVAL, app_id, 0, 0, now, now,
                                    None, None, None, None, None, None, None, None))
@@ -312,22 +311,21 @@ def run(
 
         # only this event's application can have gained ready tasks
         ready = collect_ready(lists[app_id], completed, graph)
-        if ready and scheduler.ready_sort_key(ready[0]) is not None:
-            ready.sort(key=scheduler.ready_sort_key)
+        if ready:
+            scheduler.order_ready(graph, ready)
 
-        for idx, item in enumerate(ready):
-            task = graph.task(item.task_id)
-            outputs = parent_outputs(graph, item.task_id)
+        for idx, task in enumerate(ready):
+            outputs = parent_outputs(graph, task.task_id)
             plans.clear()
             # records are built positionally: keywords cost more than the
             # construction itself on this once-per-decision path
-            ctx = DecisionContext(now, app_id, item.task_id, item.workload, item.lct,
-                                  None, valid_actions, finish_if, observe=observe_pending)
+            ctx = DecisionContext(now, app_id, task.task_id, task.workload, task.lct,
+                                  valid_actions, finish_if, observe_pending)
             action = scheduler.decide(ctx)
             if action not in valid_actions:
                 raise SchedulingError(
                     f"scheduler chose device {action!r} for task "
-                    f"({app_id},{item.task_id}); valid: {valid_actions}"
+                    f"({app_id},{task.task_id}); valid: {valid_actions}"
                 )
             if record_rows:
                 obs = ctx.observation  # the row needs the aggregates
@@ -337,24 +335,24 @@ def run(
             queue_wait = start - data_ready
             finish = start + exec_time
             device = devices[action - 1]
-            trace.assignments[(app_id, item.task_id)] = Assignment(
-                app_id, item.task_id, action, start, finish)
-            trace.decisions[(app_id, item.task_id)] = action
+            trace.assignments[(app_id, task.task_id)] = Assignment(
+                app_id, task.task_id, action, start, finish)
+            trace.decisions[(app_id, task.task_id)] = action
             device.queue_free_at = finish
-            device.enqueue(app_id, item.task_id, task.workload)
-            push(finish, COMPLETION, app_id, item.task_id, action)
+            device.enqueue(app_id, task.task_id, task.workload)
+            push(finish, COMPLETION, app_id, task.task_id, action)
 
             reward = compute_reward(
-                task.workload, item.lct, arrival_wait, queue_wait,
+                task.workload, task.lct, arrival_wait, queue_wait,
                 exec_time, finish, params,
             )
             trace.rewards.append(reward)
             scheduler.notify_outcome(OutcomeRecord(
-                app_id, item.task_id, action, task.workload, item.lct,
+                app_id, task.task_id, action, task.workload, task.lct,
                 arrival_wait, queue_wait, exec_time, start, finish, reward,
             ))
             if record_rows:
-                trace.rows.append((now, "decide", app_id, item.task_id, action,
+                trace.rows.append((now, "decide", app_id, task.task_id, action,
                                    start, finish,
                                    obs.sum_inter_rate, obs.uplink_rate,
                                    obs.sum_capability, obs.ready_workload,
@@ -365,6 +363,5 @@ def run(
     if unfinished:
         raise DeadlockError(f"event queue drained with apps unfinished: {unfinished}")
 
-    trace.final_observation = observe_state(now, topo, devices, [])
-    scheduler.end_episode(trace.final_observation)
+    scheduler.end_episode(observe_state(now, topo, devices, []))
     return trace

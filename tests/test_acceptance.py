@@ -45,7 +45,7 @@ from mecsched.mdp_agent import (
 )
 from mecsched.mec_model import CapabilityChain, EdgeDevice, NetworkTopology
 from mecsched.sim_engine import DecisionContext, OutcomeRecord, ScriptedScheduler, run
-from mecsched.task_graph import TaskGraph, compute_lct
+from mecsched.task_graph import compute_lct
 from mecsched.workload import WorkloadSpec, generate
 
 
@@ -319,10 +319,10 @@ class PortDrivenToyEnv:
     def episode(self, scheduler: DqnScheduler, horizon: int = 40) -> None:
         state = 0
         for step in range(horizon):
+            obs = self.embed(state)
             ctx = DecisionContext(
                 now=float(step), app_id=1, task_id=step, workload=1.0, lct=0.0,
-                observation=self.embed(state), valid_actions=(1, 2),
-                finish_if=lambda m: 0.0,
+                valid_actions=(1, 2), finish_if=lambda m: 0.0, observe=lambda: obs,
             )
             action = scheduler.decide(ctx)
             move = action - 1

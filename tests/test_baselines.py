@@ -8,16 +8,23 @@ from mecsched.baselines import (
     RandomScheduler,
     upward_rank,
 )
-from mecsched.experiment import TopologyConfig, build_chains, build_devices, build_topology
-from mecsched.sim_engine import DecisionContext, ScriptedScheduler, run
+from mecsched.experiment import (
+    TopologyConfig,
+    build_chains,
+    build_devices,
+    build_topology,
+    prepare_graphs,
+)
+from mecsched.sim_engine import DecisionContext, run
+from mecsched.workload import WorkloadSpec, generate
 
 
-def ctx_with_costs(costs, observation=None):
+def ctx_with_costs(costs):
     return DecisionContext(
         now=0.0, app_id=1, task_id=1, workload=100.0, lct=1.0,
-        observation=observation or full_state(),
         valid_actions=tuple(sorted(costs)),
         finish_if=lambda m: costs[m],
+        observe=full_state,
     )
 
 
@@ -95,11 +102,23 @@ class TestHeftStyle:
         tc = TopologyConfig()
         sched = HeftStyleScheduler(topology, tc.capability_levels)
         graph = with_lct(make_graph({}, {1: 100.0, 2: 400.0}), topology)
-        sched.on_app_arrival(graph)
-        from mecsched.sim_engine import ReadyItem
-        items = [ReadyItem(1, 1, 0.0, 100.0), ReadyItem(1, 2, 0.0, 400.0)]
-        keys = [sched.ready_sort_key(it) for it in items]
-        assert keys[1] < keys[0]  # heavier task has larger rank -> earlier
+        ready = [graph.task(1), graph.task(2)]
+        sched.order_ready(graph, ready)
+        assert ready == [graph.task(2), graph.task(1)]  # heavier task has larger rank -> earlier
+
+    def test_reused_instance_matches_fresh_ones(self):
+        # every workload numbers its apps 1..n, so a reused instance meets
+        # new graphs under app ids it has already ranked
+        tc = TopologyConfig()
+        topo = build_topology(tc)
+        spec = WorkloadSpec(n_apps=3, lam=9.0, arrival_mode="rate")
+        reused = HeftStyleScheduler(topo, tc.capability_levels)
+        for seed in range(3):
+            graphs = prepare_graphs(generate(spec, np.random.default_rng(seed)), tc, topo)
+            reused_trace, fresh_trace = (
+                run(graphs, topo, build_devices(tc), sched, build_chains(tc, seed, "c", 0))
+                for sched in (reused, HeftStyleScheduler(topo, tc.capability_levels)))
+            assert reused_trace.assignments == fresh_trace.assignments
 
     def test_runs_end_to_end(self, topology):
         tc = TopologyConfig()

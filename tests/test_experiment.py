@@ -1,4 +1,3 @@
-import filecmp
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +9,6 @@ from mecsched.cli import main
 from mecsched.experiment import (
     ExperimentConfig,
     TopologyConfig,
-    build_chains,
     build_devices,
     build_topology,
     cmd_compare,
@@ -21,8 +19,8 @@ from mecsched.experiment import (
 )
 from mecsched.dqn_core import DqnLearner
 from mecsched.mdp_agent import StateNorms, normalize_state, state_width
-from mecsched.sim_engine import ReadyItem, observe_state
-from mecsched.task_graph import load_workload_file
+from mecsched.sim_engine import observe_state
+from mecsched.task_graph import Task, load_workload_file
 from mecsched.workload import WorkloadSpec
 
 
@@ -52,7 +50,7 @@ class TestConfigFile:
         tc = cfg.topology
         devices = build_devices(tc)
         obs = observe_state(0.0, build_topology(tc), devices,
-                            [ReadyItem(1, 1, 2.0, 300.0)])
+                            [Task(1, 1, 300.0, 2.0)])
         state = normalize_state(obs, StateNorms())
         assert state.shape == (state_width(n_devices),)
         learner = DqnLearner(cfg.agent, n_devices + 1, np.random.default_rng(0),
@@ -145,6 +143,17 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             ExperimentConfig(schedulers=("dqn", "mystery"))
 
+    def test_workload_fleet_must_match_topology(self):
+        # homes are drawn from the workload's fleet, devices built from the topology's
+        with pytest.raises(ValueError, match=r"workload\.n_devices \(4\) must equal "
+                                             r"topology\.n_devices \(8\)"):
+            ExperimentConfig(topology=TopologyConfig(n_devices=8))
+        with pytest.raises(ValueError, match=r"\(4\).*\(2\)"):
+            load_config(None, {"topology": TopologyConfig(n_devices=2)})
+        cfg = ExperimentConfig(topology=TopologyConfig(n_devices=8),
+                               workload=WorkloadSpec(n_devices=8))
+        assert cfg.workload.n_devices == cfg.topology.n_devices == 8
+
 
 class TestGenWorkload:
     def test_writes_loadable_file(self, tmp_path):
@@ -182,6 +191,13 @@ class TestEvaluateCommand:
     def test_dqn_requires_checkpoint(self, tmp_path):
         with pytest.raises(ValueError, match="checkpoint"):
             cmd_evaluate(tiny_config(), tmp_path / "eval", scheduler="dqn")
+        assert not (tmp_path / "eval").exists()
+
+    def test_unknown_scheduler_refused_before_writing(self, tmp_path):
+        out = tmp_path / "eval"
+        with pytest.raises(ValueError, match="unknown scheduler 'mystery'"):
+            cmd_evaluate(tiny_config(replications=3), out, scheduler="mystery")
+        assert not out.exists()  # no workloads/ drawn ahead of the refusal
 
     def test_trained_checkpoint_evaluates(self, tmp_path):
         cfg = tiny_config()

@@ -7,12 +7,10 @@ from conftest import make_chain_graph, make_graph, random_app, with_lct
 from oracles import evaluate_schedule
 from mecsched import rng as rngmod
 from mecsched import sim_engine
-from mecsched.experiment import TopologyConfig, build_chains, build_devices, build_topology
+from mecsched.experiment import TopologyConfig, build_chains, build_devices
 from mecsched.mdp_agent import RewardParams, compute_reward
 from mecsched.mec_model import CapabilityChain, EdgeDevice, NetworkTopology
 from mecsched.sim_engine import (
-    DeadlockError,
-    ReadyItem,
     SchedulerPort,
     SchedulingError,
     ScriptedScheduler,
@@ -21,7 +19,7 @@ from mecsched.sim_engine import (
     observe_state,
     run,
 )
-from mecsched.task_graph import build_priority_list, compute_lct
+from mecsched.task_graph import Task, build_priority_list, compute_lct
 
 
 def identity_chains(n, levels=1):
@@ -79,7 +77,7 @@ class TestObserveState:
         devices = simple_devices([6000.0] * 4)
         devices[1].enqueue(1, 3, 400.0)
         devices[2].enqueue(1, 4, 100.0)
-        ready = [ReadyItem(1, 5, 1.0, 250.0)]
+        ready = [Task(1, 5, 250.0, 1.0)]
         s = observe_state(0.0, topology, devices, ready)
         assert s.queued_workload == pytest.approx(500.0)
         assert s.ready_workload == pytest.approx(250.0)
@@ -88,7 +86,7 @@ class TestObserveState:
         devices = simple_devices([6000.0, 5000.0, 4000.0, 6000.0])
         devices[1].queue_free_at = 2.5
         devices[2].queue_free_at = 0.5  # drained before now
-        ready = [ReadyItem(1, 5, 3.0, 250.0), ReadyItem(2, 1, 4.0, 100.0)]
+        ready = [Task(1, 5, 250.0, 3.0), Task(2, 1, 100.0, 4.0)]
         s = observe_state(1.0, topology, devices, ready)
         assert s.task_workload == 250.0
         assert s.task_slack == pytest.approx(2.0)
@@ -102,7 +100,7 @@ class TestObserveState:
         devices = simple_devices([6000.0] * 3)
         for dev, mi in zip(devices, cancelling):
             dev.enqueue(1, dev.ecd_id, mi)
-        ready = [ReadyItem(1, k, 1.0, mi) for k, mi in enumerate(cancelling)]
+        ready = [Task(1, k, mi, 1.0) for k, mi in enumerate(cancelling)]
         s = observe_state(0.0, topology, devices, ready)
         assert s.ready_workload == 0.0
         assert s.queued_workload == 0.0

@@ -1,14 +1,15 @@
-"""Print a digest of every file that training and comparing write.
+"""Print a digest of every file that training, evaluating and comparing write.
 
     python3 tools/output_digests.py CONFIG.ini [--episodes 3] [--replications 2]
         [--schedulers "dqn random greedy_eft heft"] [--src DIR]
 
-Loads the INI, trains for ``--episodes`` episodes with ``cmd_train``, then
-runs ``cmd_compare`` over ``--replications`` replications with traces on,
-reusing the checkpoint just written. Prints ``sha256  relative-path`` for
-every file the two commands wrote, sorted by path: the checkpoint, the
-learning curve, the manifests, the workload files, the traces and the
-result CSVs.
+Loads the INI and trains for ``--episodes`` episodes with ``cmd_train``.
+Then, with traces on and over ``--replications`` replications, it runs
+``cmd_evaluate`` once per scheduler in ``--schedulers`` and ``cmd_compare``
+once; ``dqn`` reuses the checkpoint just written. Prints
+``sha256  relative-path`` for every file the commands wrote, sorted by
+path: the checkpoint, the learning curve, the manifests, the workload
+files, the traces and the result CSVs.
 
 ``--src`` picks the package source to run (default: this checkout's
 ``src``), so one copy of the script can digest two checkouts. Outputs that
@@ -54,6 +55,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         paths = experiment.cmd_train(cfg, root / "train")
+        for name in cfg.schedulers:
+            experiment.cmd_evaluate(cfg, root / "evaluate" / name,
+                                    checkpoint=paths["checkpoint"], scheduler=name)
         experiment.cmd_compare(cfg, root / "compare", checkpoint=paths["checkpoint"])
         print("\n".join(digests(root)))
     return 0
