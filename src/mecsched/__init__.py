@@ -1,5 +1,9 @@
 """Discrete-event simulator for DAG task offloading onto edge devices,
-with a from-scratch DQN scheduler and heuristic baselines."""
+with a from-scratch DQN scheduler and heuristic baselines.
+
+Names are imported from their modules (``mecsched.experiment``,
+``mecsched.sim_engine`` and so on); the package itself holds only
+``__version__`` and the BLAS thread default below."""
 
 import os as _os
 import sys as _sys
@@ -20,71 +24,5 @@ elif not any(_var in _os.environ for _var in _BLAS_VARS):
         "OpenBLAS runs a thread per core, which slows the learner; set "
         "OPENBLAS_NUM_THREADS=1 before numpy is imported, or import mecsched first",
         RuntimeWarning, stacklevel=2)
-
-from .task_graph import (
-    Task,
-    Edge,
-    TaskGraph,
-    validate,
-    augment_with_dummies,
-    compute_lct,
-    build_priority_list,
-    load_workload_file,
-    save_workload_file,
-)
-from .mec_model import (
-    EdgeDevice,
-    CapabilityChain,
-    NetworkTopology,
-    Assignment,
-    execution_time,
-    transfer_time,
-    transition_capability,
-)
-from .mdp_agent import (
-    StateVector,
-    StateNorms,
-    RewardParams,
-    MdpTransition,
-    compute_reward,
-    normalize_state,
-    DqnScheduler,
-)
-from .scheduler_port import SchedulerPort
-from .sim_engine import (
-    ScriptedScheduler,
-    SimulationTrace,
-    collect_ready,
-    observe_state,
-    run,
-)
-from .dqn_core import (
-    ValueNetwork,
-    ReplayBuffer,
-    AdamState,
-    TrainConfig,
-    DqnLearner,
-    compute_targets,
-    train_step,
-    sync_target,
-    save_checkpoint,
-    load_checkpoint,
-)
-from .baselines import (
-    RandomScheduler,
-    GreedyEftScheduler,
-    HeftStyleScheduler,
-)
-from .workload import WorkloadSpec, generate, assign_deadline
-from .experiment import (
-    TopologyConfig,
-    ExperimentConfig,
-    MetricsReport,
-    load_config,
-    cmd_train,
-    cmd_evaluate,
-    cmd_compare,
-    cmd_gen_workload,
-)
 
 __version__ = "0.1.0"

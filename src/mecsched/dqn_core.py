@@ -4,8 +4,11 @@ Everything is plain float64 numpy so that analytic gradients can be checked
 against finite differences exactly, and so that a fixed seed reproduces a
 training run bit for bit. The value network is a fully connected stack with
 rectified hidden layers and a linear output head; a squared Bellman error is
-minimized with Adam, targets come from a periodically synced copy of the
-network, and exploration is epsilon-greedy.
+minimized with Adam (constants ``ADAM_BETA1``, ``ADAM_BETA2`` and
+``ADAM_EPS``), targets come from a periodically synced copy of the network,
+and exploration is epsilon-greedy. A transition travels as its four parts,
+(state, action, reward, next state), into ``DqnLearner.observe`` and on to
+``ReplayBuffer.add``.
 
 Action ``a`` in 1..M places the task on device ``a``. Action 0 (run locally)
 keeps its output column, but no real task may run locally, so the learner
@@ -28,7 +31,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .mdp_agent import MdpTransition, device_feature_index, state_width
+from .mdp_agent import device_feature_index, state_width
 
 __all__ = [
     "FlatNetwork",
@@ -53,6 +56,11 @@ ACTIVATIONS = ("relu",)
 # DeviceScoringNetwork's shared advantage stack: hidden width, output scale
 ADVANTAGE_HIDDEN = 32
 ADVANTAGE_SCALE = 0.1
+
+# Adam's moment decays and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -290,12 +298,13 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def add(self, transition: MdpTransition) -> None:
+    def add(self, state: np.ndarray, action: int, reward: float,
+            next_state: np.ndarray) -> None:
         i = self._cursor
-        self._states[i] = transition.state
-        self._actions[i] = transition.action
-        self._rewards[i] = transition.reward
-        self._next_states[i] = transition.next_state
+        self._states[i] = state
+        self._actions[i] = action
+        self._rewards[i] = reward
+        self._next_states[i] = next_state
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -327,12 +336,8 @@ class AdamState:
     handful of vector operations on two scratch buffers.
     """
 
-    def __init__(self, params, learning_rate: float = 0.0006,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         size = sum(p.size for p in params)
         self.m = np.zeros(size)
@@ -342,7 +347,7 @@ class AdamState:
     def apply(self, params: np.ndarray, grads: np.ndarray) -> None:
         """One step on the flat parameter vector given the flat gradient."""
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
         m, v = self.m, self.v
@@ -355,7 +360,7 @@ class AdamState:
         np.multiply(grads, 1.0 - b2, out=t)
         v += np.multiply(t, grads, out=t)
         np.sqrt(np.divide(v, bias2, out=u), out=u)
-        u += self.eps
+        u += ADAM_EPS
         np.divide(m, bias1, out=t)
         t *= self.learning_rate
         t /= u
@@ -503,8 +508,9 @@ class DqnLearner:
             sync_target(self.net, self.target_net)
         return action
 
-    def observe(self, transition: MdpTransition) -> None:
-        self.buffer.add(transition)
+    def observe(self, state: np.ndarray, action: int, reward: float,
+                next_state: np.ndarray) -> None:
+        self.buffer.add(state, action, reward, next_state)
         if len(self.buffer) >= self.config.batch:
             batch = self.buffer.sample(self.config.batch)
             self.last_loss = train_step(

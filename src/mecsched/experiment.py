@@ -11,6 +11,7 @@ configuration; nothing depends on wall-clock time.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -20,7 +21,8 @@ from . import rng as rngmod
 from .baselines import GreedyEftScheduler, HeftStyleScheduler, RandomScheduler
 from .dqn_core import DqnLearner, TrainConfig, load_checkpoint, save_checkpoint
 from .mdp_agent import RewardParams, DqnScheduler
-from .mec_model import CapabilityChain, EdgeDevice, NetworkTopology
+from .mec_model import (CapabilityChain, EdgeDevice, NetworkTopology,
+                        check_transition_matrix)
 from .sim_engine import SimulationTrace, run, write_csv
 from .task_graph import TaskGraph, compute_lct, load_workload_file, save_workload_file
 from .workload import WorkloadSpec, generate, shape_real_task_count
@@ -61,8 +63,21 @@ class TopologyConfig:
     transition_matrix: tuple[tuple[float, ...], ...] = DEFAULT_TRANSITION_MATRIX
 
     def __post_init__(self) -> None:
-        if len(self.transition_matrix) != len(self.capability_levels):
-            raise ValueError("transition matrix size must match the level count")
+        # each refusal opens with its field's name, which load_config reports
+        if self.n_devices < 1:
+            raise ValueError(f"n_devices must be >= 1, got {self.n_devices!r}")
+        for name in ("inter_rate_mbps", "uplink_mbps"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)!r}")
+        levels = self.capability_levels
+        if not levels or not all(0.0 < c < math.inf for c in levels):
+            raise ValueError(f"capability_levels must be one or more positive, "
+                             f"finite numbers, got {levels!r}")
+        matrix = check_transition_matrix(self.transition_matrix, "transition_matrix")
+        if len(matrix) != len(levels):
+            raise ValueError(f"transition_matrix must have one row per capability level "
+                             f"({len(levels)})")
 
 
 @dataclass(frozen=True)
@@ -257,6 +272,15 @@ def _make_learner(cfg: ExperimentConfig) -> DqnLearner:
     )
 
 
+def _load_learner(cfg: ExperimentConfig, checkpoint) -> DqnLearner:
+    """A saved learner, refused unless it was trained on the config's fleet."""
+    learner = load_checkpoint(checkpoint)
+    if learner.n_actions - 1 != cfg.topology.n_devices:
+        raise ValueError(f"checkpoint {checkpoint} was trained on {learner.n_actions - 1} "
+                         f"devices, but topology.n_devices is {cfg.topology.n_devices}")
+    return learner
+
+
 def _simulate(cfg: ExperimentConfig, topo, graphs, scheduler, purpose: str, index: int,
               record_rows: bool) -> SimulationTrace:
     """Run prepared graphs on a fresh fleet whose capability chains draw from
@@ -390,15 +414,15 @@ def cmd_evaluate(cfg: ExperimentConfig, outdir, checkpoint=None,
                  scheduler: str = "dqn") -> MetricsReport:
     """Greedy evaluation of one scheduler over replicated workloads.
 
-    An unknown scheduler, or ``dqn`` without a checkpoint, is refused
-    before anything is written."""
+    An unknown scheduler, or ``dqn`` without a checkpoint or with one
+    trained on another fleet, is refused before anything is written."""
     if scheduler not in SCHEDULER_NAMES:
         raise ValueError(f"unknown scheduler {scheduler!r}")
     learner = None
     if scheduler == "dqn":
         if checkpoint is None:
             raise ValueError("evaluating 'dqn' requires a checkpoint")
-        learner = load_checkpoint(checkpoint)
+        learner = _load_learner(cfg, checkpoint)
     os.makedirs(outdir, exist_ok=True)
     [report] = _evaluate(cfg, build_topology(cfg.topology), cfg.workload.lam, (scheduler,),
                          learner, outdir)
@@ -409,15 +433,16 @@ def cmd_evaluate(cfg: ExperimentConfig, outdir, checkpoint=None,
 
 def cmd_compare(cfg: ExperimentConfig, outdir, checkpoint=None) -> list[MetricsReport]:
     """Run every configured scheduler over identical workload replications
-    at each arrival rate; see ``_evaluate``."""
-    os.makedirs(outdir, exist_ok=True)
-    topo = build_topology(cfg.topology)
+    at each arrival rate; see ``_evaluate``. A checkpoint trained on another
+    fleet is refused before anything is written."""
     learner = None
     if "dqn" in cfg.schedulers:
         if checkpoint is not None:
-            learner = load_checkpoint(checkpoint)
+            learner = _load_learner(cfg, checkpoint)
         else:
             learner, _ = train_agent(cfg)
+    os.makedirs(outdir, exist_ok=True)
+    topo = build_topology(cfg.topology)
 
     lams = cfg.compare_lams if cfg.compare_lams else (cfg.workload.lam,)
     reports: list[MetricsReport] = []
@@ -429,9 +454,8 @@ def cmd_compare(cfg: ExperimentConfig, outdir, checkpoint=None) -> list[MetricsR
             ("scheduler", "avg_makespan_mean", "avg_makespan_std",
              "violation_pct_mean", "violation_pct_std"),
             [
-                (r.scheduler, float(r.avg_makespans.mean()),
-                 float(r.avg_makespans.std()),
-                 float(r.violation_rates.mean()), float(r.violation_rates.std()))
+                (r.scheduler, r.mean_makespan, float(r.avg_makespans.std()),
+                 r.mean_violation_rate, float(r.violation_rates.std()))
                 for r in lam_reports
             ],
         )

@@ -26,7 +26,6 @@ __all__ = [
     "StateVector",
     "StateNorms",
     "RewardParams",
-    "MdpTransition",
     "compute_reward",
     "normalize_state",
     "state_width",
@@ -153,16 +152,6 @@ def compute_reward(
     return utility - duration - penalty
 
 
-@dataclass(slots=True)
-class MdpTransition:
-    """One learning step, built per training decision (hence slotted)."""
-
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-
-
 class DqnScheduler(SchedulerPort):
     """Event-driven decision layer bridging the simulator to a Q-learner.
 
@@ -194,8 +183,8 @@ class DqnScheduler(SchedulerPort):
         self._pending = (state, action)
         return action
 
-    def notify_outcome(self, outcome) -> None:
-        self._pending_reward = outcome.reward
+    def notify_outcome(self, reward: float) -> None:
+        self._pending_reward = reward
 
     def end_episode(self, observation: StateVector) -> None:
         self._absorb(normalize_state(observation, self.norms))
@@ -212,7 +201,5 @@ class DqnScheduler(SchedulerPort):
             self._pending_reward = None
             return
         state, action = self._pending
-        self.learner.observe(
-            MdpTransition(state, action, self._pending_reward, next_state)
-        )
+        self.learner.observe(state, action, self._pending_reward, next_state)
         self._pending_reward = None

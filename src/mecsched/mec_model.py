@@ -36,6 +36,7 @@ those of ``rng.choice(len(row), p=row)``.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -56,6 +57,7 @@ __all__ = [
     "transfer_time",
     "transition_capability",
     "ordered_sum",
+    "check_transition_matrix",
 ]
 
 MU_DEVICE = 0  # pseudo-device hosting dummy tasks
@@ -80,8 +82,9 @@ class EdgeDevice:
     def __post_init__(self) -> None:
         if self.ecd_id < 1:
             raise ValueError("real devices are numbered from 1")
-        if not self.capability_levels or min(self.capability_levels) <= 0:
-            raise ValueError("capability levels must be positive")
+        if not self.capability_levels or not all(
+                0.0 < c < math.inf for c in self.capability_levels):
+            raise ValueError("capability levels must be positive and finite")
         if not 0 <= self.current_level < len(self.capability_levels):
             raise ValueError("current_level out of range")
 
@@ -110,18 +113,29 @@ class EdgeDevice:
         return self._queued_mi
 
 
+def check_transition_matrix(matrix, name: str = "transition matrix") -> np.ndarray:
+    """``matrix`` as a new float array; ValueError, opening with ``name``,
+    unless it is square and non-empty, its entries finite and non-negative,
+    and each row sums to 1."""
+    try:
+        matrix = np.array(matrix, dtype=float)
+    except ValueError:  # ragged rows
+        matrix = None
+    if matrix is None or matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] \
+            or not matrix.size:
+        raise ValueError(f"{name} must be square and non-empty")
+    if not (np.isfinite(matrix).all() and (matrix >= 0).all()):
+        raise ValueError(f"{name} entries must be finite and non-negative")
+    if np.abs(matrix.sum(axis=1) - 1.0).max() > 1e-12:
+        raise ValueError(f"{name} rows must sum to 1")
+    return matrix
+
+
 class CapabilityChain:
     """Markov chain over capability levels, sampled from a private stream."""
 
     def __init__(self, transition_matrix, rng: np.random.Generator):
-        matrix = np.array(transition_matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("transition matrix must be square")
-        if (matrix < 0).any():
-            raise ValueError("transition probabilities must be non-negative")
-        rowsum = matrix.sum(axis=1)
-        if np.abs(rowsum - 1.0).max() > 1e-12:
-            raise ValueError("transition matrix rows must sum to 1")
+        matrix = check_transition_matrix(transition_matrix)
         matrix.setflags(write=False)
         self.transition_matrix = matrix
         cdfs = []
@@ -159,10 +173,11 @@ class NetworkTopology:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("inter_ecd_rate must be square")
         off = ~np.eye(matrix.shape[0], dtype=bool)
-        if matrix.shape[0] > 1 and (matrix[off] <= 0).any():
-            raise ValueError("all inter-device rates must be positive")
-        if self.uplink_rate <= 0:
-            raise ValueError("uplink rate must be positive")
+        rates = matrix[off]
+        if not ((rates > 0) & (rates < math.inf)).all():
+            raise ValueError("all inter-device rates must be positive and finite")
+        if not 0.0 < self.uplink_rate < math.inf:
+            raise ValueError("uplink rate must be positive and finite")
         matrix.setflags(write=False)
         object.__setattr__(self, "inter_ecd_rate", matrix)
 

@@ -1,26 +1,25 @@
 """The scheduler port: the interface the event kernel drives, and the
-records it passes through it.
+decision record it passes through it.
 
 Every scheduler, learned or not, subclasses ``SchedulerPort``. When an
 event makes tasks of an application ready, the kernel hands that list of
 the graph's own ``Task``s, in ascending LCT order, to ``order_ready``,
 which may reorder it in place. For each task in turn it hands ``decide`` a
-``DecisionContext``; after the commit it reports the decision's
-``OutcomeRecord`` to ``notify_outcome``. Once every application has
-completed, ``end_episode`` receives the system state. The records are
-plain slotted classes, built once per decision.
+``DecisionContext``; after the commit it reports the decision's reward to
+``notify_outcome``. Once every application has completed, ``end_episode``
+receives the system state. The context is a plain slotted class, built
+once per decision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from .mdp_agent import StateVector
     from .task_graph import Task, TaskGraph
 
-__all__ = ["DecisionContext", "OutcomeRecord", "SchedulerPort"]
+__all__ = ["DecisionContext", "SchedulerPort"]
 
 
 class DecisionContext:
@@ -81,31 +80,14 @@ def _closed_finish_if(m: int) -> float:
     raise RuntimeError("finish_if can be called only while the decision is made")
 
 
-@dataclass(slots=True)
-class OutcomeRecord:
-    """Decision-time quantities of one committed assignment."""
-
-    app_id: int
-    task_id: int
-    ecd_id: int
-    workload: float
-    lct: float
-    arrival_wait: float  # s from the decision until the last input arrives
-    queue_wait: float  # s the device queue holds the task after that
-    exec_time: float  # s; the three durations sum to finish - now
-    start: float
-    finish: float
-    reward: float
-
-
 class SchedulerPort:
     """Interface the kernel drives; subclasses override what they need."""
 
     def decide(self, ctx: DecisionContext) -> int:
         raise NotImplementedError
 
-    def notify_outcome(self, outcome: OutcomeRecord) -> None:
-        pass
+    def notify_outcome(self, reward: float) -> None:
+        """Receive the reward of the decision just committed."""
 
     def order_ready(self, graph: TaskGraph, ready: list[Task]) -> None:
         """Reorder, in place, the ready tasks of ``graph`` that the kernel

@@ -12,8 +12,8 @@ context's ``observe`` callable, only when something reads it: the scheduler
 during ``decide``, or the kernel when it records trace rows. Either way it
 comes from the state before the commit.
 A commitment updates the chosen device's FCFS queue before the next
-decision, schedules the task's completion event, and reports the decision's
-reward back to the scheduler one step later.
+decision, schedules the task's completion event, and hands the decision's
+reward, a float, to the scheduler's ``notify_outcome``.
 
 A device's capability level steps along its Markov chain when the device
 completes a task; executions already committed are never re-timed, so the
@@ -37,12 +37,11 @@ from .mec_model import (
     transfer_time,
     transition_capability,
 )
-from .scheduler_port import DecisionContext, OutcomeRecord, SchedulerPort
+from .scheduler_port import DecisionContext, SchedulerPort
 from .task_graph import Edge, Task, TaskGraph, build_priority_list
 
 __all__ = [
     "DecisionContext",
-    "OutcomeRecord",
     "SchedulerPort",
     "ScriptedScheduler",
     "SchedulingError",
@@ -347,10 +346,7 @@ def run(
                 exec_time, finish, params,
             )
             trace.rewards.append(reward)
-            scheduler.notify_outcome(OutcomeRecord(
-                app_id, task.task_id, action, task.workload, task.lct,
-                arrival_wait, queue_wait, exec_time, start, finish, reward,
-            ))
+            scheduler.notify_outcome(reward)
             if record_rows:
                 trace.rows.append((now, "decide", app_id, task.task_id, action,
                                    start, finish,

@@ -44,7 +44,7 @@ from mecsched.mdp_agent import (
     normalize_state,
 )
 from mecsched.mec_model import CapabilityChain, EdgeDevice, NetworkTopology
-from mecsched.sim_engine import DecisionContext, OutcomeRecord, ScriptedScheduler, run
+from mecsched.sim_engine import DecisionContext, ScriptedScheduler, run
 from mecsched.task_graph import compute_lct
 from mecsched.workload import WorkloadSpec, generate
 
@@ -327,11 +327,7 @@ class PortDrivenToyEnv:
             action = scheduler.decide(ctx)
             move = action - 1
             reward = self.REWARDS[state][move]
-            scheduler.notify_outcome(OutcomeRecord(
-                app_id=1, task_id=step, ecd_id=action, workload=1.0, lct=0.0,
-                arrival_wait=0.0, queue_wait=0.0, exec_time=0.0, start=0.0,
-                finish=0.0, reward=reward,
-            ))
+            scheduler.notify_outcome(reward)
             state = self.TRANSITIONS[state][move]
         scheduler.end_episode(self.embed(state))
 

@@ -20,7 +20,7 @@ from mecsched.dqn_core import (
     sync_target,
     train_step,
 )
-from mecsched.mdp_agent import MdpTransition, device_feature_index, state_width
+from mecsched.mdp_agent import device_feature_index, state_width
 
 
 def rng(seed=0):
@@ -109,7 +109,7 @@ class TestFlatParameters:
         net = all_kinds()[kind]
         target = net.clone()
         assert not np.shares_memory(net.flat, target.flat)
-        opt = AdamState(net.parameters())
+        opt = AdamState(net.parameters(), TrainConfig().learning_rate)
         r = rng(63)
 
         def train(steps):
@@ -298,7 +298,7 @@ class TestDeviceScoringNetwork:
         r = rng(46)
         for _ in range(20):
             s, s2 = r.normal(size=state_width(3)), r.normal(size=state_width(3))
-            learner.observe(MdpTransition(s, learner.act(s), float(r.normal()), s2))
+            learner.observe(s, learner.act(s), float(r.normal()), s2)
         path = tmp_path / "scoring.npz"
         save_checkpoint(learner, path)
         loaded = load_checkpoint(path)
@@ -321,7 +321,7 @@ class TestTrainStep:
         net = ValueNetwork([5, 4, 2], rng=rng(18))
         net.weights[0][0, 0] = np.nan
         target = net.clone()
-        opt = AdamState(net.parameters())
+        opt = AdamState(net.parameters(), TrainConfig().learning_rate)
         batch = (np.ones((1, 5)), np.array([1]), np.array([1.0]), np.ones((1, 5)))
         with pytest.raises(DivergenceError):
             train_step(net, target, batch, opt, 0.95)
@@ -330,7 +330,7 @@ class TestTrainStep:
         net = ValueNetwork([5, 8, 3], rng=rng(19))
         target = net.clone()
         before = [p.copy() for p in target.parameters()]
-        opt = AdamState(net.parameters())
+        opt = AdamState(net.parameters(), TrainConfig().learning_rate)
         r = rng(20)
         for _ in range(50):
             batch = (r.normal(size=(8, 5)), r.integers(1, 3, size=8),
@@ -369,7 +369,7 @@ class TestReplayBuffer:
     def test_ring_eviction(self):
         buf = ReplayBuffer(4, 2, rng(27))
         for k in range(6):
-            buf.add(MdpTransition(np.array([k, k]), 1, float(k), np.array([k, k])))
+            buf.add(np.array([k, k]), 1, float(k), np.array([k, k]))
         assert len(buf) == 4
         states, _, rewards, _ = buf.sample(4)
         assert set(rewards) == {2.0, 3.0, 4.0, 5.0}
@@ -377,7 +377,7 @@ class TestReplayBuffer:
     def test_batch_has_no_duplicates(self):
         buf = ReplayBuffer(1000, 2, rng(28))
         for k in range(300):
-            buf.add(MdpTransition(np.array([k, 0]), 1, float(k), np.zeros(2)))
+            buf.add(np.array([k, 0]), 1, float(k), np.zeros(2))
         for _ in range(50):
             idx = buf.sample_indices(64)
             assert len(set(idx.tolist())) == 64
@@ -386,7 +386,7 @@ class TestReplayBuffer:
         # sampled indices over 1e5 draws should not reject uniformity at p=0.01
         buf = ReplayBuffer(1000, 1, rng(29))
         for k in range(200):
-            buf.add(MdpTransition(np.array([0.0]), 1, 0.0, np.array([0.0])))
+            buf.add(np.array([0.0]), 1, 0.0, np.array([0.0]))
         counts = np.zeros(200)
         draws = 100_000 // 4
         for _ in range(draws):
@@ -397,7 +397,7 @@ class TestReplayBuffer:
 
     def test_insufficient_samples_rejected(self):
         buf = ReplayBuffer(10, 1, rng(30))
-        buf.add(MdpTransition(np.zeros(1), 1, 0.0, np.zeros(1)))
+        buf.add(np.zeros(1), 1, 0.0, np.zeros(1))
         with pytest.raises(ValueError):
             buf.sample(2)
 
@@ -446,7 +446,7 @@ class TestLearnerAndCheckpoint:
         for _ in range(40):
             s, s2 = r.normal(size=state_width(4)), r.normal(size=state_width(4))
             a = learner.act(s)
-            learner.observe(MdpTransition(s, a, float(r.normal()), s2))
+            learner.observe(s, a, float(r.normal()), s2)
         path = tmp_path / "agent.npz"
         save_checkpoint(learner, path)
         loaded = load_checkpoint(path)
@@ -509,7 +509,7 @@ class ToyTwoStateEnv:
         for _ in range(self.horizon):
             s_vec = self.embed(state)
             if prev is not None and learn:
-                learner.observe(MdpTransition(prev[0], prev[1], prev[2], s_vec))
+                learner.observe(prev[0], prev[1], prev[2], s_vec)
             action = learner.act(s_vec, greedy=not learn)
             move = action - 1
             reward = self.REWARDS[state][move]
@@ -518,7 +518,7 @@ class ToyTwoStateEnv:
             prev = (s_vec, action, reward)
             state = nxt
         if learn and prev is not None:
-            learner.observe(MdpTransition(prev[0], prev[1], prev[2], self.embed(state)))
+            learner.observe(prev[0], prev[1], prev[2], self.embed(state))
         return total
 
 
@@ -554,7 +554,7 @@ class TestCheckpointNetworkKinds:
         r = rng(54)
         for _ in range(20):
             s, s2 = r.normal(size=state_width(3)), r.normal(size=state_width(3))
-            learner.observe(MdpTransition(s, learner.act(s), float(r.normal()), s2))
+            learner.observe(s, learner.act(s), float(r.normal()), s2)
         return learner
 
     @pytest.mark.parametrize("kind", ["device-scoring"])

@@ -123,10 +123,32 @@ class TestConfigFile:
          r"bad\.ini: \[experiment\] schedulers .*'mystery'"),
         ("[experiment]\nschedulers = dueling\n",
          r"bad\.ini: \[experiment\] schedulers .*'dueling'"),
+        ("[topology]\nn_devices = 0\n", r"bad\.ini: \[topology\] n_devices must be >= 1"),
+        ("[topology]\nuplink_mbps = nan\n",
+         r"bad\.ini: \[topology\] uplink_mbps must be positive and finite"),
+        ("[topology]\ninter_rate_mbps = inf\n",
+         r"bad\.ini: \[topology\] inter_rate_mbps must be positive and finite"),
+        ("[topology]\ninter_rate_mbps = 0\n",
+         r"bad\.ini: \[topology\] inter_rate_mbps must be positive and finite"),
+        ("[topology]\ncapability_levels = 6000 nan 5000 4500 4000\n",
+         r"bad\.ini: \[topology\] capability_levels must be .*positive, finite"),
+        ("[topology]\ncapability_levels = 6000 -1\ntransition_matrix = 0.5 0.5; 0.5 0.5\n",
+         r"bad\.ini: \[topology\] capability_levels must be .*positive, finite"),
+        ("[topology]\ncapability_levels = 6000 5000\ntransition_matrix = nan 1; 0.5 0.5\n",
+         r"bad\.ini: \[topology\] transition_matrix entries must be finite and non-negative"),
+        ("[topology]\ncapability_levels = 6000 5000\ntransition_matrix = 0.5 0.5; 0.5 0.6\n",
+         r"bad\.ini: \[topology\] transition_matrix rows must sum to 1"),
+        ("[topology]\ncapability_levels = 6000 5000\ntransition_matrix = 0.5 0.5; 1\n",
+         r"bad\.ini: \[topology\] transition_matrix must be square"),
+        ("[topology]\ntransition_matrix = 0.5 0.5; 0.5 0.5\n",
+         r"bad\.ini: \[topology\] transition_matrix must have one row per capability "
+         r"level \(5\)"),
     ], ids=["misspelt-key", "key-of-other-section", "unknown-section", "bad-value",
             "pool-below-batch", "nan-lam", "zero-rate", "negative-deadline-capability",
             "unknown-shape", "unknown-activation", "retired-activation", "no-replications",
-            "unknown-scheduler", "retired-scheduler"])
+            "unknown-scheduler", "retired-scheduler", "no-devices", "nan-uplink",
+            "inf-inter-rate", "zero-inter-rate", "nan-level", "negative-level",
+            "nan-transition", "row-sum", "ragged-matrix", "matrix-size"])
     def test_bad_keys_rejected_with_location(self, tmp_path, text, message):
         path = tmp_path / "bad.ini"
         path.write_text(text)
@@ -198,6 +220,20 @@ class TestEvaluateCommand:
         with pytest.raises(ValueError, match="unknown scheduler 'mystery'"):
             cmd_evaluate(tiny_config(replications=3), out, scheduler="mystery")
         assert not out.exists()  # no workloads/ drawn ahead of the refusal
+
+    def test_checkpoint_of_another_fleet_refused_before_writing(self, tmp_path):
+        base = tiny_config()
+        paths = cmd_train(base, tmp_path / "run")  # 4 devices
+        cfg = replace(base, topology=TopologyConfig(n_devices=8),
+                      workload=replace(base.workload, n_devices=8), schedulers=("dqn",))
+        refusal = r"trained on 4 devices, but topology\.n_devices is 8"
+        with pytest.raises(ValueError, match=refusal):
+            cmd_evaluate(cfg, tmp_path / "eval", checkpoint=paths["checkpoint"],
+                         scheduler="dqn")
+        with pytest.raises(ValueError, match=refusal):
+            cmd_compare(cfg, tmp_path / "cmp", checkpoint=paths["checkpoint"])
+        assert not (tmp_path / "eval").exists()  # no workloads/ drawn ahead of the refusal
+        assert not (tmp_path / "cmp").exists()
 
     def test_trained_checkpoint_evaluates(self, tmp_path):
         cfg = tiny_config()

@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from conftest import UNIT_NORMS, full_state
 from mecsched.experiment import TopologyConfig, build_topology
 from mecsched.mdp_agent import (
-    MdpTransition,
     RewardParams,
     DqnScheduler,
     StateNorms,
@@ -17,7 +17,7 @@ from mecsched.mdp_agent import (
 )
 from mecsched.mec_model import EdgeDevice
 from mecsched.scheduler_port import SchedulerPort
-from mecsched.sim_engine import DecisionContext, OutcomeRecord, observe_state
+from mecsched.sim_engine import DecisionContext, observe_state
 from mecsched.task_graph import Task
 
 
@@ -28,8 +28,7 @@ def make_ctx(obs, task_id=1, workload=300.0):
     )
 
 
-def make_outcome(reward, task_id=1):
-    return OutcomeRecord(1, task_id, 1, 300.0, 1.0, 0.0, 0.0, 0.1, 0.0, 0.1, reward)
+Transition = namedtuple("Transition", "state action reward next_state")
 
 
 class RecordingLearner:
@@ -37,13 +36,13 @@ class RecordingLearner:
 
     def __init__(self, actions):
         self.actions = list(actions)
-        self.seen: list[MdpTransition] = []
+        self.seen: list[Transition] = []
 
     def act(self, state, greedy=False):
         return self.actions.pop(0)
 
-    def observe(self, transition):
-        self.seen.append(transition)
+    def observe(self, state, action, reward, next_state):
+        self.seen.append(Transition(state, action, reward, next_state))
 
 
 class TestReward:
@@ -162,7 +161,7 @@ class TestDqnScheduler:
         s1 = full_state(1, 0, 0, 0, 0)
         s2 = full_state(0, 1, 0, 0, 0)
         agent.decide(make_ctx(s1))
-        agent.notify_outcome(make_outcome(2.5))
+        agent.notify_outcome(2.5)
         agent.decide(make_ctx(s2))
         assert len(learner.seen) == 1
         tr = learner.seen[0]
@@ -177,7 +176,7 @@ class TestDqnScheduler:
         states = [full_state(float(k), 0, 0, 0, 0) for k in range(4)]
         for k, s in enumerate(states):
             agent.decide(make_ctx(s))
-            agent.notify_outcome(make_outcome(float(k)))
+            agent.notify_outcome(float(k))
         agent.end_episode(full_state(9, 9, 9, 9, 9))
         assert len(learner.seen) == 4
         for a, b in zip(learner.seen, learner.seen[1:]):
@@ -187,7 +186,7 @@ class TestDqnScheduler:
         learner = RecordingLearner([3])
         agent = DqnScheduler(learner, 4, norms=UNIT_NORMS)
         agent.decide(make_ctx(full_state(1, 0, 0, 0, 0)))
-        agent.notify_outcome(make_outcome(1.5))
+        agent.notify_outcome(1.5)
         final = full_state(0, 0, 0, 0, 0)
         agent.end_episode(final)
         assert len(learner.seen) == 1
@@ -197,10 +196,10 @@ class TestDqnScheduler:
         learner = RecordingLearner([1, 2])
         agent = DqnScheduler(learner, 4, norms=UNIT_NORMS)
         agent.decide(make_ctx(full_state(1, 0, 0, 0, 0)))
-        agent.notify_outcome(make_outcome(1.0))
+        agent.notify_outcome(1.0)
         agent.end_episode(full_state(0, 0, 0, 0, 0))
         agent.decide(make_ctx(full_state(2, 0, 0, 0, 0)))
-        agent.notify_outcome(make_outcome(2.0))
+        agent.notify_outcome(2.0)
         agent.end_episode(full_state(0, 0, 0, 0, 0))
         assert len(learner.seen) == 2
         assert learner.seen[0].reward == 1.0
@@ -218,6 +217,6 @@ class TestDqnScheduler:
         agent = DqnScheduler(learner, 4, norms=UNIT_NORMS, training=False)
         for k in range(3):
             agent.decide(make_ctx(full_state(float(k), 0, 0, 0, 0)))
-            agent.notify_outcome(make_outcome(float(k)))
+            agent.notify_outcome(float(k))
         agent.end_episode(full_state(0, 0, 0, 0, 0))
         assert learner.seen == []

@@ -157,6 +157,19 @@ class TestCapabilityChain:
         with pytest.raises(ValueError):
             CapabilityChain(bad, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad, message", [
+        ([[np.nan, 1.0], [0.5, 0.5]], "finite and non-negative"),
+        ([[np.inf, 1.0], [0.5, 0.5]], "finite and non-negative"),
+        ([[1.5, -0.5], [0.5, 0.5]], "finite and non-negative"),
+        ([[0.5, 0.5], [1.0]], "square"),
+        ([[1.0, 0.0]], "square"),
+        ([], "non-empty"),
+    ], ids=["nan", "inf", "negative", "ragged", "not-square", "empty"])
+    def test_bad_matrix_refused(self, bad, message):
+        # a NaN entry used to pass the row-sum check and draw level 2 of 2
+        with pytest.raises(ValueError, match=message):
+            CapabilityChain(bad, np.random.default_rng(0))
+
     def test_identity_matrix_never_moves(self):
         chain = CapabilityChain(np.eye(5), np.random.default_rng(0))
         dev = EdgeDevice(1, (6000.0, 5500.0, 5000.0, 4500.0, 4000.0), current_level=2)
@@ -186,6 +199,14 @@ class TestCapabilityChain:
             chain.transition_matrix[0, 0] = 1.0
         rows[0, 0] = 0.0  # the caller's array is copied, not frozen
         assert chain.transition_matrix[0, 0] == 0.5
+
+
+class TestEdgeDevice:
+    @pytest.mark.parametrize("levels", [(), (6000.0, np.nan), (np.inf,), (6000.0, -1.0),
+                                        (0.0,)])
+    def test_levels_must_be_positive_and_finite(self, levels):
+        with pytest.raises(ValueError, match="capability levels must be positive and finite"):
+            EdgeDevice(1, levels)
 
 
 class TestDeviceQueue:
@@ -224,6 +245,18 @@ class TestDeviceQueue:
 
 
 class TestTopologyRates:
+    @pytest.mark.parametrize("inter, uplink, message", [
+        (np.nan, 1000.0, "inter-device rates must be positive and finite"),
+        (np.inf, 1000.0, "inter-device rates must be positive and finite"),
+        (0.0, 1000.0, "inter-device rates must be positive and finite"),
+        (440.0, np.nan, "uplink rate must be positive and finite"),
+        (440.0, np.inf, "uplink rate must be positive and finite"),
+        (440.0, 0.0, "uplink rate must be positive and finite"),
+    ])
+    def test_rates_must_be_positive_and_finite(self, inter, uplink, message):
+        with pytest.raises(ValueError, match=message):
+            mesh_topology(3, inter, uplink)
+
     def test_rate_matrix_read_only(self):
         rates = np.full((3, 3), 440.0)
         topo = NetworkTopology(rates, 1000.0)

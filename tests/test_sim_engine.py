@@ -112,40 +112,50 @@ class TestObserveState:
 
 
 class TestRewardInputs:
-    def test_durations_sum_to_finish_minus_now(self, topology):
+    def test_durations_sum_to_finish_minus_now(self, topology, monkeypatch):
         # task 1 waits for its upload; task 2 waits for a busy device
         graph = with_lct(make_chain_graph([100.0, 200.0], edge_data=50.0,
                                           dummy_data=20.0), topology)
         devices = simple_devices([5000.0, 5000.0])
         devices[0].queue_free_at = 5.0
 
+        calls = []  # (now, compute_reward's arguments, its result)
+
+        def recording_reward(*args):
+            reward = compute_reward(*args)
+            calls.append((sched.now, args, reward))
+            return reward
+
+        monkeypatch.setattr(sim_engine, "compute_reward", recording_reward)
+
         class Recording(ScriptedScheduler):
             def __init__(self, decisions):
                 super().__init__(decisions)
-                self.seen = []
+                self.rewards = []
 
             def decide(self, ctx):
                 self.now = ctx.now
                 return super().decide(ctx)
 
-            def notify_outcome(self, outcome):
-                self.seen.append((self.now, outcome))
+            def notify_outcome(self, reward):
+                self.rewards.append(reward)
 
         sched = Recording({(1, 1): 2, (1, 2): 1})
         trace = run([graph], topology, devices, sched, identity_chains(2))
-        assert len(sched.seen) == 2
-        (_, first), (_, second) = sched.seen
-        assert first.arrival_wait > 0.0 and first.queue_wait == 0.0
-        assert second.queue_wait > 0.0
-        assert second.start == pytest.approx(5.0)
-        for now, o in sched.seen:
-            assert o.arrival_wait + o.queue_wait + o.exec_time == pytest.approx(
-                o.finish - now, rel=1e-12)
-            assert o.start - now == pytest.approx(o.arrival_wait + o.queue_wait, rel=1e-12)
-            assert o.reward == compute_reward(o.workload, o.lct, o.arrival_wait,
-                                              o.queue_wait, o.exec_time, o.finish,
-                                              RewardParams())
-        assert trace.rewards == [o.reward for _, o in sched.seen]
+        assert len(calls) == 2
+        for (now, args, _), task_id in zip(calls, (1, 2)):
+            workload, lct, arrival_wait, queue_wait, exec_time, finish, params = args
+            task, placed = graph.task(task_id), trace.assignments[(1, task_id)]
+            assert (workload, lct, finish) == (task.workload, task.lct, placed.finish)
+            assert arrival_wait + queue_wait + exec_time == pytest.approx(
+                finish - now, rel=1e-12)
+            assert placed.start - now == pytest.approx(arrival_wait + queue_wait, rel=1e-12)
+            assert params == RewardParams()
+        (_, first, _), (_, second, _) = calls
+        assert first[2] > 0.0 and first[3] == 0.0  # arrival_wait, queue_wait
+        assert second[3] > 0.0
+        assert trace.assignments[(1, 2)].start == pytest.approx(5.0)
+        assert sched.rewards == [reward for _, _, reward in calls] == trace.rewards
 
 
 class TestRun:
@@ -449,7 +459,7 @@ class TestObservationOnRead:
                 self.kept.append((ctx, obs))
                 return 1
 
-            def notify_outcome(self, outcome):
+            def notify_outcome(self, reward):
                 ctx, obs = self.kept[-1]
                 if obs is None:  # after the commit, an unread state is gone
                     with pytest.raises(RuntimeError, match="only while"):
