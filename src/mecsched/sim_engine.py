@@ -5,12 +5,15 @@ An event completes a task of one application only, so only that
 application's priority list can gain ready tasks (all parents completed): the
 kernel pops its ready prefix, the graph's own ``Task``s in ascending LCT
 order, lets the pluggable scheduler reorder it (``order_ready``), and walks
-it asking the scheduler for a target device per task. Each placement
-is planned once per candidate device; the plan the scheduler saw is the one
-committed. The decision's observation (``observe_state``) is computed, by the
-context's ``observe`` callable, only when something reads it: the scheduler
-during ``decide``, or the kernel when it records trace rows. Either way it
-comes from the state before the commit.
+it asking the scheduler for a target device per task. One planner gives a
+placement's (data ready, start, execution time) per device, in a single
+pass over the task's parent outputs: the first ``finish_if`` of a decision
+plans the whole fleet, and a commit that no scheduler asked about (random,
+DQN, scripted) plans the chosen device only. The plan the scheduler saw is
+the one committed. The decision's observation (``observe_state``) is
+computed, by the context's ``observe`` callable, only when something reads
+it: the scheduler during ``decide``, or the kernel when it records trace
+rows. Either way it comes from the state before the commit.
 A commitment updates the chosen device's FCFS queue before the next
 decision, schedules the task's completion event, and hands the decision's
 reward, a float, to the scheduler's ``notify_outcome``.
@@ -198,11 +201,22 @@ def run(
     reward_params: RewardParams | None = None,
     record_rows: bool = True,
 ) -> SimulationTrace:
-    """Simulate all applications to completion under the given scheduler."""
+    """Simulate all applications to completion under the given scheduler.
+
+    ``devices`` must be numbered 1..M in list order, and the topology must
+    link at least M devices; anything else is refused before simulating.
+    """
     params = reward_params if reward_params is not None else RewardParams()
     apps = list(apps)
     if len(chains) != len(devices):
         raise ValueError("need one capability chain per device")
+    ids = tuple(d.ecd_id for d in devices)
+    if ids != tuple(range(1, len(devices) + 1)):
+        raise ValueError(f"fleet ecd_ids must be 1..{len(devices)} in list order, "
+                         f"got {ids}")
+    if len(devices) > topo.n_devices:
+        raise ValueError(f"fleet has {len(devices)} devices, but the topology "
+                         f"links only {topo.n_devices}")
     for graph in apps:
         if not 1 <= graph.home_ecd <= len(devices):
             raise ValueError(
@@ -215,7 +229,7 @@ def run(
     lists = {g.app_id: list(build_priority_list(g)) for g in apps}
     completed: set[tuple[int, int]] = set()
     trace = SimulationTrace()
-    valid_actions = tuple(d.ecd_id for d in devices)
+    valid_actions = ids
 
     # events are (time, seq, kind, app, task, device); seq breaks time ties
     heap: list[tuple[float, int, str, int, int, int]] = []
@@ -237,42 +251,49 @@ def run(
             outputs.append((edge, pa.ecd_id, pa.finish))
         return outputs
 
-    def last_arrival(graph: TaskGraph, outputs, target: int) -> float:
-        return max(finish + transfer_time(edge, src, target, topo, graph.home_ecd)
-                   for edge, src, finish in outputs)
-
     def try_schedule_sink(graph: TaskGraph) -> None:
         sink = graph.sink_id
         if (graph.app_id, sink) in trace.assignments or any(
             (graph.app_id, p) not in trace.assignments for p in graph.parents_of(sink)
         ):
             return
-        finish = last_arrival(graph, parent_outputs(graph, sink), MU_DEVICE)
+        finish = max(done + transfer_time(edge, src, MU_DEVICE, topo, graph.home_ecd)
+                     for edge, src, done in parent_outputs(graph, sink))
         trace.assignments[(graph.app_id, sink)] = Assignment(
             graph.app_id, sink, MU_DEVICE, finish, finish
         )
         push(finish, COMPLETION, graph.app_id, sink, MU_DEVICE)
 
-    # The decision being made reads its task's inputs once and plans each
-    # candidate device at most once; finish_if and the commit share the plans.
+    # (data ready, start, execution time) of the current task per planned
+    # device; cleared for every decision.
     plans: dict[int, tuple[float, float, float]] = {}
 
-    def plan(m: int) -> tuple[float, float, float]:
-        """(data ready, start, execution time) of the current task on device m."""
-        if m not in plans:
-            if m not in valid_actions:
-                raise SchedulingError(
-                    f"no device {m!r} to plan task ({app_id},{task.task_id}) on; "
-                    f"valid: {valid_actions}"
-                )
+    def plan(targets: Sequence[int]) -> None:
+        """Plan the current task on each device of ``targets`` in one pass
+        over its parents' outputs. The running maximum starts at ``now`` and
+        moves on a strict ``>``, which gives the value of
+        ``max(max(finish + transfer), now)``."""
+        home = graph.home_ecd
+        ready_at = [now] * len(targets)
+        for edge, src, finish in outputs:
+            for k, m in enumerate(targets):
+                arrival = finish + transfer_time(edge, src, m, topo, home)
+                if arrival > ready_at[k]:
+                    ready_at[k] = arrival
+        for m, data_ready in zip(targets, ready_at):
             device = devices[m - 1]
-            data_ready = max(last_arrival(graph, outputs, m), now)
             plans[m] = (data_ready, max(device.queue_free_at, data_ready),
                         execution_time(task, device))
-        return plans[m]
 
     def finish_if(m: int) -> float:
-        _, start, exec_time = plan(m)
+        if not plans:
+            plan(valid_actions)
+        if m not in plans:
+            raise SchedulingError(
+                f"no device {m!r} to plan task ({app_id},{task.task_id}) on; "
+                f"valid: {valid_actions}"
+            )
+        _, start, exec_time = plans[m]
         return start + exec_time
 
     def observe_pending() -> StateVector:
@@ -329,7 +350,9 @@ def run(
             if record_rows:
                 obs = ctx.observation  # the row needs the aggregates
             ctx.close()
-            data_ready, start, exec_time = plan(action)
+            if action not in plans:
+                plan((action,))
+            data_ready, start, exec_time = plans[action]
             arrival_wait = data_ready - now
             queue_wait = start - data_ready
             finish = start + exec_time

@@ -96,7 +96,7 @@ class TaskGraph:
         edges (deadline, task LCTs): the structure built so far is carried
         over. ``_by_id`` is not, as it holds the tasks themselves."""
         graph = replace(self, **changes)
-        for name in _STRUCTURE_CACHES:
+        for name in _SHAPE_CACHES + _EDGE_CACHES:
             if name in self.__dict__:
                 graph.__dict__[name] = self.__dict__[name]
         return graph
@@ -144,8 +144,14 @@ class TaskGraph:
         return tuple(order)
 
 
-_STRUCTURE_CACHES = ("_parents", "_children", "_edge_data", "_parent_edges",
-                     "_topological_order")
+# Structure caches. The shape caches hold task ids only, so graphs with the
+# same task ids and edge endpoints may share them (``with_attributes``, and
+# ``augment_with_dummies`` given a ``shape``); they are never mutated. The
+# edge caches hold the graph's own edges and data sizes and pass only to a
+# graph with the same edges (``with_attributes``). ``_by_id`` holds the
+# tasks and is never carried.
+_SHAPE_CACHES = ("_parents", "_children", "_topological_order")
+_EDGE_CACHES = ("_edge_data", "_parent_edges")
 
 
 @dataclass(frozen=True)
@@ -245,6 +251,7 @@ def augment_with_dummies(
     raw: TaskGraph,
     offload_sizes: Sequence[float],
     result_sizes: Sequence[float],
+    shape: TaskGraph | None = None,
 ) -> TaskGraph:
     """Bracket a dummy-free DAG with an upload source and a result sink.
 
@@ -252,14 +259,24 @@ def augment_with_dummies(
     task 0 gains edges to every entry task (data per ``offload_sizes``,
     aligned with entries in ascending id order) and a new task K+1 gains
     edges from every exit task (``result_sizes`` likewise).
+
+    ``shape`` is an augmented graph built from a raw graph with the same
+    task ids and edge endpoints, in the same order (``generate`` passes the
+    first app of its call). Its entries, exits, parent and child maps and
+    topological order are reused instead of rebuilt; ValueError if the
+    result's task ids or edge endpoints differ from the shape's.
     """
     if not raw.tasks:
         raise ValueError("cannot augment an empty task set")
-    ids = sorted(t.task_id for t in raw.tasks)
-    if ids != list(range(1, len(ids) + 1)):
-        raise ValueError("raw graph must use contiguous task ids starting at 1")
-    entries = sorted(i for i in ids if not raw.parents_of(i))
-    exits = sorted(i for i in ids if not raw.children_of(i))
+    if shape is None:
+        ids = sorted(t.task_id for t in raw.tasks)
+        if ids != list(range(1, len(ids) + 1)):
+            raise ValueError("raw graph must use contiguous task ids starting at 1")
+        entries = sorted(i for i in ids if not raw.parents_of(i))
+        exits = sorted(i for i in ids if not raw.children_of(i))
+    else:
+        entries = shape.children_of(0)
+        exits = shape.parents_of(shape.sink_id)
     if len(offload_sizes) != len(entries):
         raise ValueError(
             f"offload_sizes has {len(offload_sizes)} entries, graph has {len(entries)}"
@@ -269,7 +286,7 @@ def augment_with_dummies(
             f"result_sizes has {len(result_sizes)} entries, graph has {len(exits)}"
         )
 
-    sink = len(ids) + 1
+    sink = len(raw.tasks) + 1
     tasks = (
         Task(raw.app_id, 0, 0.0),
         *raw.tasks,
@@ -279,8 +296,23 @@ def augment_with_dummies(
     edges.extend(Edge(0, i, float(s)) for i, s in zip(entries, offload_sizes))
     edges.extend(Edge(i, sink, float(s)) for i, s in zip(exits, result_sizes))
     graph = replace(raw, tasks=tasks, edges=tuple(edges))
-    graph.topological_order()  # raises on cycles; the dummies add none
+    if shape is None:
+        graph.topological_order()  # raises on cycles; the dummies add none
+    else:
+        if not _same_shape(graph, shape):
+            raise ValueError(f"app {raw.app_id}: task ids or edges differ from the shape's")
+        for name in _SHAPE_CACHES:
+            graph.__dict__[name] = getattr(shape, name)
     return graph
+
+
+def _same_shape(graph: TaskGraph, shape: TaskGraph) -> bool:
+    """Same task ids and edge endpoints, in the same order."""
+    return (len(graph.tasks) == len(shape.tasks)
+            and len(graph.edges) == len(shape.edges)
+            and all(t.task_id == u.task_id for t, u in zip(graph.tasks, shape.tasks))
+            and all(e.src == f.src and e.dst == f.dst
+                    for e, f in zip(graph.edges, shape.edges)))
 
 
 def compute_lct(

@@ -106,6 +106,12 @@ def generate(spec: WorkloadSpec, rng: np.random.Generator | None = None) -> list
     Edge transfer sizes come from a base communication time ``bc`` clamped to
     ``bc_range`` and scaled by the fleet's mean link rate; dummy edges use
     the same rule. Home devices are uniform over the fleet.
+
+    Every app has the same augmented shape, so its structure (dummies,
+    parents, children, topological order) is built once, for the first
+    app, and every later app of the call carries the same objects. What
+    holds an app's own tasks or sizes (``_by_id``, ``_edge_data``,
+    ``_parent_edges``) is built per app.
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
@@ -117,6 +123,7 @@ def generate(spec: WorkloadSpec, rng: np.random.Generator | None = None) -> list
     exits = [i for i in range(1, n_tasks + 1) if i not in sources]
 
     graphs: list[TaskGraph] = []
+    shape: TaskGraph | None = None
     clock = 0.0
     lo_w, hi_w = spec.workload_range
     lo_bc, hi_bc = spec.bc_range
@@ -147,7 +154,10 @@ def generate(spec: WorkloadSpec, rng: np.random.Generator | None = None) -> list
             raw,
             offload_sizes=draw_data(len(entries)),
             result_sizes=draw_data(len(exits)),
+            shape=shape,
         )
+        if shape is None:
+            shape = graph
         graphs.append(assign_deadline(graph, spec.deadline_capability, spec.deadline_factor))
     return graphs
 

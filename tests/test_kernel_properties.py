@@ -9,8 +9,10 @@ timing model.
 
 The kernel's cached bookkeeping is checked against fresh computations: each
 device's running queue total against a left-to-right sum of its queue at
-every decision, capability draws against ``rng.choice`` on a twin stream,
-and workload generation's block draws against scalar draws on a twin stream.
+every decision, every plan (``finish_if`` and the committed finish) against
+a recomputation from ``transfer_time`` and ``execution_time``, capability
+draws against ``rng.choice`` on a twin stream, and workload generation's
+block draws against scalar draws on a twin stream.
 """
 
 import numpy as np
@@ -20,10 +22,16 @@ from hypothesis import strategies as st
 
 from conftest import make_graph
 from oracles import evaluate_schedule, oracle_transfer
-from mecsched.baselines import GreedyEftScheduler, RandomScheduler
+from mecsched.baselines import GreedyEftScheduler, HeftStyleScheduler, RandomScheduler
 from mecsched.dqn_core import DqnLearner, TrainConfig
 from mecsched.mdp_agent import DqnScheduler
-from mecsched.mec_model import CapabilityChain, EdgeDevice, NetworkTopology
+from mecsched.mec_model import (
+    CapabilityChain,
+    EdgeDevice,
+    NetworkTopology,
+    execution_time,
+    transfer_time,
+)
 from mecsched.sim_engine import ScriptedScheduler, run
 from mecsched.task_graph import Edge, Task, TaskGraph, augment_with_dummies, compute_lct
 from mecsched.workload import (
@@ -77,13 +85,15 @@ def scenarios(draw):
 SCHEDULERS = ("scripted", "greedy_eft", "random", "dqn")
 
 
-def make_scheduler(kind, scenario):
+def make_scheduler(kind, scenario, topo):
     """A fresh scheduler of the given kind; equal scenarios give equal runs."""
-    n_dev, assignment = scenario[0], scenario[5]
+    n_dev, levels, assignment = scenario[0], scenario[1], scenario[5]
     if kind == "scripted":
         return ScriptedScheduler(assignment)
     if kind == "greedy_eft":
         return GreedyEftScheduler()
+    if kind == "heft":
+        return HeftStyleScheduler(topo, levels)
     if kind == "random":
         return RandomScheduler(n_dev, np.random.default_rng(7))
     rngs = [np.random.default_rng(seed) for seed in (11, 12, 13)]
@@ -115,9 +125,54 @@ class QueueAudit:
         return self.inner.decide(ctx)
 
 
-def simulate(scenario, kind="scripted", audit=False):
+class PlanAudit:
+    """Delegates to a scheduler; at every decision, recomputes the task's
+    finish time on every device as ``max(device free time,
+    max(max(parent finish + transfer_time), now)) + execution_time``. With
+    ``ask``, checks every ``finish_if`` against it (``==``) before the
+    scheduler decides; either way, keeps the chosen device's value for the
+    committed finish (``check``)."""
+
+    def __init__(self, inner, graphs, topo, devices, ask):
+        self.inner = inner
+        self.graphs = {g.app_id: g for g in graphs}
+        self.topo = topo
+        self.devices = devices
+        self.ask = ask
+        self.placed = {(g.app_id, 0): (0, g.release_time) for g in graphs}
+        self.expected = {}
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def decide(self, ctx):
+        graph = self.graphs[ctx.app_id]
+        task = graph.task(ctx.task_id)
+        finishes = {}
+        for m in ctx.valid_actions:
+            arrivals = []
+            for edge in graph.parent_edges(task.task_id):
+                src, done = self.placed[(ctx.app_id, edge.src)]
+                arrivals.append(done + transfer_time(edge, src, m, self.topo, graph.home_ecd))
+            device = self.devices[m - 1]
+            start = max(device.queue_free_at, max(max(arrivals), ctx.now))
+            finishes[m] = start + execution_time(task, device)
+            if self.ask:
+                assert ctx.finish_if(m) == finishes[m]
+        action = self.inner.decide(ctx)
+        self.placed[(ctx.app_id, task.task_id)] = (action, finishes[action])
+        self.expected[(ctx.app_id, task.task_id)] = finishes[action]
+        return action
+
+    def check(self, trace):
+        assert self.expected == {key: a.finish for key, a in trace.assignments.items()
+                                 if key in trace.decisions}
+
+
+def simulate(scenario, kind="scripted", audit=False, plan_audit=None):
     """Run the kernel on a scenario under a fresh scheduler of the given kind;
-    returns (graphs, trace, the oracle's level traces)."""
+    returns (graphs, trace, the oracle's level traces). ``plan_audit`` wraps
+    the scheduler in a ``PlanAudit`` whose ``ask`` it gives."""
     n_dev, levels, rates, uplink, graphs, assignment, chain_seeds = scenario
     matrix = np.zeros((n_dev, n_dev))
     for (a, b), rate in rates.items():
@@ -127,12 +182,16 @@ def simulate(scenario, kind="scripted", audit=False):
     transitions = MATRICES[len(levels)]
     devices = [EdgeDevice(m, levels) for m in range(1, n_dev + 1)]
     chains = [CapabilityChain(transitions, np.random.default_rng(s)) for s in chain_seeds]
-    scheduler = make_scheduler(kind, scenario)
+    scheduler = make_scheduler(kind, scenario, topo)
     if audit:
         scheduler = QueueAudit(scheduler, devices)
+    if plan_audit is not None:
+        scheduler = PlanAudit(scheduler, graphs, topo, devices, plan_audit)
     trace = run(graphs, topo, devices, scheduler, chains)
     if audit:
         assert scheduler.decisions == len(assignment)
+    if plan_audit is not None:
+        scheduler.check(trace)
 
     # the capability after k completions on a device: replay its chain
     level_traces = {}
@@ -239,6 +298,16 @@ def test_random_and_learned_schedulers_keep_invariants(kind, scenario):
 @given(scenarios())
 def test_queue_totals_equal_fresh_sums(kind, scenario):
     simulate(scenario, kind, audit=True)
+
+
+@pytest.mark.parametrize("kind", ["greedy_eft", "heft", "scripted", "random"])
+@pytest.mark.parametrize("ask", [True, False])
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_plans_equal_recomputed_finish_times(kind, ask, scenario):
+    # ask: every device is planned at the first finish_if; otherwise the
+    # scripted and random commits plan the chosen device alone
+    simulate(scenario, kind, plan_audit=ask)
 
 
 @st.composite

@@ -231,6 +231,19 @@ class TestRun:
         with pytest.raises(SchedulingError, match=rf"no device {bad} .*valid: \(1, 2, 3, 4\)"):
             run([graph], topology, build_devices(tc), Probe(), build_chains(tc, 5, "cap", 0))
 
+    def test_fleet_out_of_id_order_refused(self, topology):
+        graph = with_lct(make_graph({}, {1: 100.0}), topology)
+        devices = [EdgeDevice(m, (5000.0,)) for m in (2, 1, 3, 4)]
+        with pytest.raises(ValueError, match=r"1\.\.4 in list order, got \(2, 1, 3, 4\)"):
+            run([graph], topology, devices, ScriptedScheduler({(1, 1): 1}),
+                identity_chains(4))
+
+    def test_fleet_larger_than_topology_refused(self, topology):
+        graph = with_lct(make_graph({}, {1: 100.0}), topology)
+        with pytest.raises(ValueError, match=r"5 devices, but the topology links only 4"):
+            run([graph], topology, simple_devices([5000.0] * 5),
+                ScriptedScheduler({(1, 1): 5}), identity_chains(5))
+
     def test_same_seed_identical_traces(self, topology):
         rng = np.random.default_rng(13)
         graphs = [with_lct(random_app(rng, n, 5, release=0.02 * n), topology)
@@ -504,3 +517,89 @@ class TestObservationOnRead:
         keeper = Keeper()
         trace = self.simulate(topology, keeper, record_rows=False)
         assert keeper.later == len(trace.decisions) - 1 > 0
+
+
+class TestPlanner:
+    """The first ``finish_if`` of a decision plans the whole fleet; a commit
+    nothing asked about plans the chosen device only."""
+
+    class Counter(SchedulerPort):
+        """Delegates to a scheduler and counts the kernel's ``transfer_time``
+        calls during each ``decide`` and each commit (``decide`` returning
+        to ``notify_outcome``)."""
+
+        def __init__(self, inner, calls):
+            self.inner = inner
+            self.calls = calls
+            self.in_decide: list[int] = []
+            self.in_commit: list[int] = []
+            self.parents: list[int] = []
+
+        def order_ready(self, graph, ready):
+            self.graph = graph
+            self.inner.order_ready(graph, ready)
+
+        def decide(self, ctx):
+            start = len(self.calls)
+            action = self.inner.decide(ctx)
+            self.in_decide.append(len(self.calls) - start)
+            self.mark = len(self.calls)
+            self.parents.append(len(self.graph.parents_of(ctx.task_id)))
+            return action
+
+        def notify_outcome(self, reward):
+            self.in_commit.append(len(self.calls) - self.mark)
+            self.inner.notify_outcome(reward)
+
+        def end_episode(self, observation):
+            self.inner.end_episode(observation)
+
+    @pytest.fixture
+    def transfers(self, monkeypatch):
+        calls = []
+        original = sim_engine.transfer_time
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sim_engine, "transfer_time", counting)
+        return calls
+
+    @staticmethod
+    def scheduler(name, topology, graphs):
+        from mecsched.baselines import GreedyEftScheduler, RandomScheduler
+        from mecsched.dqn_core import DqnLearner, TrainConfig
+        from mecsched.mdp_agent import DqnScheduler
+
+        if name == "scripted":
+            return ScriptedScheduler({(g.app_id, t.task_id): 1 + (g.app_id + t.task_id) % 4
+                                      for g in graphs for t in g.real_tasks()})
+        if name == "random":
+            return RandomScheduler(4, rngmod.stream(61, "p"))
+        if name == "greedy_eft":
+            return GreedyEftScheduler()
+        config = TrainConfig(batch=8, buffer_capacity=512, planned_steps=100,
+                             hidden_sizes=(8, 8), episodes=1)
+        learner = DqnLearner(config, 5, rngmod.stream(61, "w"),
+                             rngmod.stream(61, "e"), rngmod.stream(61, "r"))
+        return DqnScheduler(learner, 4, training=True)
+
+    @pytest.mark.parametrize("name", ["random", "dqn", "scripted", "greedy_eft"])
+    def test_transfers_planned_per_decision(self, topology, transfers, name):
+        rng = np.random.default_rng(61)
+        graphs = [with_lct(random_app(rng, n, 6, release=0.02 * n), topology)
+                  for n in (1, 2, 3)]
+        tc = TopologyConfig()
+        counter = self.Counter(self.scheduler(name, topology, graphs), transfers)
+        trace = run(graphs, topology, build_devices(tc), counter,
+                    build_chains(tc, 61, "cap", 0), record_rows=False)
+        assert len(counter.in_commit) == len(trace.decisions) == 18
+        if name == "greedy_eft":
+            # every device planned in decide, the commit reuses the plan
+            assert counter.in_decide == [4 * k for k in counter.parents]
+            assert counter.in_commit == [0] * 18
+        else:
+            # nothing asked: one transfer per parent edge, to the chosen device
+            assert counter.in_decide == [0] * 18
+            assert counter.in_commit == counter.parents

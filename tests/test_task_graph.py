@@ -206,8 +206,9 @@ class TestGraphCaches:
 
     def test_each_prepared_app_builds_its_order_once(self, monkeypatch, tmp_path):
         """Deadline and LCT keep the task ids and edges, so the graphs they
-        return carry the structure over; generated and loaded apps alike
-        build their topological order once on the way to the kernel."""
+        return carry the structure over: a loaded app builds its topological
+        order once on the way to the kernel, and the apps of one ``generate``
+        call, which share their shape, build it once between them."""
         from mecsched.experiment import TopologyConfig, build_topology, prepare_graphs
         from mecsched.workload import WorkloadSpec, generate
 
@@ -229,8 +230,55 @@ class TestGraphCaches:
                 assert g.topological_order()
                 assert "_parents" in vars(g) and "_children" in vars(g)
                 assert "_by_id" not in vars(g)  # the tasks changed
-            assert builds == [1, 2, 3, 4, 5]
+            assert builds == ([1, 2, 3, 4, 5] if load else [1])
             builds.clear()
+
+    @staticmethod
+    def generated_and_run():
+        """Three apps of one generate call, prepared and simulated, so that
+        every cache the kernel reads has been built."""
+        from mecsched.baselines import GreedyEftScheduler
+        from mecsched.experiment import (
+            TopologyConfig,
+            build_chains,
+            build_devices,
+            build_topology,
+            prepare_graphs,
+        )
+        from mecsched.sim_engine import run
+        from mecsched.workload import WorkloadSpec, generate
+
+        tc = TopologyConfig()
+        topo = build_topology(tc)
+        graphs = prepare_graphs(generate(WorkloadSpec(n_apps=3, lam=0.05),
+                                         np.random.default_rng(5)), tc, topo)
+        run(graphs, topo, build_devices(tc), GreedyEftScheduler(),
+            build_chains(tc, 5, "cap", 0), record_rows=False)
+        return graphs
+
+    def test_generated_structure_equals_a_rebuilt_graphs(self):
+        for g in self.generated_and_run():
+            rebuilt = TaskGraph(g.app_id, g.release_time, g.deadline, g.home_ecd,
+                                g.tasks, g.edges)  # no carried caches
+            assert g.topological_order() == rebuilt.topological_order()
+            for t in g.tasks:
+                assert g.parents_of(t.task_id) == rebuilt.parents_of(t.task_id)
+                assert g.children_of(t.task_id) == rebuilt.children_of(t.task_id)
+                assert g.parent_edges(t.task_id) == rebuilt.parent_edges(t.task_id)
+
+    def test_apps_share_the_shape_and_nothing_of_their_own(self):
+        graphs = self.generated_and_run()
+        for name in ("_parents", "_children", "_topological_order"):
+            assert len({id(vars(g)[name]) for g in graphs}) == 1
+        for name in ("_edge_data", "_parent_edges", "_by_id"):
+            assert len({id(vars(g)[name]) for g in graphs}) == len(graphs)
+
+    def test_augmenting_with_a_different_shape_refused(self):
+        shape = make_graph({(1, 2): 1.0}, {1: 100.0, 2: 100.0})
+        raw = TaskGraph(1, 0.0, 10.0, 1, (Task(1, 1, 100.0), Task(1, 2, 100.0)),
+                        (Edge(2, 1, 1.0),))  # the edge reversed
+        with pytest.raises(ValueError, match="differ from the shape's"):
+            augment_with_dummies(raw, [1.0], [1.0], shape=shape)
 
 
 class TestWorkloadFile:
