@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -60,62 +60,35 @@ class TaskGraph:
     edges: tuple[Edge, ...]
 
     @cached_property
+    def _shape(self) -> _Shape:
+        return _shape_of(tuple(t.task_id for t in self.tasks),
+                         tuple((e.src, e.dst) for e in self.edges))
+
+    @property
     def sink_id(self) -> int:
-        return max(t.task_id for t in self.tasks)
-
-    @cached_property
-    def _by_id(self) -> dict[int, Task]:
-        return {t.task_id: t for t in self.tasks}
-
-    @cached_property
-    def _parents(self) -> dict[int, tuple[int, ...]]:
-        acc: dict[int, list[int]] = {t.task_id: [] for t in self.tasks}
-        for e in self.edges:
-            acc[e.dst].append(e.src)
-        return {k: tuple(sorted(v)) for k, v in acc.items()}
-
-    @cached_property
-    def _children(self) -> dict[int, tuple[int, ...]]:
-        acc: dict[int, list[int]] = {t.task_id: [] for t in self.tasks}
-        for e in self.edges:
-            acc[e.src].append(e.dst)
-        return {k: tuple(sorted(v)) for k, v in acc.items()}
-
-    @cached_property
-    def _edge_data(self) -> dict[tuple[int, int], float]:
-        return {(e.src, e.dst): e.data_size for e in self.edges}
+        return self._shape.sink
 
     @cached_property
     def _parent_edges(self) -> dict[int, tuple[Edge, ...]]:
-        by_pair = {(e.src, e.dst): e for e in self.edges}
-        return {t: tuple(by_pair[(p, t)] for p in parents)
-                for t, parents in self._parents.items()}
-
-    def with_attributes(self, **changes) -> "TaskGraph":
-        """``dataclasses.replace`` for changes that keep the task ids and the
-        edges (deadline, task LCTs): the structure built so far is carried
-        over. ``_by_id`` is not, as it holds the tasks themselves."""
-        graph = replace(self, **changes)
-        for name in _SHAPE_CACHES + _EDGE_CACHES:
-            if name in self.__dict__:
-                graph.__dict__[name] = self.__dict__[name]
-        return graph
+        edges = self.edges
+        return {t: tuple(edges[k] for k in positions)
+                for t, positions in self._shape.parent_edges.items()}
 
     def task(self, task_id: int) -> Task:
-        return self._by_id[task_id]
+        return self.tasks[self._shape.position[task_id]]
 
     def parents_of(self, task_id: int) -> tuple[int, ...]:
-        return self._parents[task_id]
+        return self._shape.parents[task_id]
 
     def parent_edges(self, task_id: int) -> tuple[Edge, ...]:
         """Incoming edges of a task, in parent-id order."""
         return self._parent_edges[task_id]
 
     def children_of(self, task_id: int) -> tuple[int, ...]:
-        return self._children[task_id]
+        return self._shape.children[task_id]
 
     def edge_data(self, src: int, dst: int) -> float:
-        return self._edge_data[(src, dst)]
+        return self.edges[self._shape.edge_position[(src, dst)]].data_size
 
     def is_dummy(self, task_id: int) -> bool:
         return task_id == 0 or task_id == self.sink_id
@@ -125,33 +98,63 @@ class TaskGraph:
 
     def topological_order(self) -> list[int]:
         """Kahn order over all tasks; raises ValueError on a cycle."""
-        return list(self._topological_order)
-
-    @cached_property
-    def _topological_order(self) -> tuple[int, ...]:
-        indeg = {t.task_id: len(self._parents[t.task_id]) for t in self.tasks}
-        frontier = sorted(i for i, d in indeg.items() if d == 0)
-        order: list[int] = []
-        while frontier:
-            node = frontier.pop(0)
-            order.append(node)
-            for child in self._children[node]:
-                indeg[child] -= 1
-                if indeg[child] == 0:
-                    bisect.insort(frontier, child)  # sorted, for determinism
-        if len(order) != len(self.tasks):
+        order = self._shape.order
+        if order is None:
             raise ValueError("task graph contains a cycle")
-        return tuple(order)
+        return list(order)
 
 
-# Structure caches. The shape caches hold task ids only, so graphs with the
-# same task ids and edge endpoints may share them (``with_attributes``, and
-# ``augment_with_dummies`` given a ``shape``); they are never mutated. The
-# edge caches hold the graph's own edges and data sizes and pass only to a
-# graph with the same edges (``with_attributes``). ``_by_id`` holds the
-# tasks and is never carried.
-_SHAPE_CACHES = ("_parents", "_children", "_topological_order")
-_EDGE_CACHES = ("_edge_data", "_parent_edges")
+@dataclass(frozen=True)
+class _Shape:
+    """What a graph's task ids and edge endpoints determine on their own.
+
+    Graphs with the same ids and endpoints in the same order (every app of a
+    ``generate`` call, the same apps loaded from a file, and the deadline and
+    LCT copies of each) get the same ``_Shape`` from ``_shape_of``, which is
+    keyed by exactly those; it holds no task or size, and nothing mutates it.
+    An endpoint that is not a task id raises KeyError here, so ``validate``
+    checks endpoints before anything asks for the shape.
+    """
+
+    position: dict[int, int]  # task id -> index into tasks
+    parents: dict[int, tuple[int, ...]]
+    children: dict[int, tuple[int, ...]]
+    parent_edges: dict[int, tuple[int, ...]]  # indices into edges, parent-id order
+    edge_position: dict[tuple[int, int], int]  # (src, dst) -> index into edges
+    order: tuple[int, ...] | None  # Kahn order, ties by id; None on a cycle
+    sink: int  # the highest task id
+
+
+@lru_cache(maxsize=256)
+def _shape_of(ids: tuple[int, ...], endpoints: tuple[tuple[int, int], ...]) -> _Shape:
+    parent_lists: dict[int, list[int]] = {i: [] for i in ids}
+    child_lists: dict[int, list[int]] = {i: [] for i in ids}
+    for src, dst in endpoints:
+        parent_lists[dst].append(src)
+        child_lists[src].append(dst)
+    parents = {i: tuple(sorted(v)) for i, v in parent_lists.items()}
+    children = {i: tuple(sorted(v)) for i, v in child_lists.items()}
+    edge_position = {pair: k for k, pair in enumerate(endpoints)}
+
+    indeg = {i: len(parents[i]) for i in ids}
+    frontier = sorted(i for i, d in indeg.items() if d == 0)
+    order: list[int] = []
+    while frontier:
+        node = frontier.pop(0)
+        order.append(node)
+        for child in children[node]:
+            indeg[child] -= 1
+            if indeg[child] == 0:
+                bisect.insort(frontier, child)  # sorted, for determinism
+    return _Shape(
+        position={i: k for k, i in enumerate(ids)},
+        parents=parents,
+        children=children,
+        parent_edges={t: tuple(edge_position[(p, t)] for p in ps) for t, ps in parents.items()},
+        edge_position=edge_position,
+        order=tuple(order) if len(order) == len(ids) else None,
+        sink=max(ids),
+    )
 
 
 @dataclass(frozen=True)
@@ -177,10 +180,12 @@ def validate(graph: TaskGraph) -> ValidationReport:
     if ids != list(range(len(ids))):
         bad.append("task ids not contiguous from 0")
         return ValidationReport(graph.app_id, tuple(bad))
-    sink = graph.sink_id
+    sink = ids[-1]
+    known = range(sink + 1)
 
+    # the shape is built from the endpoints, so they are checked first
     for t in graph.tasks:
-        if graph.is_dummy(t.task_id):
+        if t.task_id in (0, sink):
             if t.workload != 0:
                 bad.append(f"dummy workload nonzero (task {t.task_id})")
         elif t.workload <= 0:
@@ -192,7 +197,7 @@ def validate(graph: TaskGraph) -> ValidationReport:
             bad.append(f"self edge on task {e.src}")
         if e.data_size < 0:
             bad.append(f"negative data size on edge {e.src}->{e.dst}")
-        if e.src not in graph._by_id or e.dst not in graph._by_id:
+        if e.src not in known or e.dst not in known:
             bad.append(f"edge {e.src}->{e.dst} references unknown task")
         if (e.src, e.dst) in seen_pairs:
             bad.append(f"duplicate edge {e.src}->{e.dst}")
@@ -211,7 +216,7 @@ def validate(graph: TaskGraph) -> ValidationReport:
     if graph.children_of(sink):
         bad.append(f"sink task {sink} has children")
     for t in graph.tasks:
-        if graph.is_dummy(t.task_id):
+        if t.task_id in (0, sink):
             continue
         if not graph.parents_of(t.task_id):
             bad.append(f"real task {t.task_id} has no parents")
@@ -251,32 +256,22 @@ def augment_with_dummies(
     raw: TaskGraph,
     offload_sizes: Sequence[float],
     result_sizes: Sequence[float],
-    shape: TaskGraph | None = None,
 ) -> TaskGraph:
     """Bracket a dummy-free DAG with an upload source and a result sink.
 
     ``raw`` must hold real tasks with ids 1..K and edges among them. A new
     task 0 gains edges to every entry task (data per ``offload_sizes``,
     aligned with entries in ascending id order) and a new task K+1 gains
-    edges from every exit task (``result_sizes`` likewise).
-
-    ``shape`` is an augmented graph built from a raw graph with the same
-    task ids and edge endpoints, in the same order (``generate`` passes the
-    first app of its call). Its entries, exits, parent and child maps and
-    topological order are reused instead of rebuilt; ValueError if the
-    result's task ids or edge endpoints differ from the shape's.
+    edges from every exit task (``result_sizes`` likewise). ValueError if
+    ``raw`` has a cycle.
     """
     if not raw.tasks:
         raise ValueError("cannot augment an empty task set")
-    if shape is None:
-        ids = sorted(t.task_id for t in raw.tasks)
-        if ids != list(range(1, len(ids) + 1)):
-            raise ValueError("raw graph must use contiguous task ids starting at 1")
-        entries = sorted(i for i in ids if not raw.parents_of(i))
-        exits = sorted(i for i in ids if not raw.children_of(i))
-    else:
-        entries = shape.children_of(0)
-        exits = shape.parents_of(shape.sink_id)
+    ids = sorted(t.task_id for t in raw.tasks)
+    if ids != list(range(1, len(ids) + 1)):
+        raise ValueError("raw graph must use contiguous task ids starting at 1")
+    entries = [i for i in ids if not raw.parents_of(i)]
+    exits = [i for i in ids if not raw.children_of(i)]
     if len(offload_sizes) != len(entries):
         raise ValueError(
             f"offload_sizes has {len(offload_sizes)} entries, graph has {len(entries)}"
@@ -296,23 +291,8 @@ def augment_with_dummies(
     edges.extend(Edge(0, i, float(s)) for i, s in zip(entries, offload_sizes))
     edges.extend(Edge(i, sink, float(s)) for i, s in zip(exits, result_sizes))
     graph = replace(raw, tasks=tasks, edges=tuple(edges))
-    if shape is None:
-        graph.topological_order()  # raises on cycles; the dummies add none
-    else:
-        if not _same_shape(graph, shape):
-            raise ValueError(f"app {raw.app_id}: task ids or edges differ from the shape's")
-        for name in _SHAPE_CACHES:
-            graph.__dict__[name] = getattr(shape, name)
+    graph.topological_order()  # raises on cycles; the dummies add none
     return graph
-
-
-def _same_shape(graph: TaskGraph, shape: TaskGraph) -> bool:
-    """Same task ids and edge endpoints, in the same order."""
-    return (len(graph.tasks) == len(shape.tasks)
-            and len(graph.edges) == len(shape.edges)
-            and all(t.task_id == u.task_id for t, u in zip(graph.tasks, shape.tasks))
-            and all(e.src == f.src and e.dst == f.dst
-                    for e, f in zip(graph.edges, shape.edges)))
 
 
 def compute_lct(
@@ -351,7 +331,7 @@ def compute_lct(
                 )
         lct[i] = min(bounds)
     tasks = tuple(Task(t.app_id, t.task_id, t.workload, lct[t.task_id]) for t in graph.tasks)
-    return graph.with_attributes(tasks=tasks)
+    return replace(graph, tasks=tasks)
 
 
 def build_priority_list(graph: TaskGraph) -> tuple[int, ...]:
@@ -378,10 +358,11 @@ def build_priority_list(graph: TaskGraph) -> tuple[int, ...]:
 def load_workload_file(path) -> list[TaskGraph]:
     graphs: list[TaskGraph] = []
     header: tuple[int, float, float, int] | None = None
+    header_line = 0
     tasks: list[Task] = []
     edges: list[Edge] = []
 
-    def flush(lineno: int) -> None:
+    def flush() -> None:
         nonlocal header, tasks, edges
         if header is None:
             return
@@ -397,7 +378,7 @@ def load_workload_file(path) -> list[TaskGraph]:
         report = validate(graph)
         if not report.ok:
             raise WorkloadFormatError(
-                f"line {lineno}: app {app_id} invalid: {'; '.join(report.violations)}"
+                f"line {header_line}: app {app_id} invalid: {'; '.join(report.violations)}"
             )
         graphs.append(graph)
         header, tasks, edges = None, [], []
@@ -409,12 +390,19 @@ def load_workload_file(path) -> list[TaskGraph]:
                 continue
             fields = text.split()
             kind = fields[0]
+            if kind == "app":
+                flush()
             try:
                 if kind == "app":
-                    flush(lineno)
                     if len(fields) != 8 or fields[2] != "release" or fields[4] != "deadline" or fields[6] != "home":
                         raise ValueError("expected: app <n> release <r> deadline <d> home <m>")
-                    header = (int(fields[1]), float(fields[3]), float(fields[5]), int(fields[7]))
+                    release, deadline = float(fields[3]), float(fields[5])
+                    if not math.isfinite(release):
+                        raise ValueError(f"release must be finite, got {fields[3]}")
+                    if not math.isfinite(deadline):
+                        raise ValueError(f"deadline must be finite, got {fields[5]}")
+                    header = (int(fields[1]), release, deadline, int(fields[7]))
+                    header_line = lineno
                 elif kind == "task":
                     if header is None:
                         raise ValueError("task line before any app header")
@@ -437,7 +425,7 @@ def load_workload_file(path) -> list[TaskGraph]:
                     raise ValueError(f"unknown record kind {kind!r}")
             except ValueError as exc:
                 raise WorkloadFormatError(f"line {lineno}: {exc}") from None
-    flush(lineno="<eof>")  # type: ignore[arg-type]
+    flush()
     return graphs
 
 

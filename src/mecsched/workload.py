@@ -11,7 +11,7 @@ clamped ranges; the topology itself is fixed so runs stay comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class WorkloadSpec:
     deadline_factor: float = 6.0
     deadline_capability: float = 5000.0  # MIPS used for the slack baseline
     n_devices: int = 4
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_apps < 1:
@@ -100,21 +99,14 @@ def _clamp(value: float, lo: float, hi: float) -> float:
     return min(max(value, lo), hi)
 
 
-def generate(spec: WorkloadSpec, rng: np.random.Generator | None = None) -> list[TaskGraph]:
-    """Draw ``n_apps`` applications with exponential inter-arrival gaps.
+def generate(spec: WorkloadSpec, rng: np.random.Generator) -> list[TaskGraph]:
+    """Draw ``n_apps`` applications with exponential inter-arrival gaps from
+    ``rng``.
 
     Edge transfer sizes come from a base communication time ``bc`` clamped to
     ``bc_range`` and scaled by the fleet's mean link rate; dummy edges use
     the same rule. Home devices are uniform over the fleet.
-
-    Every app has the same augmented shape, so its structure (dummies,
-    parents, children, topological order) is built once, for the first
-    app, and every later app of the call carries the same objects. What
-    holds an app's own tasks or sizes (``_by_id``, ``_edge_data``,
-    ``_parent_edges``) is built per app.
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
     n_tasks, edge_pairs = _SHAPES[spec.graph_shape]()
 
     targets = {d for _, d in edge_pairs}
@@ -123,7 +115,6 @@ def generate(spec: WorkloadSpec, rng: np.random.Generator | None = None) -> list
     exits = [i for i in range(1, n_tasks + 1) if i not in sources]
 
     graphs: list[TaskGraph] = []
-    shape: TaskGraph | None = None
     clock = 0.0
     lo_w, hi_w = spec.workload_range
     lo_bc, hi_bc = spec.bc_range
@@ -154,10 +145,7 @@ def generate(spec: WorkloadSpec, rng: np.random.Generator | None = None) -> list
             raw,
             offload_sizes=draw_data(len(entries)),
             result_sizes=draw_data(len(exits)),
-            shape=shape,
         )
-        if shape is None:
-            shape = graph
         graphs.append(assign_deadline(graph, spec.deadline_capability, spec.deadline_factor))
     return graphs
 
@@ -180,4 +168,4 @@ def assign_deadline(graph: TaskGraph, capability: float = 5000.0,
                     factor: float = 6.0) -> TaskGraph:
     """Deadline = release + factor * transfer-free critical path."""
     base = critical_path_seconds(graph, capability)
-    return graph.with_attributes(deadline=graph.release_time + factor * base)
+    return replace(graph, deadline=graph.release_time + factor * base)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,16 @@ class TestValidate:
         bad = TaskGraph(1, 0.0, 10.0, 1, tasks, graph.edges)
         report = validate(bad)
         assert any("dummy workload nonzero" in v for v in report.violations)
+
+    @pytest.mark.parametrize("edge, violation", [
+        (Edge(1, 9, 1.0), "edge 1->9 references unknown task"),
+        (Edge(0, 1, 2.0), "duplicate edge 0->1"),
+        (Edge(1, 1, 1.0), "self edge on task 1"),
+    ])
+    def test_bad_edge_reported_not_raised(self, edge, violation):
+        graph = make_chain_graph([100.0])
+        bad = TaskGraph(1, 0.0, 10.0, 1, graph.tasks, graph.edges + (edge,))
+        assert violation in validate(bad).violations
 
     def test_release_must_precede_deadline(self):
         graph = make_chain_graph([100.0], release=5.0, deadline=5.0)
@@ -204,35 +216,6 @@ class TestGraphCaches:
         order.reverse()
         assert graph.topological_order() == [0, 1, 2, 3]
 
-    def test_each_prepared_app_builds_its_order_once(self, monkeypatch, tmp_path):
-        """Deadline and LCT keep the task ids and edges, so the graphs they
-        return carry the structure over: a loaded app builds its topological
-        order once on the way to the kernel, and the apps of one ``generate``
-        call, which share their shape, build it once between them."""
-        from mecsched.experiment import TopologyConfig, build_topology, prepare_graphs
-        from mecsched.workload import WorkloadSpec, generate
-
-        prop = TaskGraph.__dict__["_topological_order"]
-        build = prop.func
-        builds = []
-        monkeypatch.setattr(prop, "func", lambda g: builds.append(g.app_id) or build(g))
-        tc = TopologyConfig()
-        topo = build_topology(tc)
-        path = tmp_path / "apps.wl"
-        for load in (False, True):
-            generated = generate(WorkloadSpec(n_apps=5), np.random.default_rng(3))
-            if load:
-                save_workload_file(generated, path)
-                builds.clear()
-            prepared = prepare_graphs(load_workload_file(path) if load else generated,
-                                      tc, topo)
-            for g in prepared:
-                assert g.topological_order()
-                assert "_parents" in vars(g) and "_children" in vars(g)
-                assert "_by_id" not in vars(g)  # the tasks changed
-            assert builds == ([1, 2, 3, 4, 5] if load else [1])
-            builds.clear()
-
     @staticmethod
     def generated_and_run():
         """Three apps of one generate call, prepared and simulated, so that
@@ -266,19 +249,37 @@ class TestGraphCaches:
                 assert g.children_of(t.task_id) == rebuilt.children_of(t.task_id)
                 assert g.parent_edges(t.task_id) == rebuilt.parent_edges(t.task_id)
 
-    def test_apps_share_the_shape_and_nothing_of_their_own(self):
-        graphs = self.generated_and_run()
-        for name in ("_parents", "_children", "_topological_order"):
-            assert len({id(vars(g)[name]) for g in graphs}) == 1
-        for name in ("_edge_data", "_parent_edges", "_by_id"):
-            assert len({id(vars(g)[name]) for g in graphs}) == len(graphs)
+    def test_generated_apps_share_one_shape(self):
+        """Within a call, across calls, and into the LCT copies: the apps
+        share one structure, built from their task ids and edge endpoints."""
+        from mecsched.experiment import TopologyConfig, build_topology, prepare_graphs
+        from mecsched.workload import WorkloadSpec, generate
 
-    def test_augmenting_with_a_different_shape_refused(self):
-        shape = make_graph({(1, 2): 1.0}, {1: 100.0, 2: 100.0})
-        raw = TaskGraph(1, 0.0, 10.0, 1, (Task(1, 1, 100.0), Task(1, 2, 100.0)),
-                        (Edge(2, 1, 1.0),))  # the edge reversed
-        with pytest.raises(ValueError, match="differ from the shape's"):
-            augment_with_dummies(raw, [1.0], [1.0], shape=shape)
+        graphs = self.generated_and_run()
+        graphs += generate(WorkloadSpec(n_apps=3), np.random.default_rng(6))
+        tc = TopologyConfig()
+        graphs += prepare_graphs(graphs, tc, build_topology(tc))
+        assert len({id(g._shape) for g in graphs}) == 1
+
+    def test_loaded_apps_share_the_generated_shape(self, tmp_path):
+        from mecsched.workload import WorkloadSpec, generate
+
+        generated = generate(WorkloadSpec(n_apps=3), np.random.default_rng(7))
+        path = tmp_path / "apps.wl"
+        save_workload_file(generated, path)
+        assert all(g._shape is generated[0]._shape for g in load_workload_file(path))
+
+    def test_different_endpoints_never_share_a_shape(self):
+        graph = make_chain_graph([100.0, 200.0])  # 0 -> 1 -> 2 -> 3
+        assert graph.parents_of(1) == (0,)
+        reversed_edges = (Edge(0, 2, 10.0), Edge(2, 1, 10.0), Edge(1, 3, 10.0))
+        other = replace(graph, edges=reversed_edges)
+        assert other._shape is not graph._shape
+        assert other.parents_of(1) == (2,)
+        assert other.children_of(0) == (2,)
+        assert other.topological_order() == [0, 2, 1, 3]
+        assert other.parent_edges(1) == (Edge(2, 1, 10.0),)
+        assert validate(other).ok
 
 
 class TestWorkloadFile:
@@ -331,6 +332,36 @@ class TestWorkloadFile:
         )
         with pytest.raises(WorkloadFormatError, match=f"line 5: data size .* got {value}"):
             load_workload_file(path)
+
+    @pytest.mark.parametrize("field", ["release", "deadline"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_header_rejected(self, tmp_path, field, value):
+        times = {"release": "0.0", "deadline": "5.0", field: value}
+        path = tmp_path / "bad.wl"
+        path.write_text(
+            "app 1 release 0.0 deadline 5.0 home 1\n"
+            "task 0 0.0\ntask 1 100.0\ntask 2 0.0\n"
+            "edge 0 1 10.0\nedge 1 2 10.0\n"
+            f"app 2 release {times['release']} deadline {times['deadline']} home 1\n"
+            "task 0 0.0\ntask 1 100.0\ntask 2 0.0\n"
+            "edge 0 1 10.0\nedge 1 2 10.0\n"
+        )
+        with pytest.raises(WorkloadFormatError, match=f"^line 7: {field} must be finite, got {value}$"):
+            load_workload_file(path)
+
+    @pytest.mark.parametrize("bad_app", [1, 2])
+    def test_invalid_app_reported_at_its_header_once(self, tmp_path, bad_app):
+        app = ("app {n} release 0.0 deadline {d} home 1\n"
+               "task 0 0.0\ntask 1 100.0\ntask 2 0.0\n"
+               "edge 0 1 10.0\nedge 1 2 10.0\n")
+        path = tmp_path / "bad.wl"
+        path.write_text("".join(app.format(n=n, d="0.0" if n == bad_app else "5.0")
+                                for n in (1, 2)))
+        header = 1 if bad_app == 1 else 7
+        with pytest.raises(WorkloadFormatError) as info:
+            load_workload_file(path)
+        assert str(info.value) == (f"line {header}: app {bad_app} invalid: "
+                                   "release_time must be strictly before deadline")
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.wl"

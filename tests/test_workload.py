@@ -30,18 +30,18 @@ class TestShape:
             assert len(parents[t]) == 2
 
     def test_generated_graph_has_25_real_tasks(self):
-        graphs = generate(WorkloadSpec(n_apps=1, seed=0))
+        graphs = generate(WorkloadSpec(n_apps=1), np.random.default_rng(0))
         assert len(graphs[0].real_tasks()) == 25
         assert graphs[0].sink_id == 26
 
 
 class TestGenerate:
     def test_all_graphs_validate(self):
-        for g in generate(WorkloadSpec(n_apps=8, seed=1)):
+        for g in generate(WorkloadSpec(n_apps=8), np.random.default_rng(1)):
             assert validate(g).ok
 
     def test_workloads_clamped(self):
-        graphs = generate(WorkloadSpec(n_apps=10, seed=2))
+        graphs = generate(WorkloadSpec(n_apps=10), np.random.default_rng(2))
         loads = [t.workload for g in graphs for t in g.real_tasks()]
         assert min(loads) >= 100.0
         assert max(loads) <= 500.0
@@ -50,45 +50,50 @@ class TestGenerate:
         assert any(w == 500.0 for w in loads)
 
     def test_edge_data_clamped_to_bc_window(self):
-        spec = WorkloadSpec(n_apps=10, seed=3)
+        spec = WorkloadSpec(n_apps=10)
         lo = spec.bc_range[0] * spec.mean_rate
         hi = spec.bc_range[1] * spec.mean_rate
-        for g in generate(spec):
+        for g in generate(spec, np.random.default_rng(3)):
             for e in g.edges:
                 assert lo - 1e-12 <= e.data_size <= hi + 1e-12
 
     def test_bc_scaling_example(self):
         # bc ceiling 1e-2 at 520 Mbps mean rate caps edges at 5.2 Mbit
-        spec = WorkloadSpec(n_apps=5, seed=4)
-        top = max(e.data_size for g in generate(spec) for e in g.edges)
+        spec = WorkloadSpec(n_apps=5)
+        graphs = generate(spec, np.random.default_rng(4))
+        top = max(e.data_size for g in graphs for e in g.edges)
         assert top == pytest.approx(5.2)
 
     def test_homes_cover_fleet(self):
-        homes = {g.home_ecd for g in generate(WorkloadSpec(n_apps=40, seed=5))}
+        graphs = generate(WorkloadSpec(n_apps=40), np.random.default_rng(5))
+        homes = {g.home_ecd for g in graphs}
         assert homes == {1, 2, 3, 4}
 
     def test_release_times_strictly_increasing(self):
-        graphs = generate(WorkloadSpec(n_apps=20, seed=6))
+        graphs = generate(WorkloadSpec(n_apps=20), np.random.default_rng(6))
         releases = [g.release_time for g in graphs]
         assert all(a < b for a, b in zip(releases, releases[1:]))
 
     def test_rate_mode_shrinks_gaps(self):
-        gap = generate(WorkloadSpec(n_apps=30, lam=9.0, arrival_mode="gap", seed=7))
-        rate = generate(WorkloadSpec(n_apps=30, lam=9.0, arrival_mode="rate", seed=7))
+        gap = generate(WorkloadSpec(n_apps=30, lam=9.0, arrival_mode="gap"),
+                       np.random.default_rng(7))
+        rate = generate(WorkloadSpec(n_apps=30, lam=9.0, arrival_mode="rate"),
+                        np.random.default_rng(7))
         assert rate[-1].release_time * 50 < gap[-1].release_time
 
     def test_same_seed_reproduces(self):
-        assert generate(WorkloadSpec(n_apps=5, seed=8)) == generate(WorkloadSpec(n_apps=5, seed=8))
+        spec = WorkloadSpec(n_apps=5)
+        assert generate(spec, np.random.default_rng(8)) == generate(spec, np.random.default_rng(8))
 
     def test_round_trip_through_file(self, tmp_path):
-        graphs = generate(WorkloadSpec(n_apps=6, seed=9))
+        graphs = generate(WorkloadSpec(n_apps=6), np.random.default_rng(9))
         path = tmp_path / "w.wl"
         save_workload_file(graphs, path)
         assert load_workload_file(path) == graphs
 
     def test_exponential_gaps_ks(self):
-        spec = WorkloadSpec(n_apps=10_000, lam=7.0, seed=10)
-        graphs = generate(spec)
+        spec = WorkloadSpec(n_apps=10_000, lam=7.0)
+        graphs = generate(spec, np.random.default_rng(10))
         releases = np.array([g.release_time for g in graphs])
         gaps = np.diff(np.concatenate([[0.0], releases]))
         result = stats.kstest(gaps, "expon", args=(0.0, 7.0))
@@ -112,7 +117,7 @@ class TestGenerate:
 
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError):
-            generate(WorkloadSpec(graph_shape="nope", seed=0))
+            generate(WorkloadSpec(graph_shape="nope"), np.random.default_rng(0))
 
 
 class TestDeadline:
