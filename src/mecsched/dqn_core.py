@@ -10,12 +10,12 @@ and exploration is epsilon-greedy. A transition travels as its four parts,
 (state, action, reward, next state), into ``DqnLearner.observe`` and on to
 ``ReplayBuffer.add``.
 
-Action ``a`` in 1..M places the task on device ``a``. Action 0 (run locally)
-keeps its output column, but no real task may run locally, so the learner
-never chooses it and targets never maximize over it.
+The learner speaks devices only: Q-row column ``k`` in 0..M-1 scores
+device ``k + 1``, and the actions it chooses, stores and maximizes over are
+those columns.
 
 The learner's network, ``DeviceScoringNetwork``, is built from two stacks
-(``ValueNetwork`` blocks), and the learner takes its shape from its action
+(``ValueNetwork`` blocks), and the learner takes its shape from its device
 count. Each network keeps all its parameters in one float64 vector
 ``flat`` and their gradient in ``grad``, with per-tensor views for
 ``parameters()`` and the gradient list; passes reuse work buffers per batch
@@ -50,7 +50,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 3  # 3: the state layout follows n_actions alone
+CHECKPOINT_VERSION = 4  # 4: one Q column per device, n_devices recorded
 ACTIVATIONS = ("relu",)
 
 # DeviceScoringNetwork's shared advantage stack: hidden width, output scale
@@ -206,9 +206,9 @@ class DeviceScoringNetwork(FlatNetwork):
     """Q(s, a) = V(s) + A(z_a) with one advantage stack shared by all devices.
 
     ``V`` is a fully connected stack over the whole state; ``A`` scores the
-    feature row ``z_a`` that ``feature_index[a - 1]`` picks out of the state
-    for device ``a``, with the same weights for every device. Action 0 (run
-    locally) carries ``V`` alone. Because every device is scored by one
+    feature row ``z_a`` that ``feature_index[a]`` picks out of the state for
+    the device of column ``a``, with the same weights for every device. The
+    output has one column per device. Because every device is scored by one
     function, the network compares devices by their features, not by
     per-action weights that each see only the transitions of their action.
 
@@ -229,8 +229,8 @@ class DeviceScoringNetwork(FlatNetwork):
                  rng: np.random.Generator | None = None, *, params=None):
         sizes = [int(s) for s in layer_sizes]
         index = np.asarray(feature_index, dtype=np.int64)
-        if index.ndim != 2 or sizes[-1] != index.shape[0] + 1:
-            raise ValueError("need one feature row per device and actions = devices + 1")
+        if index.ndim != 2 or sizes[-1] != index.shape[0]:
+            raise ValueError("need one feature row and one output per device")
         self.layer_sizes = sizes
         self.feature_index = index
         value_sizes = sizes[:-1] + [1]
@@ -253,14 +253,13 @@ class DeviceScoringNetwork(FlatNetwork):
         v_acts = self.value.forward_layers(x)
         rows = x[:, self.feature_index].reshape(-1, self.feature_index.shape[1])
         a_acts = self.advantage.forward_layers(rows)
-        v = v_acts[-1]
         a = ADVANTAGE_SCALE * a_acts[-1].reshape(x.shape[0], -1)
-        return np.concatenate([v, v + a], axis=1), (v_acts, a_acts)
+        return v_acts[-1] + a, (v_acts, a_acts)
 
     def backward_from_q_grad(self, cache, d_q) -> list[np.ndarray]:
         v_acts, a_acts = cache
         self.value.backward_layers(v_acts, d_q.sum(axis=1, keepdims=True))
-        self.advantage.backward_layers(a_acts, ADVANTAGE_SCALE * d_q[:, 1:].reshape(-1, 1))
+        self.advantage.backward_layers(a_acts, ADVANTAGE_SCALE * d_q.reshape(-1, 1))
         return self._grads
 
     def clone(self) -> "DeviceScoringNetwork":
@@ -373,10 +372,10 @@ class AdamState:
 
 
 def compute_targets(batch, target_net, gamma: float) -> np.ndarray:
-    """Bellman targets r + gamma * max over the device actions of target Q."""
+    """Bellman targets r + gamma * max over the columns of target Q."""
     _, _, rewards, next_states = batch
     q_next, _ = target_net.forward_batch(next_states)
-    return rewards + gamma * q_next[:, 1:].max(axis=1)
+    return rewards + gamma * q_next.max(axis=1)
 
 
 def loss_and_grads(net, states, actions, targets):
@@ -454,16 +453,17 @@ class TrainConfig:
 class DqnLearner:
     """Prediction/target network pair plus replay, exploring and training.
 
-    The actions are 0..``n_actions - 1``; action 0 (run locally) is never
-    chosen and never maximized over. ``act`` answers epsilon-greedy action
-    queries (pure greedy when asked); ``observe`` stores a finished
-    transition and runs one training step once the pool holds a full batch.
+    The actions are the Q columns 0..``n_devices - 1``, column ``k`` for
+    device ``k + 1``. ``act`` answers epsilon-greedy action queries (pure
+    greedy when asked); ``observe`` stores a finished transition and runs
+    one training step once the pool holds a full batch.
     The target net re-syncs every ``target_sync_steps`` decision steps.
 
-    The fleet sets the network's shape: ``n_actions - 1`` devices give a
+    The fleet sets the network's shape: ``n_devices`` devices give a
     ``state_width``-wide input, which the replay pool stores too, and the
     device-scoring network scores the devices' ``device_feature_index``
-    rows.
+    rows. The constructor's ``n_actions`` is ``n_devices + 1``, a count
+    kept for its callers; only ``n_devices`` is stored.
     """
 
     def __init__(self, config: TrainConfig, n_actions: int,
@@ -473,9 +473,8 @@ class DqnLearner:
         if n_actions < 2:
             raise ValueError(f"need at least one device action, got n_actions={n_actions}")
         self.config = config
-        self.n_actions = int(n_actions)
-        n_devices = self.n_actions - 1
-        sizes = [state_width(n_devices), *config.hidden_sizes, self.n_actions]
+        self.n_devices = n_devices = int(n_actions) - 1
+        sizes = [state_width(n_devices), *config.hidden_sizes, n_devices]
         self.net = DeviceScoringNetwork(sizes, device_feature_index(n_devices), rng_init)
         self.target_net = self.net.clone()
         self.opt = AdamState(self.net.parameters(), learning_rate=config.learning_rate)
@@ -493,14 +492,14 @@ class DqnLearner:
         return cfg.epsilon_start + frac * (cfg.epsilon_end - cfg.epsilon_start)
 
     def act(self, state: np.ndarray, greedy: bool = False) -> int:
-        """A device action: with probability epsilon (training only) a
-        uniform one, else the highest-valued one, ties to the lowest id. The
+        """A device column: with probability epsilon (training only) a
+        uniform one, else the highest-valued one, ties to the lowest. The
         network runs only to exploit."""
         rng = self.rng_explore
         if not greedy and (epsilon := self.epsilon()) > 0.0 and rng.random() < epsilon:
-            action = 1 + int(rng.integers(self.n_actions - 1))
+            action = int(rng.integers(self.n_devices))
         else:
-            action = 1 + int(np.argmax(self.net.forward(state)[1:]))
+            action = int(np.argmax(self.net.forward(state)))
         if greedy:
             return action
         self.decision_steps += 1
@@ -537,7 +536,7 @@ def save_checkpoint(learner: DqnLearner, path) -> None:
     meta = {
         "version": CHECKPOINT_VERSION,
         "network": learner.net.kind,
-        "n_actions": learner.n_actions,
+        "n_devices": learner.n_devices,
         "config": asdict(learner.config),
         "decision_steps": learner.decision_steps,
         "adam_step_count": learner.opt.step_count,
@@ -552,10 +551,10 @@ def save_checkpoint(learner: DqnLearner, path) -> None:
 
 def load_checkpoint(path) -> DqnLearner:
     """Rebuild a saved learner: its parameters, Adam state, step counters
-    and random cursors. The recorded ``n_actions`` sets the state layout,
+    and random cursors. The recorded ``n_devices`` sets the state layout,
     and the kind must be ``device-scoring``; other kinds and checkpoint
-    versions are refused. The replay pool is not saved, so
-    training resumed from a checkpoint refills it from empty."""
+    versions (up to 3, Q rows held a run-locally column) are refused. The
+    replay pool is not saved, so training resumed refills it from empty."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
         if meta["version"] != CHECKPOINT_VERSION:
@@ -568,7 +567,7 @@ def load_checkpoint(path) -> DqnLearner:
         config = TrainConfig(**cfg_dict)
         learner = DqnLearner(
             config,
-            meta["n_actions"],
+            meta["n_devices"] + 1,
             rng_init=np.random.default_rng(0),
             rng_explore=_rng_from_state(meta["rng_explore"]),
             rng_replay=_rng_from_state(meta["rng_replay"]),

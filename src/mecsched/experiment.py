@@ -275,8 +275,8 @@ def _make_learner(cfg: ExperimentConfig) -> DqnLearner:
 def _load_learner(cfg: ExperimentConfig, checkpoint) -> DqnLearner:
     """A saved learner, refused unless it was trained on the config's fleet."""
     learner = load_checkpoint(checkpoint)
-    if learner.n_actions - 1 != cfg.topology.n_devices:
-        raise ValueError(f"checkpoint {checkpoint} was trained on {learner.n_actions - 1} "
+    if learner.n_devices != cfg.topology.n_devices:
+        raise ValueError(f"checkpoint {checkpoint} was trained on {learner.n_devices} "
                          f"devices, but topology.n_devices is {cfg.topology.n_devices}")
     return learner
 

@@ -55,14 +55,6 @@ class StateVector:
     backlog: tuple[float, ...]  # s until each device's queue drains
     capability: tuple[float, ...]  # MIPS, current level of each device
 
-    def as_array(self) -> np.ndarray:
-        """Flat raw state, devices in id order."""
-        return np.array([
-            self.sum_inter_rate, self.uplink_rate, self.sum_capability,
-            self.ready_workload, self.queued_workload, self.task_workload,
-            self.task_slack, *self.backlog, *self.capability,
-        ], dtype=float)
-
 
 def state_width(n_devices: int) -> int:
     """Length of the flattened observation of an ``n_devices`` fleet."""
@@ -157,15 +149,18 @@ class DqnScheduler(SchedulerPort):
 
     Implements the scheduler port: ``decide`` reads the observation (the
     only scheduler that does), hands the previous step's reward to the
-    learner, and asks it for a device;
-    ``notify_outcome`` stashes the freshly computed reward; ``end_episode``
-    flushes the final transition against the post-episode observation.
+    learner, and asks it for a Q column 0..M-1, returning its device id,
+    the column plus one; ``notify_outcome`` stashes the freshly computed
+    reward; ``end_episode`` flushes the final transition against the
+    post-episode observation. A learner of another fleet size is refused.
     """
 
     def __init__(self, learner, n_devices: int, norms: StateNorms | None = None,
                  training: bool = True):
+        if learner.n_devices != n_devices:
+            raise ValueError(f"learner scores {learner.n_devices} devices, "
+                             f"but the fleet has {n_devices}")
         self.learner = learner
-        self.n_devices = n_devices
         self.norms = norms if norms is not None else StateNorms()
         self.training = training
         self._pending: tuple[np.ndarray, int] | None = None
@@ -176,12 +171,9 @@ class DqnScheduler(SchedulerPort):
     def decide(self, ctx) -> int:
         state = normalize_state(ctx.observation, self.norms)
         self._absorb(state)
-        action = int(self.learner.act(state, greedy=not self.training))
-        if not 1 <= action <= self.n_devices:
-            # action 0 (run locally) is masked for every real task
-            raise RuntimeError(f"learner proposed masked action {action}")
+        action = self.learner.act(state, greedy=not self.training)
         self._pending = (state, action)
-        return action
+        return action + 1
 
     def notify_outcome(self, reward: float) -> None:
         self._pending_reward = reward

@@ -145,10 +145,15 @@ class SimulationTrace:
     def __init__(self) -> None:
         self.rows: list[tuple] = []
         self.assignments: dict[tuple[int, int], Assignment] = {}
-        self.decisions: dict[tuple[int, int], int] = {}
         self.app_makespans: dict[int, float] = {}
         self.app_deadlines: dict[int, float] = {}
         self.rewards: list[float] = []
+
+    @property
+    def decisions(self) -> dict[tuple[int, int], int]:
+        """Each placed real task's device, in commit order, as a fresh dict
+        read from ``assignments`` (where dummies sit on device 0)."""
+        return {k: a.ecd_id for k, a in self.assignments.items() if a.ecd_id != MU_DEVICE}
 
     @property
     def cumulative_reward(self) -> float:
@@ -359,7 +364,6 @@ def run(
             device = devices[action - 1]
             trace.assignments[(app_id, task.task_id)] = Assignment(
                 app_id, task.task_id, action, start, finish)
-            trace.decisions[(app_id, task.task_id)] = action
             device.queue_free_at = finish
             device.enqueue(app_id, task.task_id, task.workload)
             push(finish, COMPLETION, app_id, task.task_id, action)

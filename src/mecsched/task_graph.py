@@ -232,6 +232,8 @@ def validate(graph: TaskGraph) -> ValidationReport:
         if i not in reach_bwd:
             bad.append(f"task {i} cannot reach sink")
 
+    if graph.release_time < 0:
+        bad.append("release_time must be >= 0")
     if not graph.release_time < graph.deadline:
         bad.append("release_time must be strictly before deadline")
     if graph.home_ecd < 1:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import full_state
+from conftest import UNIT_NORMS, full_state
 from oracles import fd_loss_gradients, value_iteration
 from mecsched.dqn_core import (
     AdamState,
@@ -20,7 +20,7 @@ from mecsched.dqn_core import (
     sync_target,
     train_step,
 )
-from mecsched.mdp_agent import device_feature_index, state_width
+from mecsched.mdp_agent import device_feature_index, normalize_state, state_width
 
 
 def rng(seed=0):
@@ -62,8 +62,8 @@ def all_kinds(seed=60):
     3-device observation."""
     width = state_width(3)
     return {
-        "plain": ValueNetwork([width, 8, 6, 4], rng=rng(seed)),
-        "device-scoring": DeviceScoringNetwork([width, 8, 6, 4], device_feature_index(3),
+        "plain": ValueNetwork([width, 8, 6, 3], rng=rng(seed)),
+        "device-scoring": DeviceScoringNetwork([width, 8, 6, 3], device_feature_index(3),
                                                rng=rng(seed)),
     }
 
@@ -100,7 +100,7 @@ class TestFlatParameters:
         params[1][:] += 1.0  # first bias: a write through a view reaches the network
         assert not np.array_equal(net.forward(x), before)
         _, grads = loss_and_grads(net, r.normal(size=(4, state_width(3))),
-                                  np.array([0, 1, 2, 3]), r.normal(size=4))
+                                  np.array([0, 1, 2, 0]), r.normal(size=4))
         assert [g.shape for g in grads] == [p.shape for p in params]
         assert all(np.shares_memory(g, net.grad) for g in grads)
 
@@ -114,7 +114,7 @@ class TestFlatParameters:
 
         def train(steps):
             for _ in range(steps):
-                batch = (r.normal(size=(8, state_width(3))), r.integers(1, 4, size=8),
+                batch = (r.normal(size=(8, state_width(3))), r.integers(0, 3, size=8),
                          r.normal(size=8), r.normal(size=(8, state_width(3))))
                 train_step(net, target, batch, opt, 0.95)
 
@@ -140,46 +140,47 @@ class TestFlatParameters:
         state = np.zeros(state_width(3))
         for _ in range(50):
             assert twin.random() < 1.0
-            assert learner.act(state) == 1 + twin.integers(3)
+            assert learner.act(state) == twin.integers(3)
         assert learner.rng_explore.bit_generator.state == twin.bit_generator.state
 
 
 def stub_learner(q, epsilon=0.0, seed=0):
-    """A learner of ``len(q)`` actions whose network answers ``q``."""
+    """A learner of ``len(q)`` devices whose network answers ``q``."""
     config = TrainConfig(batch=1, buffer_capacity=1, planned_steps=0,
                          epsilon_end=epsilon, hidden_sizes=(2,))
-    learner = DqnLearner(config, len(q), rng(), rng(seed), rng())
+    learner = DqnLearner(config, len(q) + 1, rng(), rng(seed), rng())
     learner.net.forward = lambda state: np.asarray(q, dtype=float)
     return learner
 
 
 class TestSelectAction:
-    """``DqnLearner.act``: epsilon-greedy over the device actions 1..M."""
+    """``DqnLearner.act``: epsilon-greedy over the device columns 0..M-1."""
 
-    def test_greedy_argmax_with_mask(self):
-        learner = stub_learner([100.0, 3.0, 7.0, 2.0, 5.0])
-        assert learner.act(np.zeros(5), greedy=True) == 2
-        assert learner.act(np.zeros(5)) == 2  # epsilon 0 exploits too
+    def test_greedy_argmax_over_every_device(self):
+        learner = stub_learner([3.0, 7.0, 2.0, 5.0])
+        assert learner.act(np.zeros(5), greedy=True) == 1
+        assert learner.act(np.zeros(5)) == 1  # epsilon 0 exploits too
+        first = stub_learner([9.0, 3.0, 7.0, 2.0])
+        assert first.act(np.zeros(5), greedy=True) == 0  # column 0 is a device
 
     def test_tie_goes_to_lowest_index(self):
-        learner = stub_learner([0.0, 7.0, 3.0, 7.0])
-        assert learner.act(np.zeros(5), greedy=True) == 1
+        learner = stub_learner([7.0, 3.0, 7.0])
+        assert learner.act(np.zeros(5), greedy=True) == 0
 
     def test_full_exploration_is_uniform(self):
-        learner = stub_learner(np.zeros(5), epsilon=1.0, seed=5)
-        counts = np.zeros(5)
+        learner = stub_learner(np.zeros(4), epsilon=1.0, seed=5)
+        counts = np.zeros(4)
         state = np.zeros(5)
         n = 1_000_000
         for _ in range(n):
             counts[learner.act(state)] += 1
-        assert counts[0] == 0
-        assert np.abs(counts[1:] / n - 0.25).max() < 0.01
+        assert np.abs(counts / n - 0.25).max() < 0.01
 
     def test_exploration_draws_match_a_twin_stream(self):
-        learner = stub_learner([0.0, 1.0, 9.0, 4.0], epsilon=0.5, seed=7)
+        learner = stub_learner([1.0, 9.0, 4.0], epsilon=0.5, seed=7)
         twin = rng(7)
         for _ in range(200):
-            expected = 1 + twin.integers(3) if twin.random() < 0.5 else 2
+            expected = twin.integers(3) if twin.random() < 0.5 else 1
             assert learner.act(np.zeros(5)) == expected
         assert learner.rng_explore.bit_generator.state == twin.bit_generator.state
 
@@ -202,15 +203,16 @@ class TestTargets:
         q2 = net.forward(np.ones(5))
         batch = (np.zeros((1, 5)), np.array([1]), np.array([1.0]), s2)
         y = compute_targets(batch, net, 0.95)
-        assert y[0] == pytest.approx(1.0 + 0.95 * q2[1])
+        assert y[0] == pytest.approx(1.0 + 0.95 * q2.max())
 
-    def test_masked_actions_excluded_from_max(self):
+    def test_target_maximizes_over_every_device_column(self):
         net = ValueNetwork([5, 4, 3], rng=rng(9))
         net.weights[-1][:] = 0.0
-        net.biases[-1][:] = np.array([100.0, 1.0, 2.0])
-        batch = (np.zeros((1, 5)), np.array([1]), np.array([0.0]), np.ones((1, 5)))
-        y = compute_targets(batch, net, 1.0)
-        assert y[0] == pytest.approx(2.0)
+        for best in range(3):
+            net.biases[-1][:] = 1.0
+            net.biases[-1][best] = 100.0
+            batch = (np.zeros((1, 5)), np.array([1]), np.array([0.0]), np.ones((1, 5)))
+            assert compute_targets(batch, net, 1.0)[0] == pytest.approx(100.0)
 
     def test_zero_target_net(self):
         net = ValueNetwork([5, 4, 3], rng=rng(10))
@@ -260,26 +262,32 @@ class TestGradients:
 
 class TestDeviceScoringNetwork:
     def make_net(self, n_devices=3, seed=40):
-        sizes = [state_width(n_devices), 8, 6, n_devices + 1]
+        sizes = [state_width(n_devices), 8, 6, n_devices]
         return DeviceScoringNetwork(sizes, device_feature_index(n_devices), rng=rng(seed))
 
     def test_devices_share_one_scorer(self):
         net = self.make_net()
         x = rng(41).normal(size=state_width(3))
         q = net.forward(x)
-        assert q[0] == net.value.forward(x)[0]  # action 0 carries V alone
+        assert q.shape == (3,)  # one column per device
         # swapping two devices' own features swaps their advantages
         swapped = x.copy()
         for pos in device_feature_index(3)[:, 2:].T:  # backlog, execution time
             swapped[pos] = x[pos[[1, 0, 2]]]
         q_swapped = net.forward(swapped)
-        assert np.allclose(q_swapped[1:] - q_swapped[0], (q[1:] - q[0])[[1, 0, 2]])
+        assert np.allclose(q_swapped - net.value.forward(swapped)[0],
+                           (q - net.value.forward(x)[0])[[1, 0, 2]])
+
+    def test_output_per_device_required(self):
+        for outputs in (2, 4):
+            with pytest.raises(ValueError, match="one output per device"):
+                DeviceScoringNetwork([state_width(3), 8, outputs], device_feature_index(3))
 
     def test_gradients_match_finite_differences(self):
         net = self.make_net()
         r = rng(42)
         states = r.normal(size=(6, state_width(3)))
-        actions = r.integers(0, 4, size=6)
+        actions = r.integers(0, 3, size=6)
         targets = r.normal(size=6)
         _, grads = loss_and_grads(net, states, actions, targets)
         fd = fd_loss_gradients(net, states, actions, targets)
@@ -463,21 +471,30 @@ class TestLearnerAndCheckpoint:
         save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_checkpoint_records_the_device_count(self, tmp_path):
+        path = tmp_path / "agent.npz"
+        save_checkpoint(self.make_learner(), path)
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+        assert meta["version"] == 4
+        assert meta["n_devices"] == 4
+        assert "n_actions" not in meta
+        assert load_checkpoint(path).n_devices == 4
+
     def test_old_checkpoint_version_refused(self, tmp_path):
-        # version 2 recorded the layout's width in its config (state_dim)
+        # version 3 recorded n_actions, and its Q rows held a run-locally column
         learner = self.make_learner()
         path = tmp_path / "old.npz"
         save_checkpoint(learner, path)
         with np.load(path) as data:
             arrays = dict(data)
         meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
-        assert meta["version"] == 3
-        meta["version"] = 2
-        meta["config"]["state_dim"] = state_width(4)
+        meta["version"] = 3
+        meta["n_actions"] = meta.pop("n_devices") + 1
         arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
                                             dtype=np.uint8)
         np.savez(path, **arrays)
-        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+        with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
             load_checkpoint(path)
 
 
@@ -486,8 +503,8 @@ class ToyTwoStateEnv:
 
     The MDP's two moves are the devices of a 2-device observation: state k
     is basis vector e_k in the aggregates, then a unit task with slack k on
-    unit-capability devices with backlogs 0 and 1 (unit scales). Action 0
-    stays masked like in the real system.
+    unit-capability devices with backlogs 0 and 1, normalized by unit
+    scales. Action k moves to device k + 1.
     """
 
     TRANSITIONS = [[1, 0], [0, 1]]  # state -> action -> next state
@@ -495,12 +512,11 @@ class ToyTwoStateEnv:
 
     def __init__(self, horizon=40):
         self.horizon = horizon
-        self.mask = np.array([False, True, True])
 
     @staticmethod
     def embed(state: int) -> np.ndarray:
-        return full_state(*(1.0 if k == state else 0.0 for k in range(5)),
-                          slack=state, backlog=(0.0, 1.0)).as_array()
+        return normalize_state(full_state(*(1.0 if k == state else 0.0 for k in range(5)),
+                                          slack=state, backlog=(0.0, 1.0)), UNIT_NORMS)
 
     def run_episode(self, learner, learn=True) -> float:
         state = 0
@@ -511,9 +527,8 @@ class ToyTwoStateEnv:
             if prev is not None and learn:
                 learner.observe(prev[0], prev[1], prev[2], s_vec)
             action = learner.act(s_vec, greedy=not learn)
-            move = action - 1
-            reward = self.REWARDS[state][move]
-            nxt = self.TRANSITIONS[state][move]
+            reward = self.REWARDS[state][action]
+            nxt = self.TRANSITIONS[state][action]
             total += reward
             prev = (s_vec, action, reward)
             state = nxt
@@ -539,8 +554,7 @@ class TestToyMdp:
             env.run_episode(learner, learn=True)
         for state in (0, 1):
             q = learner.net.forward(env.embed(state))
-            greedy = int(np.argmax(np.where(env.mask, q, -np.inf))) - 1
-            assert greedy == optimal[state], f"state {state}: q={q}"
+            assert int(np.argmax(q)) == optimal[state], f"state {state}: q={q}"
 
 
 class TestCheckpointNetworkKinds:

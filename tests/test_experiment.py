@@ -56,7 +56,8 @@ class TestConfigFile:
         learner = DqnLearner(cfg.agent, n_devices + 1, np.random.default_rng(0),
                              np.random.default_rng(1), np.random.default_rng(2))
         assert learner.net.layer_sizes[0] == state_width(n_devices)
-        assert 1 <= learner.act(state) <= n_devices
+        assert learner.n_devices == n_devices
+        assert 0 <= learner.act(state) < n_devices
 
     def test_defaults_match_reference_setup(self):
         cfg = load_config(None)

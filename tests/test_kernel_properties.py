@@ -165,8 +165,8 @@ class PlanAudit:
         return action
 
     def check(self, trace):
-        assert self.expected == {key: a.finish for key, a in trace.assignments.items()
-                                 if key in trace.decisions}
+        assert self.expected == {key: trace.assignments[key].finish
+                                 for key in trace.decisions}
 
 
 def simulate(scenario, kind="scripted", audit=False, plan_audit=None):

@@ -32,7 +32,10 @@ Transition = namedtuple("Transition", "state action reward next_state")
 
 
 class RecordingLearner:
-    """Scripted stand-in for the value learner."""
+    """Scripted stand-in for the value learner of a 4-device fleet: it
+    answers device columns 0..3."""
+
+    n_devices = 4
 
     def __init__(self, actions):
         self.actions = list(actions)
@@ -152,8 +155,13 @@ class TestDqnScheduler:
         learner = RecordingLearner([1])
         agent = DqnScheduler(learner, 4, norms=UNIT_NORMS)
         action = agent.decide(make_ctx(full_state(1, 0, 0, 0, 0)))
-        assert action == 1
+        assert action == 2  # column 1 is device 2
         assert learner.seen == []
+
+    @pytest.mark.parametrize("column", [0, 3])
+    def test_column_becomes_device_id(self, column):
+        agent = DqnScheduler(RecordingLearner([column]), 4, norms=UNIT_NORMS)
+        assert agent.decide(make_ctx(full_state(1, 0, 0, 0, 0))) == column + 1
 
     def test_second_step_stores_one_transition(self):
         learner = RecordingLearner([1, 2])
@@ -167,8 +175,8 @@ class TestDqnScheduler:
         tr = learner.seen[0]
         assert tr.action == 1
         assert tr.reward == 2.5
-        assert np.allclose(tr.state, s1.as_array())
-        assert np.allclose(tr.next_state, s2.as_array())
+        assert np.array_equal(tr.state, [1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1])
+        assert np.array_equal(tr.next_state, [0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1])
 
     def test_stream_is_contiguous(self):
         learner = RecordingLearner([1, 2, 3, 4])
@@ -190,7 +198,7 @@ class TestDqnScheduler:
         final = full_state(0, 0, 0, 0, 0)
         agent.end_episode(final)
         assert len(learner.seen) == 1
-        assert np.allclose(learner.seen[0].next_state, final.as_array())
+        assert np.array_equal(learner.seen[0].next_state, [0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1])
 
     def test_no_transition_bridges_episodes(self):
         learner = RecordingLearner([1, 2])
@@ -206,11 +214,11 @@ class TestDqnScheduler:
         assert learner.seen[1].reward == 2.0
         assert learner.seen[1].state[0] == 2.0
 
-    def test_masked_action_from_learner_rejected(self):
-        learner = RecordingLearner([0])
-        agent = DqnScheduler(learner, 4, norms=UNIT_NORMS)
-        with pytest.raises(RuntimeError, match="masked action"):
-            agent.decide(make_ctx(full_state(1, 0, 0, 0, 0)))
+    def test_learner_of_another_fleet_refused(self):
+        for n_devices in (3, 5):
+            with pytest.raises(ValueError, match=f"learner scores 4 devices, but the "
+                                                 f"fleet has {n_devices}"):
+                DqnScheduler(RecordingLearner([0]), n_devices)
 
     def test_eval_mode_never_trains(self):
         learner = RecordingLearner([1, 2, 3])

@@ -8,7 +8,7 @@ from oracles import evaluate_schedule
 from mecsched import rng as rngmod
 from mecsched import sim_engine
 from mecsched.experiment import TopologyConfig, build_chains, build_devices
-from mecsched.mdp_agent import RewardParams, compute_reward
+from mecsched.mdp_agent import RewardParams, StateNorms, compute_reward, normalize_state
 from mecsched.mec_model import CapabilityChain, EdgeDevice, NetworkTopology
 from mecsched.sim_engine import (
     SchedulerPort,
@@ -92,7 +92,7 @@ class TestObserveState:
         assert s.task_slack == pytest.approx(2.0)
         assert s.backlog == (0.0, 1.5, 0.0, 0.0)
         assert s.capability == (6000.0, 5000.0, 4000.0, 6000.0)
-        assert s.as_array().shape == (15,)
+        assert normalize_state(s, StateNorms()).shape == (15,)
 
     def test_sums_are_not_compensated(self, topology):
         # a compensated sum (builtin sum from Python 3.12 on) gives 1.0 here
@@ -200,6 +200,21 @@ class TestRun:
             for t in g.real_tasks():
                 assert (g.app_id, t.task_id) in trace.assignments
         assert len(trace.decisions) == sum(len(g.real_tasks()) for g in graphs)
+
+    def test_decisions_are_the_real_tasks_assignments_in_commit_order(self, topology):
+        rng = np.random.default_rng(13)
+        graphs = [with_lct(random_app(rng, n, 5, release=0.05 * n), topology)
+                  for n in (1, 2)]
+        decisions = {(g.app_id, t.task_id): int(rng.integers(1, 5))
+                     for g in graphs for t in g.real_tasks()}
+        tc = TopologyConfig()
+        trace = run(graphs, topology, build_devices(tc), ScriptedScheduler(decisions),
+                    build_chains(tc, 6, "cap", 0))
+        committed = [(row[2], row[3]) for row in trace.rows if row[1] == "decide"]
+        assert list(trace.decisions) == committed
+        assert trace.decisions == decisions
+        trace.decisions.clear()  # a fresh dict each read: the trace keeps its own
+        assert trace.decisions == decisions
 
     def test_invalid_device_rejected(self, topology):
         graph = with_lct(make_graph({}, {1: 100.0}), topology)

@@ -363,6 +363,20 @@ class TestWorkloadFile:
         assert str(info.value) == (f"line {header}: app {bad_app} invalid: "
                                    "release_time must be strictly before deadline")
 
+    def test_negative_release_reported_at_its_header(self, tmp_path):
+        path = tmp_path / "bad.wl"
+        path.write_text(
+            "app 1 release 0.0 deadline 5.0 home 1\n"
+            "task 0 0.0\ntask 1 100.0\ntask 2 0.0\n"
+            "edge 0 1 10.0\nedge 1 2 10.0\n"
+            "app 2 release -5.0 deadline 5.0 home 1\n"
+            "task 0 0.0\ntask 1 100.0\ntask 2 0.0\n"
+            "edge 0 1 10.0\nedge 1 2 10.0\n"
+        )
+        with pytest.raises(WorkloadFormatError) as info:
+            load_workload_file(path)
+        assert str(info.value) == "line 7: app 2 invalid: release_time must be >= 0"
+
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.wl"
         path.write_text("app 1 release 0.0\n")

@@ -9,7 +9,10 @@ Then, with traces on and over ``--replications`` replications, it runs
 once; ``dqn`` reuses the checkpoint just written. Prints
 ``sha256  relative-path`` for every file the commands wrote, sorted by
 path: the checkpoint, the learning curve, the manifests, the workload
-files, the traces and the result CSVs.
+files, the traces and the result CSVs. An ``.npz`` archive gets one line
+per member instead, ``sha256  path:member`` in member-name order (the
+member's ``.npy`` bytes, header included), so a change to a checkpoint's
+metadata alone shows as its ``:meta_json`` line.
 
 ``--src`` picks the package source to run (default: this checkout's
 ``src``), so one copy of the script can digest two checkouts. Outputs that
@@ -26,13 +29,25 @@ import argparse
 import hashlib
 import sys
 import tempfile
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
 
 def digests(root: Path) -> list[str]:
-    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}"
-            for path in sorted(root.rglob("*")) if path.is_file()]
+    lines = []
+    for path in sorted(root.rglob("*")):
+        if not path.is_file():
+            continue
+        name = path.relative_to(root)
+        if path.suffix != ".npz":
+            lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}")
+            continue
+        with zipfile.ZipFile(path) as archive:
+            for member in sorted(archive.namelist()):
+                digest = hashlib.sha256(archive.read(member)).hexdigest()
+                lines.append(f"{digest}  {name}:{member.removesuffix('.npy')}")
+    return lines
 
 
 def main(argv=None) -> int:
