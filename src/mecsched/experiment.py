@@ -329,24 +329,24 @@ def _evaluate(cfg: ExperimentConfig, topo, lam: float, names, learner: DqnLearne
               outdir) -> list[MetricsReport]:
     """Every named scheduler over ``cfg.replications`` workloads at arrival
     rate ``lam``. Each replication's workload is drawn once, written to
-    ``workloads/`` and loaded back for every scheduler; its capability
-    chains are re-seeded per replication, so every scheduler sees the same
-    environment randomness. Traces, when on, go next to the workloads."""
+    ``workloads/``, loaded back and prepared once, and the same immutable
+    graphs go to every scheduler; its capability chains are re-seeded per
+    replication, so every scheduler sees the same environment randomness.
+    Traces, when on, go next to the workloads."""
     wl_dir = os.path.join(outdir, "workloads")
     os.makedirs(wl_dir, exist_ok=True)
     spec = replace(cfg.workload, lam=lam)
-    files = []
+    prepared = []
     for rep in range(cfg.replications):
         path = os.path.join(wl_dir, f"lam{lam:g}_rep{rep}.wl")
         save_workload_file(generate(spec, rngmod.stream(cfg.master_seed, "eval-workload", rep)),
                            path)
-        files.append(path)
+        prepared.append(prepare_graphs(load_workload_file(path), cfg.topology, topo))
 
     reports = []
     for name in names:
         makespans, violations, rewards = [], [], []
-        for rep, path in enumerate(files):
-            graphs = prepare_graphs(load_workload_file(path), cfg.topology, topo)
+        for rep, graphs in enumerate(prepared):
             scheduler = _make_eval_scheduler(name, cfg, topo, rep, learner)
             trace = _simulate(cfg, topo, graphs, scheduler, "eval-capability", rep,
                               record_rows=cfg.write_traces)

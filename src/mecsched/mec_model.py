@@ -15,6 +15,12 @@ Timing rules, all in seconds:
   completion     max(device free time, latest input arrival, now) + execution
                  (applied by the event kernel, sim_engine.run)
 
+The transfer rules live in ``transfer_times``, which gives one output's
+delays to a list of target devices in one call, reading the topology's rate
+rows without checking the device ids; the kernel's planner calls it once per
+parent output. ``transfer_time`` is the one-edge, one-target form: it checks
+that the topology links every device it names, then asks ``transfer_times``.
+
 Queue bookkeeping: a device owns its FCFS queue of (app, task, MI) entries
 and keeps their MI total. ``enqueue`` appends and adds the entry's MI to the
 total, which leaves it equal, bit for bit, to a left-to-right sum over the
@@ -42,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import add
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,6 +61,7 @@ __all__ = [
     "Assignment",
     "execution_time",
     "transfer_time",
+    "transfer_times",
     "transition_capability",
     "ordered_sum",
     "check_transition_matrix",
@@ -242,16 +249,37 @@ def transfer_time(
     topo: NetworkTopology,
     home_ecd: int,
 ) -> float:
-    """Data transfer delay for one edge given both endpoint devices."""
-    if src_ecd == dst_ecd:
-        return 0.0
-    data = edge.data_size
-    if src_ecd == MU_DEVICE:  # upload from the mobile user
-        if dst_ecd == home_ecd:
-            return data / topo.uplink_rate
-        return data / topo.uplink_rate + data / topo.rate(home_ecd, dst_ecd)
-    if dst_ecd == MU_DEVICE:  # result download to the mobile user
-        if src_ecd == home_ecd:
-            return data / topo.uplink_rate
-        return data / topo.uplink_rate + data / topo.rate(src_ecd, home_ecd)
-    return data / topo.rate(src_ecd, dst_ecd)
+    """Data transfer delay for one edge given both endpoint devices; KeyError
+    for a device pair the topology does not link."""
+    n = topo.n_devices
+    if not (MU_DEVICE <= src_ecd <= n and MU_DEVICE <= dst_ecd <= n
+            and 1 <= home_ecd <= n):
+        raise KeyError(f"no link for devices ({src_ecd}, {dst_ecd}), home {home_ecd}")
+    return transfer_times(edge.data_size, src_ecd, (dst_ecd,), topo, home_ecd)[0]
+
+
+def transfer_times(
+    data: float,
+    src_ecd: int,
+    targets: Sequence[int],
+    topo: NetworkTopology,
+    home_ecd: int,
+) -> list[float]:
+    """Delays of moving ``data`` megabits from ``src_ecd`` to each device of
+    ``targets``, in order: the timing rules of the module docstring, read
+    from the topology's rate rows without checking the ids, which must lie
+    in 0..M (``home_ecd`` in 1..M)."""
+    rows = topo._rates
+    up = data / topo.uplink_rate
+    delays = []  # appended in a loop: cheaper than a comprehension for a few targets
+    if src_ecd == MU_DEVICE:  # upload from the mobile user, relayed unless to home
+        row = rows[home_ecd - 1]
+        for m in targets:
+            delays.append(0.0 if m == MU_DEVICE else up if m == home_ecd
+                          else up + data / row[m - 1])
+        return delays
+    row = rows[src_ecd - 1]
+    for m in targets:  # a download to the mobile user is relayed unless sent from home
+        delays.append(0.0 if m == src_ecd else data / row[m - 1] if m != MU_DEVICE
+                      else up if src_ecd == home_ecd else up + data / row[home_ecd - 1])
+    return delays

@@ -7,13 +7,14 @@ kernel pops its ready prefix, the graph's own ``Task``s in ascending LCT
 order, lets the pluggable scheduler reorder it (``order_ready``), and walks
 it asking the scheduler for a target device per task. One planner gives a
 placement's (data ready, start, execution time) per device, in a single
-pass over the task's parent outputs: the first ``finish_if`` of a decision
-plans the whole fleet, and a commit that no scheduler asked about (random,
-DQN, scripted) plans the chosen device only. The plan the scheduler saw is
-the one committed. The decision's observation (``observe_state``) is
-computed, by the context's ``observe`` callable, only when something reads
-it: the scheduler during ``decide``, or the kernel when it records trace
-rows. Either way it comes from the state before the commit.
+pass over the task's parent outputs that takes each output's transfer
+delays to every planned device from one ``transfer_times`` call: the first
+``finish_if`` of a decision plans the whole fleet, and a commit that no
+scheduler asked about (random, DQN, scripted) plans the chosen device only.
+The plan the scheduler saw is the one committed. The decision's observation
+(``observe_state``) is computed, by the context's ``observe`` callable, only
+when something reads it: the scheduler during ``decide``, or the kernel when
+it records trace rows. Either way it comes from the state before the commit.
 A commitment updates the chosen device's FCFS queue before the next
 decision, schedules the task's completion event, and hands the decision's
 reward, a float, to the scheduler's ``notify_outcome``.
@@ -38,6 +39,7 @@ from .mec_model import (
     execution_time,
     ordered_sum,
     transfer_time,
+    transfer_times,
     transition_capability,
 )
 from .scheduler_port import DecisionContext, SchedulerPort
@@ -180,21 +182,14 @@ class SimulationTrace:
         write_csv(path, TRACE_COLUMNS, self.rows)
 
 
-def _csv_field(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path, header, rows) -> None:
-    """Rows under a header line, comma-separated: floats as ``repr`` (exact
-    round trip), None as an empty field, anything else as ``str``."""
+    """Rows under a header line, comma-separated: None as an empty field,
+    anything else as its ``str`` (a float's is its ``repr``, which round-trips
+    exactly)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_field(v) for v in row) + "\n")
+        fh.writelines([",".join(header) + "\n"]
+                      + [",".join(["" if v is None else str(v) for v in row]) + "\n"
+                         for row in rows])
 
 
 def run(
@@ -281,8 +276,8 @@ def run(
         home = graph.home_ecd
         ready_at = [now] * len(targets)
         for edge, src, finish in outputs:
-            for k, m in enumerate(targets):
-                arrival = finish + transfer_time(edge, src, m, topo, home)
+            for k, hop in enumerate(transfer_times(edge.data_size, src, targets, topo, home)):
+                arrival = finish + hop
                 if arrival > ready_at[k]:
                     ready_at[k] = arrival
         for m, data_ready in zip(targets, ready_at):

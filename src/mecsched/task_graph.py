@@ -1,4 +1,4 @@
-"""DAG applications: validation, dummy-task augmentation, priorities, file I/O.
+"""DAG applications: validation, priorities, file I/O.
 
 An application is a DAG of tasks bracketed by two zero-workload dummy tasks:
 task 0 models the upload of input data from the mobile user and the highest
@@ -16,7 +16,7 @@ import bisect
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "Task",
@@ -25,7 +25,6 @@ __all__ = [
     "ValidationReport",
     "WorkloadFormatError",
     "validate",
-    "augment_with_dummies",
     "compute_lct",
     "build_priority_list",
     "load_workload_file",
@@ -61,8 +60,8 @@ class TaskGraph:
 
     @cached_property
     def _shape(self) -> _Shape:
-        return _shape_of(tuple(t.task_id for t in self.tasks),
-                         tuple((e.src, e.dst) for e in self.edges))
+        return _shape_of(tuple([t.task_id for t in self.tasks]),
+                         tuple([(e.src, e.dst) for e in self.edges]))
 
     @property
     def sink_id(self) -> int:
@@ -109,8 +108,8 @@ class _Shape:
     """What a graph's task ids and edge endpoints determine on their own.
 
     Graphs with the same ids and endpoints in the same order (every app of a
-    ``generate`` call, the same apps loaded from a file, and the deadline and
-    LCT copies of each) get the same ``_Shape`` from ``_shape_of``, which is
+    ``generate`` call, the same apps loaded from a file, and the LCT copy of
+    each) get the same ``_Shape`` from ``_shape_of``, which is
     keyed by exactly those; it holds no task or size, and nothing mutates it.
     An endpoint that is not a task id raises KeyError here, so ``validate``
     checks endpoints before anything asks for the shape.
@@ -120,6 +119,7 @@ class _Shape:
     parents: dict[int, tuple[int, ...]]
     children: dict[int, tuple[int, ...]]
     parent_edges: dict[int, tuple[int, ...]]  # indices into edges, parent-id order
+    child_edges: dict[int, tuple[int, ...]]  # indices into edges, child-id order
     edge_position: dict[tuple[int, int], int]  # (src, dst) -> index into edges
     order: tuple[int, ...] | None  # Kahn order, ties by id; None on a cycle
     sink: int  # the highest task id
@@ -151,6 +151,7 @@ def _shape_of(ids: tuple[int, ...], endpoints: tuple[tuple[int, int], ...]) -> _
         parents=parents,
         children=children,
         parent_edges={t: tuple(edge_position[(p, t)] for p in ps) for t, ps in parents.items()},
+        child_edges={t: tuple(edge_position[(t, c)] for c in cs) for t, cs in children.items()},
         edge_position=edge_position,
         order=tuple(order) if len(order) == len(ids) else None,
         sink=max(ids),
@@ -254,49 +255,6 @@ def _reachable(graph: TaskGraph, start: int, forward: bool) -> set[int]:
     return seen
 
 
-def augment_with_dummies(
-    raw: TaskGraph,
-    offload_sizes: Sequence[float],
-    result_sizes: Sequence[float],
-) -> TaskGraph:
-    """Bracket a dummy-free DAG with an upload source and a result sink.
-
-    ``raw`` must hold real tasks with ids 1..K and edges among them. A new
-    task 0 gains edges to every entry task (data per ``offload_sizes``,
-    aligned with entries in ascending id order) and a new task K+1 gains
-    edges from every exit task (``result_sizes`` likewise). ValueError if
-    ``raw`` has a cycle.
-    """
-    if not raw.tasks:
-        raise ValueError("cannot augment an empty task set")
-    ids = sorted(t.task_id for t in raw.tasks)
-    if ids != list(range(1, len(ids) + 1)):
-        raise ValueError("raw graph must use contiguous task ids starting at 1")
-    entries = [i for i in ids if not raw.parents_of(i)]
-    exits = [i for i in ids if not raw.children_of(i)]
-    if len(offload_sizes) != len(entries):
-        raise ValueError(
-            f"offload_sizes has {len(offload_sizes)} entries, graph has {len(entries)}"
-        )
-    if len(result_sizes) != len(exits):
-        raise ValueError(
-            f"result_sizes has {len(result_sizes)} entries, graph has {len(exits)}"
-        )
-
-    sink = len(raw.tasks) + 1
-    tasks = (
-        Task(raw.app_id, 0, 0.0),
-        *raw.tasks,
-        Task(raw.app_id, sink, 0.0),
-    )
-    edges = list(raw.edges)
-    edges.extend(Edge(0, i, float(s)) for i, s in zip(entries, offload_sizes))
-    edges.extend(Edge(i, sink, float(s)) for i, s in zip(exits, result_sizes))
-    graph = replace(raw, tasks=tasks, edges=tuple(edges))
-    graph.topological_order()  # raises on cycles; the dummies add none
-    return graph
-
-
 def compute_lct(
     graph: TaskGraph,
     max_capability: float,
@@ -309,31 +267,32 @@ def compute_lct(
     task with real children gets the minimum over children of
     ``child_lct - child_workload / max_capability - edge_data / max_rate``.
     A task that both feeds the sink and has real children takes the tighter
-    of the two bounds.
+    of the two bounds. Tasks are visited in reverse Kahn order, and each
+    one's children in id order through the shape's child-edge positions.
     """
     if max_capability <= 0 or max_rate <= 0 or uplink_rate <= 0:
         raise ValueError("capability and rates must be positive")
-    sink = graph.sink_id
-    lct: dict[int, float] = {sink: graph.deadline}
-    for i in reversed(graph.topological_order()):
+    shape = graph._shape
+    if shape.order is None:
+        raise ValueError("task graph contains a cycle")
+    tasks, edges, position = graph.tasks, graph.edges, shape.position
+    sink, deadline = shape.sink, graph.deadline
+    lct: dict[int, float] = {sink: deadline}
+    for i in reversed(shape.order):
         if i == sink:
             continue
         bounds: list[float] = []
-        for j in graph.children_of(i):
+        for k in shape.child_edges[i]:
+            edge = edges[k]
+            j = edge.dst
             if j == sink:
-                bounds.append(graph.deadline - graph.edge_data(i, sink) / uplink_rate)
+                bounds.append(deadline - edge.data_size / uplink_rate)
             else:
-                if j not in lct:
-                    raise RuntimeError(f"child {j} visited before parent {i}")
-                child = graph.task(j)
-                bounds.append(
-                    lct[j]
-                    - child.workload / max_capability
-                    - graph.edge_data(i, j) / max_rate
-                )
+                bounds.append(lct[j] - tasks[position[j]].workload / max_capability
+                              - edge.data_size / max_rate)
         lct[i] = min(bounds)
-    tasks = tuple(Task(t.app_id, t.task_id, t.workload, lct[t.task_id]) for t in graph.tasks)
-    return replace(graph, tasks=tasks)
+    return replace(graph, tasks=tuple([Task(t.app_id, t.task_id, t.workload, lct[t.task_id])
+                                       for t in tasks]))
 
 
 def build_priority_list(graph: TaskGraph) -> tuple[int, ...]:

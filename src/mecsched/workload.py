@@ -11,16 +11,15 @@ clamped ranges; the topology itself is fixed so runs stay comparable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .task_graph import Edge, Task, TaskGraph, augment_with_dummies
+from .task_graph import Edge, Task, TaskGraph
 
 __all__ = [
     "WorkloadSpec",
     "generate",
-    "assign_deadline",
     "critical_path_seconds",
     "montage25_edges",
 ]
@@ -96,7 +95,8 @@ def shape_real_task_count(name: str) -> int:
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:
-    return min(max(value, lo), hi)
+    """``min(max(value, lo), hi)`` for ``lo <= hi``, without the two calls."""
+    return lo if value < lo else hi if value > hi else value
 
 
 def generate(spec: WorkloadSpec, rng: np.random.Generator) -> list[TaskGraph]:
@@ -106,13 +106,29 @@ def generate(spec: WorkloadSpec, rng: np.random.Generator) -> list[TaskGraph]:
     Edge transfer sizes come from a base communication time ``bc`` clamped to
     ``bc_range`` and scaled by the fleet's mean link rate; dummy edges use
     the same rule. Home devices are uniform over the fleet.
+
+    Each app is built once, at its final shape: task 0 feeds every entry
+    task and every exit task feeds the sink, task K+1 (edges to entries and
+    from exits in ascending id order, after the shape's own), and the
+    deadline is ``release + deadline_factor`` times the transfer-free
+    critical path at ``deadline_capability``. A shape whose edges leave ids
+    1..K or form a cycle is refused before anything is drawn.
     """
     n_tasks, edge_pairs = _SHAPES[spec.graph_shape]()
+    if not all(1 <= i <= n_tasks for pair in edge_pairs for i in pair):
+        raise ValueError(f"graph shape {spec.graph_shape!r} must use contiguous "
+                         f"task ids 1..{n_tasks}")
 
     targets = {d for _, d in edge_pairs}
     sources = {s for s, _ in edge_pairs}
     entries = [i for i in range(1, n_tasks + 1) if i not in targets]
     exits = [i for i in range(1, n_tasks + 1) if i not in sources]
+    sink = n_tasks + 1
+    endpoints = [*edge_pairs, *((0, i) for i in entries), *((i, sink) for i in exits)]
+    # the apps' common structure, for the critical path; refuses a cycle
+    template = TaskGraph(0, 0.0, 0.0, 1, tuple(Task(0, i, 0.0) for i in range(sink + 1)),
+                         tuple(Edge(s, d, 0.0) for s, d in endpoints))
+    template.topological_order()
 
     graphs: list[TaskGraph] = []
     clock = 0.0
@@ -127,36 +143,30 @@ def generate(spec: WorkloadSpec, rng: np.random.Generator) -> list[TaskGraph]:
 
     for n in range(1, spec.n_apps + 1):
         clock += float(rng.exponential(spec.mean_gap))
-        workloads = rng.uniform(0.0, 1.2 * hi_w, size=n_tasks).tolist()
-        tasks = tuple(Task(n, i, _clamp(w, lo_w, hi_w))
-                      for i, w in enumerate(workloads, start=1))
-        edges = tuple(Edge(s, d, data)
-                      for (s, d), data in zip(edge_pairs, draw_data(len(edge_pairs))))
+        drawn = rng.uniform(0.0, 1.2 * hi_w, size=n_tasks).tolist()
+        workloads = [0.0, *[_clamp(w, lo_w, hi_w) for w in drawn], 0.0]  # by task id
+        data = draw_data(len(edge_pairs))
         home = int(rng.integers(1, spec.n_devices + 1))
-        raw = TaskGraph(
+        data += draw_data(len(entries))
+        data += draw_data(len(exits))
+        base = _critical_path(template, workloads, spec.deadline_capability)
+        graphs.append(TaskGraph(
             app_id=n,
             release_time=clock,
-            deadline=float("inf"),  # placeholder until assign_deadline
+            deadline=clock + spec.deadline_factor * base,
             home_ecd=home,
-            tasks=tasks,
-            edges=edges,
-        )
-        graph = augment_with_dummies(
-            raw,
-            offload_sizes=draw_data(len(entries)),
-            result_sizes=draw_data(len(exits)),
-        )
-        graphs.append(assign_deadline(graph, spec.deadline_capability, spec.deadline_factor))
+            tasks=tuple([Task(n, i, w) for i, w in enumerate(workloads)]),
+            edges=tuple([Edge(s, d, x) for (s, d), x in zip(endpoints, data)]),
+        ))
     return graphs
 
 
-def critical_path_seconds(graph: TaskGraph, capability: float) -> float:
-    """Longest compute chain assuming one task per device and free transfers."""
-    if capability <= 0:
-        raise ValueError("capability must be positive")
+def _critical_path(graph: TaskGraph, workloads, capability: float) -> float:
+    """Longest compute chain through ``graph``'s DAG with task ``i`` weighing
+    ``workloads[i]`` MI, assuming one task per device and free transfers."""
     longest: dict[int, float] = {}
     for i in graph.topological_order():
-        own = graph.task(i).workload / capability
+        own = workloads[i] / capability
         best = 0.0
         for p in graph.parents_of(i):
             best = max(best, longest[p])
@@ -164,8 +174,8 @@ def critical_path_seconds(graph: TaskGraph, capability: float) -> float:
     return max(longest.values())
 
 
-def assign_deadline(graph: TaskGraph, capability: float = 5000.0,
-                    factor: float = 6.0) -> TaskGraph:
-    """Deadline = release + factor * transfer-free critical path."""
-    base = critical_path_seconds(graph, capability)
-    return replace(graph, deadline=graph.release_time + factor * base)
+def critical_path_seconds(graph: TaskGraph, capability: float) -> float:
+    """Longest compute chain assuming one task per device and free transfers."""
+    if capability <= 0:
+        raise ValueError("capability must be positive")
+    return _critical_path(graph, {t.task_id: t.workload for t in graph.tasks}, capability)

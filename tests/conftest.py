@@ -8,12 +8,16 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+from dataclasses import replace  # noqa: E402
+from typing import Sequence  # noqa: E402
+
 import numpy as np  # noqa: E402
 import pytest
 
 from mecsched.experiment import ExperimentConfig, TopologyConfig, build_topology
 from mecsched.mdp_agent import StateNorms, StateVector
-from mecsched.task_graph import Edge, Task, TaskGraph, augment_with_dummies, compute_lct
+from mecsched.task_graph import Edge, Task, TaskGraph, compute_lct
+from mecsched.workload import critical_path_seconds
 
 
 @pytest.fixture
@@ -29,6 +33,57 @@ def topology(topo_config):
 @pytest.fixture
 def default_config() -> ExperimentConfig:
     return ExperimentConfig()
+
+
+def augment_with_dummies(
+    raw: TaskGraph,
+    offload_sizes: Sequence[float],
+    result_sizes: Sequence[float],
+) -> TaskGraph:
+    """Bracket a dummy-free DAG with an upload source and a result sink.
+
+    ``raw`` must hold real tasks with ids 1..K and edges among them. A new
+    task 0 gains edges to every entry task (data per ``offload_sizes``,
+    aligned with entries in ascending id order) and a new task K+1 gains
+    edges from every exit task (``result_sizes`` likewise). ValueError if
+    ``raw`` has a cycle. ``generate`` builds its apps in this layout.
+    """
+    if not raw.tasks:
+        raise ValueError("cannot augment an empty task set")
+    ids = sorted(t.task_id for t in raw.tasks)
+    if ids != list(range(1, len(ids) + 1)):
+        raise ValueError("raw graph must use contiguous task ids starting at 1")
+    entries = [i for i in ids if not raw.parents_of(i)]
+    exits = [i for i in ids if not raw.children_of(i)]
+    if len(offload_sizes) != len(entries):
+        raise ValueError(
+            f"offload_sizes has {len(offload_sizes)} entries, graph has {len(entries)}"
+        )
+    if len(result_sizes) != len(exits):
+        raise ValueError(
+            f"result_sizes has {len(result_sizes)} entries, graph has {len(exits)}"
+        )
+
+    sink = len(raw.tasks) + 1
+    tasks = (
+        Task(raw.app_id, 0, 0.0),
+        *raw.tasks,
+        Task(raw.app_id, sink, 0.0),
+    )
+    edges = list(raw.edges)
+    edges.extend(Edge(0, i, float(s)) for i, s in zip(entries, offload_sizes))
+    edges.extend(Edge(i, sink, float(s)) for i, s in zip(exits, result_sizes))
+    graph = replace(raw, tasks=tasks, edges=tuple(edges))
+    graph.topological_order()  # raises on cycles; the dummies add none
+    return graph
+
+
+def assign_deadline(graph: TaskGraph, capability: float = 5000.0,
+                    factor: float = 6.0) -> TaskGraph:
+    """Deadline = release + factor * transfer-free critical path, the rule
+    ``generate`` applies."""
+    base = critical_path_seconds(graph, capability)
+    return replace(graph, deadline=graph.release_time + factor * base)
 
 
 def make_graph(edges, workloads, app_id=1, release=0.0, deadline=10.0, home=1,

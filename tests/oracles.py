@@ -28,6 +28,29 @@ def oracle_transfer(data, src_dev, dst_dev, rates, uplink, home):
     return data / rates[(src_dev, dst_dev)]
 
 
+def oracle_lct(graph, max_capability, max_rate, uplink_rate):
+    """Latest completion time per task id, by the lookup walk ``compute_lct``
+    replaced: reverse topological order, children in id order through
+    ``task()`` and ``edge_data()``."""
+    sink = graph.sink_id
+    lct = {sink: graph.deadline}
+    for i in reversed(graph.topological_order()):
+        if i == sink:
+            continue
+        bounds = []
+        for j in graph.children_of(i):
+            if j == sink:
+                bounds.append(graph.deadline - graph.edge_data(i, sink) / uplink_rate)
+            else:
+                bounds.append(
+                    lct[j]
+                    - graph.task(j).workload / max_capability
+                    - graph.edge_data(i, j) / max_rate
+                )
+        lct[i] = min(bounds)
+    return lct
+
+
 def evaluate_schedule(graphs, assignment, rates, uplink, level_traces):
     """Directly evaluate task timings for fixed assignments.
 

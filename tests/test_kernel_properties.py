@@ -12,7 +12,11 @@ device's running queue total against a left-to-right sum of its queue at
 every decision, every plan (``finish_if`` and the committed finish) against
 a recomputation from ``transfer_time`` and ``execution_time``, capability
 draws against ``rng.choice`` on a twin stream, and workload generation's
-block draws against scalar draws on a twin stream.
+block draws against scalar draws on a twin stream. The fleet-wide
+``transfer_times`` is checked against the oracle for every device triple,
+``compute_lct``'s positional walk against the lookup walk it replaced, and
+one ``generate`` plus ``prepare_graphs`` against a budget of two shape
+lookups per app.
 """
 
 import numpy as np
@@ -20,10 +24,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph
-from oracles import evaluate_schedule, oracle_transfer
+from conftest import augment_with_dummies, assign_deadline, make_graph
+from oracles import evaluate_schedule, oracle_lct, oracle_transfer
 from mecsched.baselines import GreedyEftScheduler, HeftStyleScheduler, RandomScheduler
 from mecsched.dqn_core import DqnLearner, TrainConfig
+from mecsched.experiment import TopologyConfig, build_topology, prepare_graphs
 from mecsched.mdp_agent import DqnScheduler
 from mecsched.mec_model import (
     CapabilityChain,
@@ -31,12 +36,12 @@ from mecsched.mec_model import (
     NetworkTopology,
     execution_time,
     transfer_time,
+    transfer_times,
 )
 from mecsched.sim_engine import ScriptedScheduler, run
-from mecsched.task_graph import Edge, Task, TaskGraph, augment_with_dummies, compute_lct
+from mecsched.task_graph import Edge, Task, TaskGraph, _shape_of, compute_lct
 from mecsched.workload import (
     WorkloadSpec,
-    assign_deadline,
     critical_path_seconds,
     generate,
     montage25_edges,
@@ -375,3 +380,74 @@ def test_generate_matches_scalar_draws_on_twin_stream(n_apps, hi_w, lo_w_frac, h
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     assert generate(spec, rng) == scalar_generate(spec, twin)
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.floats(1.0, 2000.0), min_size=12, max_size=12),
+       st.floats(100.0, 2000.0), st.floats(0.0, 500.0))
+def test_transfer_times_match_oracle_for_every_device_pair(rate_values, uplink, data):
+    """Every (src, dst, home) of a 4-device fleet, the mobile user's device 0
+    included, bit for bit; one call per (src, home) with every target."""
+    pairs = [(a, b) for a in range(1, 5) for b in range(1, 5) if a != b]
+    rates = dict(zip(pairs, rate_values))
+    matrix = np.zeros((4, 4))
+    for (a, b), rate in rates.items():
+        matrix[a - 1, b - 1] = rate
+    topo = NetworkTopology(matrix, uplink)
+    targets = (0, 1, 2, 3, 4)
+    for home in range(1, 5):
+        for src in targets:
+            expected = [oracle_transfer(data, src, dst, rates, uplink, home) for dst in targets]
+            assert transfer_times(data, src, targets, topo, home) == expected
+            assert [transfer_time(Edge(0, 1, data), src, dst, topo, home)
+                    for dst in targets] == expected
+
+
+@st.composite
+def sink_feeding_dags(draw):
+    """A bracketed DAG whose real tasks may feed the sink and have real
+    children at once, with its edges listed in a random order."""
+    n_real = draw(st.integers(1, 8))
+    sink = n_real + 1
+    data = st.floats(0.0, 300.0)
+    endpoints = set()
+    for i in range(2, n_real + 1):
+        for p in draw(st.sets(st.integers(1, i - 1), max_size=3)):
+            endpoints.add((p, i))
+    has_parent = {d for _, d in endpoints}
+    has_child = {s for s, _ in endpoints}
+    for i in range(1, n_real + 1):
+        if i not in has_parent:
+            endpoints.add((0, i))
+        if i not in has_child or draw(st.booleans()):
+            endpoints.add((i, sink))
+    order = draw(st.permutations(sorted(endpoints)))
+    release = draw(st.floats(0.0, 5.0))
+    tasks = (Task(1, 0, 0.0),
+             *(Task(1, i, draw(st.floats(1.0, 900.0))) for i in range(1, sink)),
+             Task(1, sink, 0.0))
+    return TaskGraph(1, release, release + draw(st.floats(0.01, 10.0)), 1, tasks,
+                     tuple(Edge(s, d, draw(data)) for s, d in order))
+
+
+@PROPERTY_SETTINGS
+@given(sink_feeding_dags(), st.sampled_from([4000.0, 6000.0]), st.floats(100.0, 1000.0),
+       st.floats(100.0, 1000.0))
+def test_compute_lct_matches_lookup_walk(graph, max_cap, max_rate, uplink):
+    out = compute_lct(graph, max_cap, max_rate, uplink)
+    lct = oracle_lct(graph, max_cap, max_rate, uplink)
+    assert [t.lct for t in out.tasks] == [lct[t.task_id] for t in graph.tasks]
+    assert out == TaskGraph(graph.app_id, graph.release_time, graph.deadline, graph.home_ecd,
+                            tuple(Task(1, t.task_id, t.workload, lct[t.task_id])
+                                  for t in graph.tasks), graph.edges)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_generate_and_prepare_look_each_app_shape_up_at_most_twice(n_apps, seed):
+    tc = TopologyConfig()
+    spec = WorkloadSpec(n_apps=n_apps, n_devices=tc.n_devices)
+    _shape_of.cache_clear()
+    prepare_graphs(generate(spec, np.random.default_rng(seed)), tc, build_topology(tc))
+    info = _shape_of.cache_info()
+    assert info.hits + info.misses <= 2 * n_apps

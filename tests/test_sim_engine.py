@@ -18,6 +18,7 @@ from mecsched.sim_engine import (
     collect_ready,
     observe_state,
     run,
+    write_csv,
 )
 from mecsched.task_graph import Task, build_priority_list, compute_lct
 
@@ -315,6 +316,20 @@ class TestRun:
         assert len(lines) == len(trace.rows) + 1
 
 
+class TestWriteCsv:
+    def test_fields_are_exact_and_plain(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        awkward = (0.1 + 0.2, 5e-324, -0.0)
+        write_csv(path, ("a", "b", "c", "d", "e", "f", "g"),
+                  [(*awkward, None, np.float64(0.1), 7, "decide")])
+        header, row = path.read_text(encoding="utf-8").splitlines()
+        assert header == "a,b,c,d,e,f,g"
+        fields = row.split(",")
+        # each float reads back to the same bits, the sign of -0.0 included
+        assert [float(f).hex() for f in fields[:3]] == [v.hex() for v in awkward]
+        assert fields[3:] == ["", "0.1", "7", "decide"]
+
+
 class TestStartTimeBounds:
     def test_no_start_before_parent_data_arrives(self, topology):
         from mecsched.baselines import RandomScheduler
@@ -539,16 +554,17 @@ class TestPlanner:
     nothing asked about plans the chosen device only."""
 
     class Counter(SchedulerPort):
-        """Delegates to a scheduler and counts the kernel's ``transfer_time``
-        calls during each ``decide`` and each commit (``decide`` returning
-        to ``notify_outcome``)."""
+        """Delegates to a scheduler and records the targets of the kernel's
+        fleet-wide ``transfer_times`` calls during each ``decide`` and each
+        commit (``decide`` returning to ``notify_outcome``)."""
 
         def __init__(self, inner, calls):
             self.inner = inner
             self.calls = calls
-            self.in_decide: list[int] = []
-            self.in_commit: list[int] = []
+            self.in_decide: list[list[tuple[int, ...]]] = []
+            self.in_commit: list[list[tuple[int, ...]]] = []
             self.parents: list[int] = []
+            self.actions: list[int] = []
 
         def order_ready(self, graph, ready):
             self.graph = graph
@@ -557,13 +573,14 @@ class TestPlanner:
         def decide(self, ctx):
             start = len(self.calls)
             action = self.inner.decide(ctx)
-            self.in_decide.append(len(self.calls) - start)
+            self.in_decide.append(self.calls[start:])
             self.mark = len(self.calls)
             self.parents.append(len(self.graph.parents_of(ctx.task_id)))
+            self.actions.append(action)
             return action
 
         def notify_outcome(self, reward):
-            self.in_commit.append(len(self.calls) - self.mark)
+            self.in_commit.append(self.calls[self.mark:])
             self.inner.notify_outcome(reward)
 
         def end_episode(self, observation):
@@ -572,13 +589,13 @@ class TestPlanner:
     @pytest.fixture
     def transfers(self, monkeypatch):
         calls = []
-        original = sim_engine.transfer_time
+        original = sim_engine.transfer_times
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def counting(data, src, targets, topo, home):
+            calls.append(tuple(targets))
+            return original(data, src, targets, topo, home)
 
-        monkeypatch.setattr(sim_engine, "transfer_time", counting)
+        monkeypatch.setattr(sim_engine, "transfer_times", counting)
         return calls
 
     @staticmethod
@@ -611,10 +628,12 @@ class TestPlanner:
                     build_chains(tc, 61, "cap", 0), record_rows=False)
         assert len(counter.in_commit) == len(trace.decisions) == 18
         if name == "greedy_eft":
-            # every device planned in decide, the commit reuses the plan
-            assert counter.in_decide == [4 * k for k in counter.parents]
-            assert counter.in_commit == [0] * 18
+            # all 4 devices planned once per parent in decide, the commit
+            # reuses the plan
+            assert counter.in_decide == [[(1, 2, 3, 4)] * k for k in counter.parents]
+            assert counter.in_commit == [[]] * 18
         else:
-            # nothing asked: one transfer per parent edge, to the chosen device
-            assert counter.in_decide == [0] * 18
-            assert counter.in_commit == counter.parents
+            # nothing asked: one call per parent output, to the chosen device
+            assert counter.in_decide == [[]] * 18
+            assert counter.in_commit == [[(m,)] * k
+                                         for m, k in zip(counter.actions, counter.parents)]

@@ -3,13 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_chain_graph, make_graph, random_app
+from conftest import augment_with_dummies, make_chain_graph, make_graph, random_app
 from mecsched.task_graph import (
     Edge,
     Task,
     TaskGraph,
     WorkloadFormatError,
-    augment_with_dummies,
     build_priority_list,
     compute_lct,
     load_workload_file,

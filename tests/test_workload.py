@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mecsched import workload
 from mecsched.task_graph import load_workload_file, save_workload_file, validate
 from mecsched.workload import (
     WorkloadSpec,
-    assign_deadline,
     critical_path_seconds,
     generate,
     montage25_edges,
 )
-from conftest import make_chain_graph, make_graph
+from conftest import assign_deadline, make_chain_graph, make_graph
 
 
 class TestShape:
@@ -114,6 +114,19 @@ class TestGenerate:
     def test_bad_numbers_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             WorkloadSpec(**{field: value})
+
+    @pytest.mark.parametrize("shape, reason", [
+        ((3, [(1, 2), (2, 3), (3, 1)]), "cycle"),
+        ((3, [(1, 2), (2, 5)]), "contiguous"),  # an id outside 1..3
+        ((2, [(0, 1), (1, 2)]), "contiguous"),  # the source dummy's id
+    ])
+    def test_bad_shape_refused_before_drawing(self, monkeypatch, shape, reason):
+        monkeypatch.setitem(workload._SHAPES, "montage25", lambda: shape)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=reason):
+            generate(WorkloadSpec(), rng)
+        assert rng.bit_generator.state == state
 
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError):
