@@ -445,6 +445,8 @@ class TrainConfig:
             # a pool smaller than a batch never trains
             raise ValueError(f"buffer_capacity must be >= batch ({self.batch}), "
                              f"got {self.buffer_capacity}")
+        if not all(size >= 1 for size in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must each be >= 1, got {self.hidden_sizes!r}")
         if self.hidden_activation not in ACTIVATIONS:
             raise ValueError(f"hidden_activation must be one of {ACTIVATIONS}, "
                              f"got {self.hidden_activation!r}")

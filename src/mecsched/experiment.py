@@ -102,6 +102,10 @@ class ExperimentConfig:
             if name not in SCHEDULER_NAMES:
                 raise ValueError(f"schedulers must each be one of {SCHEDULER_NAMES}, "
                                  f"got {name!r}")
+        for lam in self.compare_lams:
+            if not 0.0 < lam < math.inf:
+                raise ValueError(f"compare_lams must each be positive and finite, "
+                                 f"got {lam!r}")
 
 
 SCHEDULER_NAMES = ("dqn", "random", "greedy_eft", "heft")

@@ -115,6 +115,11 @@ class RewardParams:
     eta: float = 40.0  # lateness weight
     clamp_early: bool = False  # if True, early finishes earn no bonus
 
+    def __post_init__(self) -> None:
+        for name in ("beta", "psi", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+
 
 def compute_reward(
     workload: float,

@@ -223,8 +223,6 @@ class Assignment:
     """Where and when one task runs; the kernel builds one per task, so the
     class is slotted rather than frozen."""
 
-    app_id: int
-    task_id: int
     ecd_id: int  # 0 only for dummies
     start: float
     finish: float

@@ -3,9 +3,10 @@ decision record it passes through it.
 
 Every scheduler, learned or not, subclasses ``SchedulerPort``. When an
 event makes tasks of an application ready, the kernel hands that list of
-the graph's own ``Task``s, in ascending LCT order, to ``order_ready``,
-which may reorder it in place. For each task in turn it hands ``decide`` a
-``DecisionContext``; after the commit it reports the decision's reward to
+the graph's own ``Task``s, in ascending order of the graph's ``lct``
+column, to ``order_ready``, which may reorder it in place. For each task in
+turn it hands ``decide`` a ``DecisionContext``, which names the task by its
+app and task ids; after the commit it reports the decision's reward to
 ``notify_outcome``. Once every application has completed, ``end_episode``
 receives the system state. The context is a plain slotted class, built
 once per decision.
@@ -34,7 +35,7 @@ class DecisionContext:
     or raises, and ``finish_if`` raises.
     """
 
-    __slots__ = ("now", "app_id", "task_id", "workload", "lct", "valid_actions",
+    __slots__ = ("now", "app_id", "task_id", "valid_actions",
                  "finish_if", "_observation", "_observe")
 
     def __init__(
@@ -42,8 +43,6 @@ class DecisionContext:
         now: float,
         app_id: int,
         task_id: int,
-        workload: float,
-        lct: float,
         valid_actions: tuple[int, ...],
         finish_if: Callable[[int], float],  # candidate device -> finish time
         observe: Callable[[], StateVector],
@@ -51,8 +50,6 @@ class DecisionContext:
         self.now = now
         self.app_id = app_id
         self.task_id = task_id
-        self.workload = workload
-        self.lct = lct
         self.valid_actions = valid_actions
         self.finish_if = finish_if
         self._observation = None

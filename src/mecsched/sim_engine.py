@@ -3,21 +3,22 @@
 Two event kinds drive the run: application arrivals and task completions.
 An event completes a task of one application only, so only that
 application's priority list can gain ready tasks (all parents completed): the
-kernel pops its ready prefix, the graph's own ``Task``s in ascending LCT
-order, lets the pluggable scheduler reorder it (``order_ready``), and walks
-it asking the scheduler for a target device per task. One planner gives a
-placement's (data ready, start, execution time) per device, in a single
-pass over the task's parent outputs that takes each output's transfer
-delays to every planned device from one ``transfer_times`` call: the first
-``finish_if`` of a decision plans the whole fleet, and a commit that no
-scheduler asked about (random, DQN, scripted) plans the chosen device only.
-The plan the scheduler saw is the one committed. The decision's observation
-(``observe_state``) is computed, by the context's ``observe`` callable, only
-when something reads it: the scheduler during ``decide``, or the kernel when
-it records trace rows. Either way it comes from the state before the commit.
-A commitment updates the chosen device's FCFS queue before the next
-decision, schedules the task's completion event, and hands the decision's
-reward, a float, to the scheduler's ``notify_outcome``.
+kernel pops its ready prefix, the graph's own ``Task``s in ascending order
+of the prepared graph's ``lct`` column, lets the pluggable scheduler reorder
+it (``order_ready``), and walks it asking the scheduler for a target device
+per task. One planner gives a placement's (data ready, start, execution
+time) per device, in a single pass over the task's parent outputs that takes
+each output's transfer delays to every planned device from one
+``transfer_times`` call: the first ``finish_if`` of a decision plans the
+whole fleet, and a commit that no scheduler asked about (random, DQN,
+scripted) plans the chosen device only. The plan the scheduler saw is the
+one committed. The decision's observation (``observe_state``, whose slack
+comes from the ``lct`` column) is computed, by the context's ``observe``
+callable, only when something reads it: the scheduler during ``decide``, or
+the kernel when it records trace rows. Either way it comes from the state
+before the commit. A commitment updates the chosen device's FCFS queue
+before the next decision, schedules the task's completion event, and hands
+the decision's reward, a float, to the scheduler's ``notify_outcome``.
 
 A device's capability level steps along its Markov chain when the device
 completes a task; executions already committed are never re-timed, so the
@@ -113,17 +114,18 @@ def observe_state(
     topo: NetworkTopology,
     devices: Sequence[EdgeDevice],
     ready: Sequence[Task],
+    lct: Sequence[float],
 ) -> StateVector:
     """System summary at a decision instant.
 
     The five aggregates are fleet rates, the capability sum and outstanding
     work; the queued workload counts every task assigned to a device whose
     completion has not fired yet, the executing one at full weight (each
-    device's running total, added up in device order). The head
-    of ``ready`` is the task being placed: its workload and slack
-    (``lct - now``) follow the aggregates, both 0 when nothing is ready.
-    Last come each device's backlog (seconds from now until its queue
-    drains, 0 when idle) and current capability, in device-id order.
+    device's running total, added up in device order). The head of ``ready``
+    is the task being placed: its workload and slack (``lct[task_id] - now``,
+    ``lct`` being its graph's column) follow the aggregates, both 0 when
+    nothing is ready. Last come each device's backlog (seconds from now until
+    its queue drains, 0 when idle) and current capability, in device-id order.
     """
     head = ready[0] if ready else None
     capability = tuple([d.capability for d in devices])
@@ -134,7 +136,7 @@ def observe_state(
         ready_workload=ordered_sum([t.workload for t in ready]),
         queued_workload=ordered_sum([d.queued_workload() for d in devices]),
         task_workload=head.workload if head else 0.0,
-        task_slack=head.lct - now if head else 0.0,
+        task_slack=lct[head.task_id] - now if head else 0.0,
         backlog=tuple([0.0 if d.queue_free_at < now else d.queue_free_at - now
                        for d in devices]),
         capability=capability,
@@ -259,9 +261,7 @@ def run(
             return
         finish = max(done + transfer_time(edge, src, MU_DEVICE, topo, graph.home_ecd)
                      for edge, src, done in parent_outputs(graph, sink))
-        trace.assignments[(graph.app_id, sink)] = Assignment(
-            graph.app_id, sink, MU_DEVICE, finish, finish
-        )
+        trace.assignments[(graph.app_id, sink)] = Assignment(MU_DEVICE, finish, finish)
         push(finish, COMPLETION, graph.app_id, sink, MU_DEVICE)
 
     # (data ready, start, execution time) of the current task per planned
@@ -299,7 +299,7 @@ def run(
     def observe_pending() -> StateVector:
         """The observation of the decision being made, from the state before
         its commit; the context calls this on its first read only."""
-        return observe_state(now, topo, devices, ready[idx:])
+        return observe_state(now, topo, devices, ready[idx:], graph.lct)
 
     now = 0.0
     while heap:
@@ -308,7 +308,7 @@ def run(
         completed.add((app_id, task_id))
 
         if kind == ARRIVAL:
-            trace.assignments[(app_id, 0)] = Assignment(app_id, 0, MU_DEVICE, now, now)
+            trace.assignments[(app_id, 0)] = Assignment(MU_DEVICE, now, now)
             if record_rows:
                 trace.rows.append((now, ARRIVAL, app_id, 0, 0, now, now,
                                    None, None, None, None, None, None, None, None))
@@ -339,8 +339,8 @@ def run(
             plans.clear()
             # records are built positionally: keywords cost more than the
             # construction itself on this once-per-decision path
-            ctx = DecisionContext(now, app_id, task.task_id, task.workload, task.lct,
-                                  valid_actions, finish_if, observe_pending)
+            ctx = DecisionContext(now, app_id, task.task_id, valid_actions, finish_if,
+                                  observe_pending)
             action = scheduler.decide(ctx)
             if action not in valid_actions:
                 raise SchedulingError(
@@ -357,14 +357,13 @@ def run(
             queue_wait = start - data_ready
             finish = start + exec_time
             device = devices[action - 1]
-            trace.assignments[(app_id, task.task_id)] = Assignment(
-                app_id, task.task_id, action, start, finish)
+            trace.assignments[(app_id, task.task_id)] = Assignment(action, start, finish)
             device.queue_free_at = finish
             device.enqueue(app_id, task.task_id, task.workload)
             push(finish, COMPLETION, app_id, task.task_id, action)
 
             reward = compute_reward(
-                task.workload, task.lct, arrival_wait, queue_wait,
+                task.workload, graph.lct[task.task_id], arrival_wait, queue_wait,
                 exec_time, finish, params,
             )
             trace.rewards.append(reward)
@@ -381,5 +380,5 @@ def run(
     if unfinished:
         raise DeadlockError(f"event queue drained with apps unfinished: {unfinished}")
 
-    scheduler.end_episode(observe_state(now, topo, devices, []))
+    scheduler.end_episode(observe_state(now, topo, devices, [], ()))
     return trace

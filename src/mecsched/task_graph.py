@@ -22,7 +22,6 @@ __all__ = [
     "Task",
     "Edge",
     "TaskGraph",
-    "ValidationReport",
     "WorkloadFormatError",
     "validate",
     "compute_lct",
@@ -34,10 +33,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Task:
-    app_id: int
     task_id: int
     workload: float  # MI; exactly 0 for the two dummy tasks
-    lct: float | None = None  # seconds; filled by compute_lct
 
 
 @dataclass(frozen=True)
@@ -57,6 +54,7 @@ class TaskGraph:
     home_ecd: int
     tasks: tuple[Task, ...]  # ordered by task_id
     edges: tuple[Edge, ...]
+    lct: tuple[float, ...] | None = None  # seconds, by task id; set by compute_lct
 
     @cached_property
     def _shape(self) -> _Shape:
@@ -108,8 +106,8 @@ class _Shape:
     """What a graph's task ids and edge endpoints determine on their own.
 
     Graphs with the same ids and endpoints in the same order (every app of a
-    ``generate`` call, the same apps loaded from a file, and the LCT copy of
-    each) get the same ``_Shape`` from ``_shape_of``, which is
+    ``generate`` call, the same apps loaded from a file, and the prepared
+    copy of each) get the same ``_Shape`` from ``_shape_of``, which is
     keyed by exactly those; it holds no task or size, and nothing mutates it.
     An endpoint that is not a task id raises KeyError here, so ``validate``
     checks endpoints before anything asks for the shape.
@@ -158,29 +156,19 @@ def _shape_of(ids: tuple[int, ...], endpoints: tuple[tuple[int, int], ...]) -> _
     )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    app_id: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class WorkloadFormatError(ValueError):
     """Raised on malformed workload files, with line context."""
 
 
-def validate(graph: TaskGraph) -> ValidationReport:
-    """Check every structural invariant of a TaskGraph; never raises."""
+def validate(graph: TaskGraph) -> tuple[str, ...]:
+    """Every broken structural invariant of a TaskGraph, empty when the graph
+    is sound; never raises."""
     bad: list[str] = []
     ids = [t.task_id for t in graph.tasks]
     if not ids:
-        return ValidationReport(graph.app_id, ("empty graph",))
+        return ("empty graph",)
     if ids != list(range(len(ids))):
-        bad.append("task ids not contiguous from 0")
-        return ValidationReport(graph.app_id, tuple(bad))
+        return ("task ids not contiguous from 0",)
     sink = ids[-1]
     known = range(sink + 1)
 
@@ -204,13 +192,12 @@ def validate(graph: TaskGraph) -> ValidationReport:
             bad.append(f"duplicate edge {e.src}->{e.dst}")
         seen_pairs.add((e.src, e.dst))
     if bad:
-        return ValidationReport(graph.app_id, tuple(bad))
+        return tuple(bad)
 
     try:
         graph.topological_order()
     except ValueError:
-        bad.append("cycle")
-        return ValidationReport(graph.app_id, tuple(bad))
+        return ("cycle",)
 
     if graph.parents_of(0):
         bad.append("source task 0 has parents")
@@ -239,7 +226,7 @@ def validate(graph: TaskGraph) -> ValidationReport:
         bad.append("release_time must be strictly before deadline")
     if graph.home_ecd < 1:
         bad.append("home_ecd must be a real device id (>= 1)")
-    return ValidationReport(graph.app_id, tuple(bad))
+    return tuple(bad)
 
 
 def _reachable(graph: TaskGraph, start: int, forward: bool) -> set[int]:
@@ -261,7 +248,8 @@ def compute_lct(
     max_rate: float,
     uplink_rate: float,
 ) -> TaskGraph:
-    """Fill every task's latest completion time by backward propagation.
+    """A copy of the graph, sharing its tasks and edges, with its ``lct``
+    column filled by backward propagation; task ids must be 0..K in order.
 
     Parents of the sink get ``deadline - result_data / uplink_rate``; any
     task with real children gets the minimum over children of
@@ -272,12 +260,14 @@ def compute_lct(
     """
     if max_capability <= 0 or max_rate <= 0 or uplink_rate <= 0:
         raise ValueError("capability and rates must be positive")
+    tasks = graph.tasks
+    if any(t.task_id != k for k, t in enumerate(tasks)):
+        raise ValueError(f"app {graph.app_id}: task ids must be 0..K in order")
     shape = graph._shape
     if shape.order is None:
         raise ValueError("task graph contains a cycle")
-    tasks, edges, position = graph.tasks, graph.edges, shape.position
-    sink, deadline = shape.sink, graph.deadline
-    lct: dict[int, float] = {sink: deadline}
+    edges, sink, deadline = graph.edges, shape.sink, graph.deadline
+    lct = [deadline] * len(tasks)  # every entry but the sink's is overwritten
     for i in reversed(shape.order):
         if i == sink:
             continue
@@ -288,20 +278,20 @@ def compute_lct(
             if j == sink:
                 bounds.append(deadline - edge.data_size / uplink_rate)
             else:
-                bounds.append(lct[j] - tasks[position[j]].workload / max_capability
+                bounds.append(lct[j] - tasks[j].workload / max_capability
                               - edge.data_size / max_rate)
         lct[i] = min(bounds)
-    return replace(graph, tasks=tuple([Task(t.app_id, t.task_id, t.workload, lct[t.task_id])
-                                       for t in tasks]))
+    return replace(graph, lct=tuple(lct))
 
 
 def build_priority_list(graph: TaskGraph) -> tuple[int, ...]:
     """Real task ids in ascending LCT order, equal LCTs broken by task id."""
-    real = graph.real_tasks()
-    if any(t.lct is None for t in real):
+    lct = graph.lct
+    if lct is None:
         raise ValueError(f"app {graph.app_id}: priorities require lct; "
                          f"run compute_lct first")
-    return tuple(t.task_id for t in sorted(real, key=lambda t: (t.lct, t.task_id)))
+    # ids are 0..K (compute_lct checked), and the stable sort keeps id order
+    return tuple(sorted(range(1, len(lct) - 1), key=lct.__getitem__))
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +326,10 @@ def load_workload_file(path) -> list[TaskGraph]:
             tasks=tuple(sorted(tasks, key=lambda t: t.task_id)),
             edges=tuple(edges),
         )
-        report = validate(graph)
-        if not report.ok:
+        violations = validate(graph)
+        if violations:
             raise WorkloadFormatError(
-                f"line {header_line}: app {app_id} invalid: {'; '.join(report.violations)}"
+                f"line {header_line}: app {app_id} invalid: {'; '.join(violations)}"
             )
         graphs.append(graph)
         header, tasks, edges = None, [], []
@@ -372,7 +362,7 @@ def load_workload_file(path) -> list[TaskGraph]:
                     workload = float(fields[2])
                     if not 0 <= workload < math.inf:
                         raise ValueError(f"workload must be finite and >= 0, got {fields[2]}")
-                    tasks.append(Task(header[0], int(fields[1]), workload))
+                    tasks.append(Task(int(fields[1]), workload))
                 elif kind == "edge":
                     if header is None:
                         raise ValueError("edge line before any app header")

@@ -53,11 +53,15 @@ class WorkloadSpec:
         if self.graph_shape not in _SHAPES:
             raise ValueError(f"graph_shape must be one of {tuple(_SHAPES)}, "
                              f"got {self.graph_shape!r}")
-        for name in ("workload_range", "bc_range"):
-            pair = getattr(self, name)
-            if len(pair) != 2 or not 0.0 <= pair[0] <= pair[1] < math.inf:
-                raise ValueError(f"{name} must be two finite numbers "
-                                 f"0 <= low <= high, got {pair!r}")
+        # a real task needs a positive workload; a transfer may take no time
+        pair = self.workload_range
+        if len(pair) != 2 or not 0.0 < pair[0] <= pair[1] < math.inf:
+            raise ValueError(f"workload_range must be two finite numbers "
+                             f"0 < low <= high, got {pair!r}")
+        pair = self.bc_range
+        if len(pair) != 2 or not 0.0 <= pair[0] <= pair[1] < math.inf:
+            raise ValueError(f"bc_range must be two finite numbers "
+                             f"0 <= low <= high, got {pair!r}")
 
     @property
     def mean_gap(self) -> float:
@@ -126,7 +130,7 @@ def generate(spec: WorkloadSpec, rng: np.random.Generator) -> list[TaskGraph]:
     sink = n_tasks + 1
     endpoints = [*edge_pairs, *((0, i) for i in entries), *((i, sink) for i in exits)]
     # the apps' common structure, for the critical path; refuses a cycle
-    template = TaskGraph(0, 0.0, 0.0, 1, tuple(Task(0, i, 0.0) for i in range(sink + 1)),
+    template = TaskGraph(0, 0.0, 0.0, 1, tuple(Task(i, 0.0) for i in range(sink + 1)),
                          tuple(Edge(s, d, 0.0) for s, d in endpoints))
     template.topological_order()
 
@@ -155,7 +159,7 @@ def generate(spec: WorkloadSpec, rng: np.random.Generator) -> list[TaskGraph]:
             release_time=clock,
             deadline=clock + spec.deadline_factor * base,
             home_ecd=home,
-            tasks=tuple([Task(n, i, w) for i, w in enumerate(workloads)]),
+            tasks=tuple([Task(i, w) for i, w in enumerate(workloads)]),
             edges=tuple([Edge(s, d, x) for (s, d), x in zip(endpoints, data)]),
         ))
     return graphs

@@ -66,9 +66,9 @@ def augment_with_dummies(
 
     sink = len(raw.tasks) + 1
     tasks = (
-        Task(raw.app_id, 0, 0.0),
+        Task(0, 0.0),
         *raw.tasks,
-        Task(raw.app_id, sink, 0.0),
+        Task(sink, 0.0),
     )
     edges = list(raw.edges)
     edges.extend(Edge(0, i, float(s)) for i, s in zip(entries, offload_sizes))
@@ -93,7 +93,7 @@ def make_graph(edges, workloads, app_id=1, release=0.0, deadline=10.0, home=1,
     ``edges`` maps (src, dst) -> megabits between real tasks; ``workloads``
     maps real task id -> MI.
     """
-    tasks = tuple(Task(app_id, i, float(workloads[i])) for i in sorted(workloads))
+    tasks = tuple(Task(i, float(workloads[i])) for i in sorted(workloads))
     raw = TaskGraph(
         app_id=app_id,
         release_time=release,

@@ -54,7 +54,7 @@ def oracle_lct(graph, max_capability, max_rate, uplink_rate):
 def evaluate_schedule(graphs, assignment, rates, uplink, level_traces):
     """Directly evaluate task timings for fixed assignments.
 
-    graphs        list of TaskGraph (lct fields filled)
+    graphs        list of TaskGraph (lct columns filled)
     assignment    dict (app_id, task_id) -> device id, real tasks only
     rates         dict (m, m') -> Mbps
     uplink        Mbps
@@ -71,7 +71,7 @@ def evaluate_schedule(graphs, assignment, rates, uplink, level_traces):
     graphs = {g.app_id: g for g in graphs}
     order = {}
     for app_id, g in graphs.items():
-        real = sorted(g.real_tasks(), key=lambda t: (t.lct, t.task_id))
+        real = sorted(g.real_tasks(), key=lambda t: (g.lct[t.task_id], t.task_id))
         order[app_id] = [t.task_id for t in real]
 
     finish: dict[tuple[int, int], float] = {}
@@ -114,7 +114,7 @@ def evaluate_schedule(graphs, assignment, rates, uplink, level_traces):
                 if any((a, p) not in completed for p in g.parents_of(head)):
                     break
                 pending.pop(0)
-                ready.append((g.task(head).lct, a, head))
+                ready.append((g.lct[head], a, head))
         ready.sort()
         for _, a, t in ready:
             g = graphs[a]

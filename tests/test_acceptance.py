@@ -321,7 +321,7 @@ class PortDrivenToyEnv:
         for step in range(horizon):
             obs = self.embed(state)
             ctx = DecisionContext(
-                now=float(step), app_id=1, task_id=step, workload=1.0, lct=0.0,
+                now=float(step), app_id=1, task_id=step,
                 valid_actions=(1, 2), finish_if=lambda m: 0.0, observe=lambda: obs,
             )
             action = scheduler.decide(ctx)

@@ -21,7 +21,7 @@ from mecsched.workload import WorkloadSpec, generate
 
 def ctx_with_costs(costs):
     return DecisionContext(
-        now=0.0, app_id=1, task_id=1, workload=100.0, lct=1.0,
+        now=0.0, app_id=1, task_id=1,
         valid_actions=tuple(sorted(costs)),
         finish_if=lambda m: costs[m],
         observe=full_state,

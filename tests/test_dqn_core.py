@@ -415,7 +415,8 @@ class TestTrainConfig:
         ("gamma", 1.5), ("epsilon_start", 1.5), ("epsilon_end", float("nan")),
         ("learning_rate", -1.0), ("learning_rate", float("inf")),
         ("epsilon_decay_fraction", -0.1), ("batch", 0), ("target_sync_steps", 0),
-        ("episodes", -3), ("buffer_capacity", 10),
+        ("episodes", -3), ("buffer_capacity", 10), ("hidden_sizes", (8, 0)),
+        ("hidden_sizes", (-3,)),
     ])
     def test_bad_setting_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}"):

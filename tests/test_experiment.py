@@ -50,7 +50,7 @@ class TestConfigFile:
         tc = cfg.topology
         devices = build_devices(tc)
         obs = observe_state(0.0, build_topology(tc), devices,
-                            [Task(1, 1, 300.0, 2.0)])
+                            [Task(1, 300.0)], {1: 2.0})
         state = normalize_state(obs, StateNorms())
         assert state.shape == (state_width(n_devices),)
         learner = DqnLearner(cfg.agent, n_devices + 1, np.random.default_rng(0),
@@ -144,12 +144,31 @@ class TestConfigFile:
         ("[topology]\ntransition_matrix = 0.5 0.5; 0.5 0.5\n",
          r"bad\.ini: \[topology\] transition_matrix must have one row per capability "
          r"level \(5\)"),
+        ("[reward]\neta = nan\n", r"bad\.ini: \[reward\] eta must be finite, got nan"),
+        ("[reward]\npsi = inf\n", r"bad\.ini: \[reward\] psi must be finite, got inf"),
+        ("[reward]\nbeta = -inf\n", r"bad\.ini: \[reward\] beta must be finite, got -inf"),
+        ("[agent]\nhidden_sizes = 0\n", r"bad\.ini: \[agent\] hidden_sizes must each be >= 1"),
+        ("[agent]\nhidden_sizes = 16 -3\n",
+         r"bad\.ini: \[agent\] hidden_sizes must each be >= 1"),
+        ("[experiment]\nlams = 5 -1\n",
+         r"bad\.ini: \[experiment\] lams must each be positive and finite, got -1\.0"),
+        ("[experiment]\nlams = 0\n",
+         r"bad\.ini: \[experiment\] lams must each be positive and finite, got 0\.0"),
+        ("[experiment]\nlams = nan\n",
+         r"bad\.ini: \[experiment\] lams must each be positive and finite, got nan"),
+        ("[experiment]\nlams = 7 inf\n",
+         r"bad\.ini: \[experiment\] lams must each be positive and finite, got inf"),
+        ("[workload]\nworkload_range = 0 0\n",
+         r"bad\.ini: \[workload\] workload_range must be two finite numbers 0 < low"),
     ], ids=["misspelt-key", "key-of-other-section", "unknown-section", "bad-value",
             "pool-below-batch", "nan-lam", "zero-rate", "negative-deadline-capability",
             "unknown-shape", "unknown-activation", "retired-activation", "no-replications",
             "unknown-scheduler", "retired-scheduler", "no-devices", "nan-uplink",
             "inf-inter-rate", "zero-inter-rate", "nan-level", "negative-level",
-            "nan-transition", "row-sum", "ragged-matrix", "matrix-size"])
+            "nan-transition", "row-sum", "ragged-matrix", "matrix-size", "nan-eta",
+            "inf-psi", "inf-beta", "zero-hidden-size", "negative-hidden-size",
+            "negative-lam-sweep", "zero-lam-sweep", "nan-lam-sweep", "inf-lam-sweep",
+            "zero-workload-range"])
     def test_bad_keys_rejected_with_location(self, tmp_path, text, message):
         path = tmp_path / "bad.ini"
         path.write_text(text)

@@ -21,9 +21,9 @@ from mecsched.sim_engine import DecisionContext, observe_state
 from mecsched.task_graph import Task
 
 
-def make_ctx(obs, task_id=1, workload=300.0):
+def make_ctx(obs, task_id=1):
     return DecisionContext(
-        now=0.0, app_id=1, task_id=task_id, workload=workload, lct=1.0,
+        now=0.0, app_id=1, task_id=task_id,
         valid_actions=(1, 2, 3, 4), finish_if=lambda m: 0.0, observe=lambda: obs,
     )
 
@@ -133,7 +133,7 @@ class TestLayout:
         devices = [EdgeDevice(m, tc.capability_levels, current_level=m % 5,
                               queue_free_at=0.25 * m) for m in range(1, n_devices + 1)]
         now, rho, lct = 0.5, 320.0, 2.0
-        obs = observe_state(now, build_topology(tc), devices, [Task(1, 3, rho, lct)])
+        obs = observe_state(now, build_topology(tc), devices, [Task(3, rho)], {3: lct})
         state = normalize_state(obs, StateNorms())
         assert state.shape == (state_width(n_devices),)
         rows = state[device_feature_index(n_devices)]
@@ -147,9 +147,9 @@ class TestDqnScheduler:
     def test_is_a_scheduler_port(self):
         agent = DqnScheduler(RecordingLearner([]), 4)
         assert isinstance(agent, SchedulerPort)
-        ready = [Task(1, 2, 100.0, 3.0), Task(1, 1, 400.0, 1.0)]
+        ready = [Task(2, 100.0), Task(1, 400.0)]
         agent.order_ready(None, ready)
-        assert ready == [Task(1, 2, 100.0, 3.0), Task(1, 1, 400.0, 1.0)]
+        assert ready == [Task(2, 100.0), Task(1, 400.0)]
 
     def test_first_step_stores_nothing(self):
         learner = RecordingLearner([1])

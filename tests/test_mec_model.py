@@ -34,17 +34,17 @@ def device(mips=5000.0, ecd_id=1, free_at=0.0):
 
 class TestExecutionTime:
     def test_direct_division(self):
-        assert execution_time(Task(1, 1, 500.0), device(5000.0)) == pytest.approx(0.1)
+        assert execution_time(Task(1, 500.0), device(5000.0)) == pytest.approx(0.1)
 
     def test_dummy_is_free(self):
-        assert execution_time(Task(1, 0, 0.0), None) == 0.0
+        assert execution_time(Task(0, 0.0), None) == 0.0
 
     def test_hand_value(self):
-        assert execution_time(Task(1, 1, 100.0), device(4000.0)) == pytest.approx(0.025)
+        assert execution_time(Task(1, 100.0), device(4000.0)) == pytest.approx(0.025)
 
     def test_uses_current_level(self):
         dev = EdgeDevice(1, (6000.0, 4000.0), current_level=1)
-        assert execution_time(Task(1, 1, 400.0), dev) == pytest.approx(0.1)
+        assert execution_time(Task(1, 400.0), dev) == pytest.approx(0.1)
 
 
 class TestTransferTime:

@@ -50,7 +50,7 @@ class TestCollectReady:
         ids = [r.task_id for r in ready]
         assert set(ids) == {2, 3}
         assert pending == [4]
-        lcts = [r.lct for r in ready]
+        lcts = [graph.lct[r.task_id] for r in ready]
         assert lcts == sorted(lcts)
 
     def test_everything_consumed_gives_empty(self, topology):
@@ -61,16 +61,16 @@ class TestCollectReady:
 class TestObserveState:
     def test_capability_sum(self, topology):
         devices = simple_devices([6000.0] * 4)
-        s = observe_state(0.0, topology, devices, [])
+        s = observe_state(0.0, topology, devices, [], ())
         assert s.sum_capability == pytest.approx(24000.0)
 
     def test_idle_system_zero_workloads(self, topology):
-        s = observe_state(0.0, topology, simple_devices([6000.0] * 4), [])
+        s = observe_state(0.0, topology, simple_devices([6000.0] * 4), [], ())
         assert s.ready_workload == 0.0
         assert s.queued_workload == 0.0
 
     def test_full_mesh_rate_sum(self, topology):
-        s = observe_state(0.0, topology, simple_devices([6000.0] * 4), [])
+        s = observe_state(0.0, topology, simple_devices([6000.0] * 4), [], ())
         assert s.sum_inter_rate == pytest.approx(12 * 440.0)
         assert s.uplink_rate == pytest.approx(1000.0)
 
@@ -78,8 +78,8 @@ class TestObserveState:
         devices = simple_devices([6000.0] * 4)
         devices[1].enqueue(1, 3, 400.0)
         devices[2].enqueue(1, 4, 100.0)
-        ready = [Task(1, 5, 250.0, 1.0)]
-        s = observe_state(0.0, topology, devices, ready)
+        ready = [Task(5, 250.0)]
+        s = observe_state(0.0, topology, devices, ready, {5: 1.0})
         assert s.queued_workload == pytest.approx(500.0)
         assert s.ready_workload == pytest.approx(250.0)
 
@@ -87,8 +87,8 @@ class TestObserveState:
         devices = simple_devices([6000.0, 5000.0, 4000.0, 6000.0])
         devices[1].queue_free_at = 2.5
         devices[2].queue_free_at = 0.5  # drained before now
-        ready = [Task(1, 5, 250.0, 3.0), Task(2, 1, 100.0, 4.0)]
-        s = observe_state(1.0, topology, devices, ready)
+        ready = [Task(5, 250.0), Task(1, 100.0)]
+        s = observe_state(1.0, topology, devices, ready, {5: 3.0, 1: 4.0})
         assert s.task_workload == 250.0
         assert s.task_slack == pytest.approx(2.0)
         assert s.backlog == (0.0, 1.5, 0.0, 0.0)
@@ -101,8 +101,8 @@ class TestObserveState:
         devices = simple_devices([6000.0] * 3)
         for dev, mi in zip(devices, cancelling):
             dev.enqueue(1, dev.ecd_id, mi)
-        ready = [Task(1, k, mi, 1.0) for k, mi in enumerate(cancelling)]
-        s = observe_state(0.0, topology, devices, ready)
+        ready = [Task(k, mi) for k, mi in enumerate(cancelling)]
+        s = observe_state(0.0, topology, devices, ready, (1.0,) * len(ready))
         assert s.ready_workload == 0.0
         assert s.queued_workload == 0.0
         trace = SimulationTrace()
@@ -147,7 +147,7 @@ class TestRewardInputs:
         for (now, args, _), task_id in zip(calls, (1, 2)):
             workload, lct, arrival_wait, queue_wait, exec_time, finish, params = args
             task, placed = graph.task(task_id), trace.assignments[(1, task_id)]
-            assert (workload, lct, finish) == (task.workload, task.lct, placed.finish)
+            assert (workload, lct, finish) == (task.workload, graph.lct[task_id], placed.finish)
             assert arrival_wait + queue_wait + exec_time == pytest.approx(
                 finish - now, rel=1e-12)
             assert placed.start - now == pytest.approx(arrival_wait + queue_wait, rel=1e-12)
@@ -298,7 +298,7 @@ class TestRun:
 
     def test_degenerate_app_without_real_tasks(self, topology):
         from mecsched.task_graph import Edge, Task, TaskGraph
-        graph = TaskGraph(1, 1.0, 2.0, 1, (Task(1, 0, 0.0), Task(1, 1, 0.0)),
+        graph = TaskGraph(1, 1.0, 2.0, 1, (Task(0, 0.0), Task(1, 0.0)),
                           (Edge(0, 1, 0.0),))
         graph = compute_lct(graph, 6000.0, topology.max_rate, topology.uplink_rate)
         trace = run([graph], topology, simple_devices([5000.0]),

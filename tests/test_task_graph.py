@@ -28,27 +28,27 @@ class TestValidate:
     def test_eight_task_graph_valid(self):
         graph = eight_task_graph()
         assert len(graph.tasks) == 8
-        assert validate(graph).ok
+        assert validate(graph) == ()
 
     def test_cycle_reported(self):
-        tasks = (Task(1, 0, 0.0), Task(1, 1, 10.0), Task(1, 2, 10.0), Task(1, 3, 0.0))
+        tasks = (Task(0, 0.0), Task(1, 10.0), Task(2, 10.0), Task(3, 0.0))
         edges = (
             Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(2, 1, 1.0), Edge(2, 3, 1.0),
         )
         graph = TaskGraph(1, 0.0, 10.0, 1, tasks, edges)
-        report = validate(graph)
-        assert not report.ok
-        assert any("cycle" in v for v in report.violations)
+        violations = validate(graph)
+        assert violations
+        assert any("cycle" in v for v in violations)
 
     def test_nonzero_dummy_workload_reported(self):
         graph = eight_task_graph()
         tasks = tuple(
-            Task(t.app_id, t.task_id, 7.0 if t.task_id == 0 else t.workload)
+            Task(t.task_id, 7.0 if t.task_id == 0 else t.workload)
             for t in graph.tasks
         )
         bad = TaskGraph(1, 0.0, 10.0, 1, tasks, graph.edges)
-        report = validate(bad)
-        assert any("dummy workload nonzero" in v for v in report.violations)
+        violations = validate(bad)
+        assert any("dummy workload nonzero" in v for v in violations)
 
     @pytest.mark.parametrize("edge, violation", [
         (Edge(1, 9, 1.0), "edge 1->9 references unknown task"),
@@ -58,18 +58,18 @@ class TestValidate:
     def test_bad_edge_reported_not_raised(self, edge, violation):
         graph = make_chain_graph([100.0])
         bad = TaskGraph(1, 0.0, 10.0, 1, graph.tasks, graph.edges + (edge,))
-        assert violation in validate(bad).violations
+        assert violation in validate(bad)
 
     def test_release_must_precede_deadline(self):
         graph = make_chain_graph([100.0], release=5.0, deadline=5.0)
-        assert not validate(graph).ok
+        assert validate(graph)
 
     def test_disconnected_real_task_reported(self):
-        tasks = (Task(1, 0, 0.0), Task(1, 1, 10.0), Task(1, 2, 10.0), Task(1, 3, 0.0))
+        tasks = (Task(0, 0.0), Task(1, 10.0), Task(2, 10.0), Task(3, 0.0))
         edges = (Edge(0, 1, 1.0), Edge(1, 3, 1.0))
         graph = TaskGraph(1, 0.0, 10.0, 1, tasks, edges)
-        report = validate(graph)
-        assert any("task 2" in v for v in report.violations)
+        violations = validate(graph)
+        assert any("task 2" in v for v in violations)
 
 
 class TestAugment:
@@ -96,22 +96,33 @@ class TestAugment:
             augment_with_dummies(raw, [], [])
 
     def test_size_vector_mismatch(self):
-        raw = TaskGraph(1, 0.0, 1.0, 1, (Task(1, 1, 5.0),), ())
+        raw = TaskGraph(1, 0.0, 1.0, 1, (Task(1, 5.0),), ())
         with pytest.raises(ValueError, match="offload_sizes"):
             augment_with_dummies(raw, [1.0, 2.0], [1.0])
 
 
 class TestComputeLct:
+    @pytest.mark.parametrize("tasks, edges", [
+        ((Task(0, 0.0), Task(2, 10.0), Task(1, 10.0), Task(3, 0.0)),
+         (Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(2, 3, 1.0))),
+        ((Task(0, 0.0), Task(1, 10.0), Task(3, 0.0)), (Edge(0, 1, 1.0), Edge(1, 3, 1.0))),
+        ((Task(1, 10.0), Task(2, 10.0)), (Edge(1, 2, 1.0),)),
+    ], ids=["out-of-order", "gap", "no-source"])
+    def test_ids_not_0_to_k_in_order_refused(self, tasks, edges):
+        graph = TaskGraph(4, 0.0, 10.0, 1, tasks, edges)
+        with pytest.raises(ValueError, match=r"^app 4: task ids must be 0\.\.K in order"):
+            compute_lct(graph, 6000.0, 1000.0, 1000.0)
+
     def test_sink_parent_uses_uplink(self):
         graph = make_graph({}, {1: 100.0}, deadline=10.0, dummy_data=100.0)
         out = compute_lct(graph, max_capability=6000.0, max_rate=1000.0,
                           uplink_rate=1000.0)
-        assert out.task(1).lct == pytest.approx(10.0 - 100.0 / 1000.0, abs=1e-12)
+        assert out.lct[1] == pytest.approx(10.0 - 100.0 / 1000.0, abs=1e-12)
 
     def test_zero_result_data_gives_deadline(self):
         graph = make_graph({}, {1: 100.0}, deadline=10.0, dummy_data=0.0)
         out = compute_lct(graph, 6000.0, 1000.0, 1000.0)
-        assert out.task(1).lct == pytest.approx(10.0)
+        assert out.lct[1] == pytest.approx(10.0)
 
     def test_chain_backward_propagation(self):
         # A -> B -> sink with no transfer data: lct_B = d, lct_A = d - rho_B/max_cap
@@ -119,8 +130,8 @@ class TestComputeLct:
                                  edge_data=0.0, dummy_data=0.0)
         out = compute_lct(graph, max_capability=6000.0, max_rate=1000.0,
                           uplink_rate=1000.0)
-        assert out.task(2).lct == pytest.approx(10.0)
-        assert out.task(1).lct == pytest.approx(9.0)
+        assert out.lct[2] == pytest.approx(10.0)
+        assert out.lct[1] == pytest.approx(9.0)
 
     def test_mixed_sink_parent_takes_tighter_bound(self):
         # task 1 feeds both task 2 and the sink directly
@@ -130,7 +141,7 @@ class TestComputeLct:
         out = compute_lct(graph, max_capability=1000.0, max_rate=1000.0,
                           uplink_rate=1000.0)
         # branch via child 2: lct_2 - 1000/1000 = 9.0; branch via sink: 10.0
-        assert out.task(1).lct == pytest.approx(9.0)
+        assert out.lct[1] == pytest.approx(9.0)
 
     def test_deadline_shift_is_affine(self, topology):
         rng = np.random.default_rng(3)
@@ -143,7 +154,7 @@ class TestComputeLct:
             )
             b = compute_lct(shifted, 6000.0, topology.max_rate, topology.uplink_rate)
             for t in a.tasks:
-                assert b.task(t.task_id).lct == pytest.approx(t.lct + 2.5, abs=1e-9)
+                assert b.lct[t.task_id] == pytest.approx(a.lct[t.task_id] + 2.5, abs=1e-9)
 
     def test_edge_slack_invariant(self, topology):
         rng = np.random.default_rng(4)
@@ -155,16 +166,23 @@ class TestComputeLct:
                 if e.src == 0 or e.dst == sink:
                     continue
                 child = out.task(e.dst)
-                bound = child.lct - child.workload / 6000.0 - e.data_size / topology.max_rate
-                assert out.task(e.src).lct <= bound + 1e-9
+                bound = (out.lct[e.dst] - child.workload / 6000.0
+                         - e.data_size / topology.max_rate)
+                assert out.lct[e.src] <= bound + 1e-9
 
 
 class TestPriorityList:
+    def test_graph_without_the_column_refused(self):
+        graph = make_graph({}, {1: 100.0}, app_id=3)
+        assert graph.lct is None
+        with pytest.raises(ValueError, match=r"^app 3: priorities require lct"):
+            build_priority_list(graph)
+
     def test_sorted_by_lct(self):
         graph = eight_task_graph()
         out = compute_lct(graph, 6000.0, 1000.0, 1000.0)
         ordered = build_priority_list(out)
-        lcts = [out.task(i).lct for i in ordered]
+        lcts = [out.lct[i] for i in ordered]
         assert lcts == sorted(lcts)
         assert set(ordered) == {1, 2, 3, 4, 5, 6}
 
@@ -172,7 +190,7 @@ class TestPriorityList:
         # two parallel identical tasks share an lct
         graph = make_graph({}, {1: 100.0, 2: 100.0}, deadline=10.0, dummy_data=5.0)
         out = compute_lct(graph, 6000.0, 1000.0, 1000.0)
-        assert out.task(1).lct == out.task(2).lct
+        assert out.lct[1] == out.lct[2]
         assert build_priority_list(out) == (1, 2)
 
     def test_singleton(self):
@@ -249,7 +267,7 @@ class TestGraphCaches:
                 assert g.parent_edges(t.task_id) == rebuilt.parent_edges(t.task_id)
 
     def test_generated_apps_share_one_shape(self):
-        """Within a call, across calls, and into the LCT copies: the apps
+        """Within a call, across calls, and into the prepared copies: the apps
         share one structure, built from their task ids and edge endpoints."""
         from mecsched.experiment import TopologyConfig, build_topology, prepare_graphs
         from mecsched.workload import WorkloadSpec, generate
@@ -259,6 +277,17 @@ class TestGraphCaches:
         tc = TopologyConfig()
         graphs += prepare_graphs(graphs, tc, build_topology(tc))
         assert len({id(g._shape) for g in graphs}) == 1
+
+    def test_prepared_apps_hold_the_generated_tuples(self):
+        from mecsched.experiment import TopologyConfig, build_topology, prepare_graphs
+        from mecsched.workload import WorkloadSpec, generate
+
+        generated = generate(WorkloadSpec(n_apps=3), np.random.default_rng(8))
+        tc = TopologyConfig()
+        prepared = prepare_graphs(generated, tc, build_topology(tc))
+        for g, p in zip(generated, prepared, strict=True):
+            assert g.lct is None and len(p.lct) == len(g.tasks)
+            assert p.tasks is g.tasks and p.edges is g.edges
 
     def test_loaded_apps_share_the_generated_shape(self, tmp_path):
         from mecsched.workload import WorkloadSpec, generate
@@ -278,7 +307,7 @@ class TestGraphCaches:
         assert other.children_of(0) == (2,)
         assert other.topological_order() == [0, 2, 1, 3]
         assert other.parent_edges(1) == (Edge(2, 1, 10.0),)
-        assert validate(other).ok
+        assert not validate(other)
 
 
 class TestWorkloadFile:
