@@ -209,9 +209,10 @@ class NetworkTopology:
         off = ~np.eye(self.n_devices, dtype=bool)
         return float(self.inter_ecd_rate[off].sum())
 
-    @property
+    @cached_property
     def max_rate(self) -> float:
-        """Fastest link in the system, uplink included."""
+        """Fastest link in the system, uplink included (read once per
+        prepared app, so computed once)."""
         if self.n_devices < 2:
             return float(self.uplink_rate)
         off = ~np.eye(self.n_devices, dtype=bool)

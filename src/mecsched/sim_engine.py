@@ -2,8 +2,11 @@
 
 Two event kinds drive the run: application arrivals and task completions.
 An event completes a task of one application only, so only that
-application's priority list can gain ready tasks (all parents completed): the
-kernel pops its ready prefix, the graph's own ``Task``s in ascending order
+application's priority list can gain ready tasks (all parents completed).
+Readiness is counted, not scanned: each application keeps, by task id, the
+parents not yet completed, which every event lowers for its task's
+children, and the sink is placed by the commit of its last parent. The
+kernel pops the ready prefix, the graph's own ``Task``s in ascending order
 of the prepared graph's ``lct`` column, lets the pluggable scheduler reorder
 it (``order_ready``), and walks it asking the scheduler for a target device
 per task. One planner gives a placement's (data ready, start, execution
@@ -89,24 +92,25 @@ class ScriptedScheduler(SchedulerPort):
 
 def collect_ready(
     pending: list[int],
-    completed: set[tuple[int, int]],
+    waiting: list[int],
     graph: TaskGraph,
 ) -> list[Task]:
     """Pop the ready prefix of one application's priority list, as the
     graph's tasks.
 
-    A task is ready once all of its parents have completed. The list is in
-    ascending (LCT, task id) order, so the prefix is too; it is consumed in
-    place.
+    ``waiting`` counts, by task id, the parents not yet completed; a task is
+    ready at 0. The list is in ascending (LCT, task id) order, so the prefix
+    is too; it is consumed in place. Task ids are 0..K in order, as
+    ``compute_lct`` checks, so a task sits at its id in ``graph.tasks``.
     """
-    app_id = graph.app_id
-    tasks: list[Task] = []
+    tasks = graph.tasks
+    ready: list[Task] = []
     for head in pending:
-        if any((app_id, p) not in completed for p in graph.parents_of(head)):
+        if waiting[head]:
             break
-        tasks.append(graph.task(head))
-    del pending[:len(tasks)]
-    return tasks
+        ready.append(tasks[head])
+    del pending[:len(ready)]
+    return ready
 
 
 def observe_state(
@@ -227,9 +231,15 @@ def run(
 
     if len({g.app_id for g in apps}) != len(apps):
         raise ValueError("duplicate app ids")
-    graphs = {g.app_id: g for g in apps}
-    lists = {g.app_id: list(build_priority_list(g)) for g in apps}
-    completed: set[tuple[int, int]] = set()
+    # per application: its graph, its priority list, and, indexed by task
+    # id, the parents not yet completed and each placed task's
+    # (device, finish)
+    books = {g.app_id: (g, list(build_priority_list(g)),
+                        [len(g.parents_of(i)) for i in range(len(g.tasks))],
+                        [None] * len(g.tasks))
+             for g in apps}
+    # per application: the sink's parents not yet placed
+    sink_waits = {g.app_id: len(g.parents_of(g.sink_id)) for g in apps}
     trace = SimulationTrace()
     valid_actions = ids
 
@@ -245,22 +255,17 @@ def run(
     for graph in apps:
         push(graph.release_time, ARRIVAL, graph.app_id, 0, 0)
 
-    def parent_outputs(graph: TaskGraph, task_id: int) -> list[tuple[Edge, int, float]]:
-        """(edge, device, finish) of each parent of a task, in parent-id order."""
-        outputs = []
-        for edge in graph.parent_edges(task_id):
-            pa = trace.assignments[(graph.app_id, edge.src)]
-            outputs.append((edge, pa.ecd_id, pa.finish))
-        return outputs
+    def parent_outputs(task_id: int) -> list[tuple[Edge, int, float]]:
+        """(edge, device, finish) of each parent of a task of the current
+        application, in parent-id order."""
+        return [(edge, *placed[edge.src]) for edge in graph.parent_edges(task_id)]
 
-    def try_schedule_sink(graph: TaskGraph) -> None:
+    def place_sink() -> None:
+        """Place the current application's sink: its results reach the
+        user once every parent's output has."""
         sink = graph.sink_id
-        if (graph.app_id, sink) in trace.assignments or any(
-            (graph.app_id, p) not in trace.assignments for p in graph.parents_of(sink)
-        ):
-            return
         finish = max(done + transfer_time(edge, src, MU_DEVICE, topo, graph.home_ecd)
-                     for edge, src, done in parent_outputs(graph, sink))
+                     for edge, src, done in parent_outputs(sink))
         trace.assignments[(graph.app_id, sink)] = Assignment(MU_DEVICE, finish, finish)
         push(finish, COMPLETION, graph.app_id, sink, MU_DEVICE)
 
@@ -304,15 +309,23 @@ def run(
     now = 0.0
     while heap:
         now, _, kind, app_id, task_id, ecd_id = heapq.heappop(heap)
-        graph = graphs[app_id]
-        completed.add((app_id, task_id))
+        graph, pending, waiting, placed = books[app_id]
+        for child in graph.children_of(task_id):
+            waiting[child] -= 1
 
         if kind == ARRIVAL:
             trace.assignments[(app_id, 0)] = Assignment(MU_DEVICE, now, now)
+            placed[0] = (MU_DEVICE, now)
             if record_rows:
                 trace.rows.append((now, ARRIVAL, app_id, 0, 0, now, now,
                                    None, None, None, None, None, None, None, None))
-            try_schedule_sink(graph)  # degenerate apps with no real tasks
+            # the source counts as placed, so an app without real tasks
+            # places its sink here, as does a sink without parents
+            sink = graph.sink_id
+            if sink in graph.children_of(0):
+                sink_waits[app_id] -= 1
+            if not sink_waits[app_id] and sink:
+                place_sink()
         else:
             level = None
             if ecd_id != MU_DEVICE:
@@ -330,12 +343,12 @@ def run(
                                    None, None, None, None, None, None, None, level))
 
         # only this event's application can have gained ready tasks
-        ready = collect_ready(lists[app_id], completed, graph)
+        ready = collect_ready(pending, waiting, graph)
         if ready:
             scheduler.order_ready(graph, ready)
 
         for idx, task in enumerate(ready):
-            outputs = parent_outputs(graph, task.task_id)
+            outputs = parent_outputs(task.task_id)
             plans.clear()
             # records are built positionally: keywords cost more than the
             # construction itself on this once-per-decision path
@@ -358,6 +371,7 @@ def run(
             finish = start + exec_time
             device = devices[action - 1]
             trace.assignments[(app_id, task.task_id)] = Assignment(action, start, finish)
+            placed[task.task_id] = (action, finish)
             device.queue_free_at = finish
             device.enqueue(app_id, task.task_id, task.workload)
             push(finish, COMPLETION, app_id, task.task_id, action)
@@ -374,7 +388,10 @@ def run(
                                    obs.sum_inter_rate, obs.uplink_rate,
                                    obs.sum_capability, obs.ready_workload,
                                    obs.queued_workload, action, reward, None))
-            try_schedule_sink(graph)
+            if graph.sink_id in graph.children_of(task.task_id):
+                sink_waits[app_id] -= 1
+                if not sink_waits[app_id]:
+                    place_sink()
 
     unfinished = [g.app_id for g in apps if g.app_id not in trace.app_makespans]
     if unfinished:

@@ -57,9 +57,15 @@ class TaskGraph:
     lct: tuple[float, ...] | None = None  # seconds, by task id; set by compute_lct
 
     @cached_property
+    def _key(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """The task ids and edge endpoints, in order: what the shape and the
+        structural checks are keyed by."""
+        return (tuple([t.task_id for t in self.tasks]),
+                tuple([(e.src, e.dst) for e in self.edges]))
+
+    @cached_property
     def _shape(self) -> _Shape:
-        return _shape_of(tuple([t.task_id for t in self.tasks]),
-                         tuple([(e.src, e.dst) for e in self.edges]))
+        return _shape_of(*self._key)
 
     @property
     def sink_id(self) -> int:
@@ -87,12 +93,6 @@ class TaskGraph:
     def edge_data(self, src: int, dst: int) -> float:
         return self.edges[self._shape.edge_position[(src, dst)]].data_size
 
-    def is_dummy(self, task_id: int) -> bool:
-        return task_id == 0 or task_id == self.sink_id
-
-    def real_tasks(self) -> tuple[Task, ...]:
-        return tuple(t for t in self.tasks if not self.is_dummy(t.task_id))
-
     def topological_order(self) -> list[int]:
         """Kahn order over all tasks; raises ValueError on a cycle."""
         order = self._shape.order
@@ -109,8 +109,8 @@ class _Shape:
     ``generate`` call, the same apps loaded from a file, and the prepared
     copy of each) get the same ``_Shape`` from ``_shape_of``, which is
     keyed by exactly those; it holds no task or size, and nothing mutates it.
-    An endpoint that is not a task id raises KeyError here, so ``validate``
-    checks endpoints before anything asks for the shape.
+    An endpoint that is not a task id raises KeyError here, so
+    ``_structure_faults`` checks endpoints before it asks for the shape.
     """
 
     position: dict[int, int]  # task id -> index into tasks
@@ -161,65 +161,26 @@ class WorkloadFormatError(ValueError):
 
 
 def validate(graph: TaskGraph) -> tuple[str, ...]:
-    """Every broken structural invariant of a TaskGraph, empty when the graph
-    is sound; never raises."""
-    bad: list[str] = []
-    ids = [t.task_id for t in graph.tasks]
-    if not ids:
-        return ("empty graph",)
-    if ids != list(range(len(ids))):
-        return ("task ids not contiguous from 0",)
-    sink = ids[-1]
-    known = range(sink + 1)
+    """Every broken invariant of a TaskGraph, empty when the graph is sound;
+    never raises.
 
-    # the shape is built from the endpoints, so they are checked first
-    for t in graph.tasks:
-        if t.task_id in (0, sink):
+    The structural faults come first, computed once per distinct shape key
+    (``_structure_faults``); the graph's own values follow: dummy and real
+    workloads, data sizes, release, deadline and home. The first and last
+    task are the dummies.
+    """
+    bad = list(_structure_faults(*graph._key))
+    tasks = graph.tasks
+    last = len(tasks) - 1
+    for k, t in enumerate(tasks):
+        if k == 0 or k == last:
             if t.workload != 0:
                 bad.append(f"dummy workload nonzero (task {t.task_id})")
         elif t.workload <= 0:
             bad.append(f"real task {t.task_id} has non-positive workload")
-
-    seen_pairs = set()
     for e in graph.edges:
-        if e.src == e.dst:
-            bad.append(f"self edge on task {e.src}")
         if e.data_size < 0:
             bad.append(f"negative data size on edge {e.src}->{e.dst}")
-        if e.src not in known or e.dst not in known:
-            bad.append(f"edge {e.src}->{e.dst} references unknown task")
-        if (e.src, e.dst) in seen_pairs:
-            bad.append(f"duplicate edge {e.src}->{e.dst}")
-        seen_pairs.add((e.src, e.dst))
-    if bad:
-        return tuple(bad)
-
-    try:
-        graph.topological_order()
-    except ValueError:
-        return ("cycle",)
-
-    if graph.parents_of(0):
-        bad.append("source task 0 has parents")
-    if graph.children_of(sink):
-        bad.append(f"sink task {sink} has children")
-    for t in graph.tasks:
-        if t.task_id in (0, sink):
-            continue
-        if not graph.parents_of(t.task_id):
-            bad.append(f"real task {t.task_id} has no parents")
-        if not graph.children_of(t.task_id):
-            bad.append(f"real task {t.task_id} has no children")
-
-    reach_fwd = _reachable(graph, 0, forward=True)
-    reach_bwd = _reachable(graph, sink, forward=False)
-    for t in graph.tasks:
-        i = t.task_id
-        if i not in reach_fwd:
-            bad.append(f"task {i} unreachable from source")
-        if i not in reach_bwd:
-            bad.append(f"task {i} cannot reach sink")
-
     if graph.release_time < 0:
         bad.append("release_time must be >= 0")
     if not graph.release_time < graph.deadline:
@@ -229,13 +190,63 @@ def validate(graph: TaskGraph) -> tuple[str, ...]:
     return tuple(bad)
 
 
-def _reachable(graph: TaskGraph, start: int, forward: bool) -> set[int]:
-    step = graph.children_of if forward else graph.parents_of
+@lru_cache(maxsize=256)
+def _structure_faults(ids: tuple[int, ...],
+                      endpoints: tuple[tuple[int, int], ...]) -> tuple[str, ...]:
+    """The broken structural invariants of every graph with these task ids
+    and edge endpoints: id range, edges, cycle, source and sink, parents and
+    children, reachability."""
+    if not ids:
+        return ("empty graph",)
+    if ids != tuple(range(len(ids))):
+        return ("task ids not contiguous from 0",)
+    sink = ids[-1]
+    known = range(sink + 1)
+
+    # the shape is built from the endpoints, so they are checked first
+    bad: list[str] = []
+    seen_pairs = set()
+    for pair in endpoints:
+        src, dst = pair
+        if src == dst:
+            bad.append(f"self edge on task {src}")
+        if src not in known or dst not in known:
+            bad.append(f"edge {src}->{dst} references unknown task")
+        if pair in seen_pairs:
+            bad.append(f"duplicate edge {src}->{dst}")
+        seen_pairs.add(pair)
+    if bad:
+        return tuple(bad)
+
+    shape = _shape_of(ids, endpoints)
+    if shape.order is None:
+        return ("cycle",)
+    parents, children = shape.parents, shape.children
+    if parents[0]:
+        bad.append("source task 0 has parents")
+    if children[sink]:
+        bad.append(f"sink task {sink} has children")
+    for i in ids[1:-1]:
+        if not parents[i]:
+            bad.append(f"real task {i} has no parents")
+        if not children[i]:
+            bad.append(f"real task {i} has no children")
+
+    reach_fwd = _reachable(children, 0)
+    reach_bwd = _reachable(parents, sink)
+    for i in ids:
+        if i not in reach_fwd:
+            bad.append(f"task {i} unreachable from source")
+        if i not in reach_bwd:
+            bad.append(f"task {i} cannot reach sink")
+    return tuple(bad)
+
+
+def _reachable(step: dict[int, tuple[int, ...]], start: int) -> set[int]:
     seen = {start}
     stack = [start]
     while stack:
-        node = stack.pop()
-        for nxt in step(node):
+        for nxt in step[stack.pop()]:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
@@ -309,7 +320,7 @@ def build_priority_list(graph: TaskGraph) -> tuple[int, ...]:
 def load_workload_file(path) -> list[TaskGraph]:
     graphs: list[TaskGraph] = []
     header: tuple[int, float, float, int] | None = None
-    header_line = 0
+    header_lines: dict[int, int] = {}  # app id -> line of its header
     tasks: list[Task] = []
     edges: list[Edge] = []
 
@@ -329,65 +340,68 @@ def load_workload_file(path) -> list[TaskGraph]:
         violations = validate(graph)
         if violations:
             raise WorkloadFormatError(
-                f"line {header_line}: app {app_id} invalid: {'; '.join(violations)}"
+                f"line {header_lines[app_id]}: app {app_id} invalid: {'; '.join(violations)}"
             )
         graphs.append(graph)
         header, tasks, edges = None, [], []
 
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            fields = text.split()
-            kind = fields[0]
-            if kind == "app":
-                flush()
-            try:
-                if kind == "app":
-                    if len(fields) != 8 or fields[2] != "release" or fields[4] != "deadline" or fields[6] != "home":
-                        raise ValueError("expected: app <n> release <r> deadline <d> home <m>")
-                    release, deadline = float(fields[3]), float(fields[5])
-                    if not math.isfinite(release):
-                        raise ValueError(f"release must be finite, got {fields[3]}")
-                    if not math.isfinite(deadline):
-                        raise ValueError(f"deadline must be finite, got {fields[5]}")
-                    header = (int(fields[1]), release, deadline, int(fields[7]))
-                    header_line = lineno
-                elif kind == "task":
-                    if header is None:
-                        raise ValueError("task line before any app header")
-                    if len(fields) != 3:
-                        raise ValueError("expected: task <id> <workload_MI>")
-                    workload = float(fields[2])
-                    if not 0 <= workload < math.inf:
-                        raise ValueError(f"workload must be finite and >= 0, got {fields[2]}")
-                    tasks.append(Task(int(fields[1]), workload))
-                elif kind == "edge":
-                    if header is None:
-                        raise ValueError("edge line before any app header")
-                    if len(fields) != 4:
-                        raise ValueError("expected: edge <src> <dst> <megabits>")
-                    data = float(fields[3])
-                    if not 0 <= data < math.inf:
-                        raise ValueError(f"data size must be finite and >= 0, got {fields[3]}")
-                    edges.append(Edge(int(fields[1]), int(fields[2]), data))
-                else:
-                    raise ValueError(f"unknown record kind {kind!r}")
-            except ValueError as exc:
-                raise WorkloadFormatError(f"line {lineno}: {exc}") from None
+        # text mode turns every line ending into "\n", so these are the
+        # lines that iterating over the file gives
+        lines = fh.read().split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        fields = (line.split("#", 1)[0] if "#" in line else line).split()
+        if not fields:
+            continue
+        kind = fields[0]
+        if kind == "app":
+            flush()
+        try:
+            if kind == "edge":
+                if header is None:
+                    raise ValueError("edge line before any app header")
+                if len(fields) != 4:
+                    raise ValueError("expected: edge <src> <dst> <megabits>")
+                data = float(fields[3])
+                if not 0 <= data < math.inf:
+                    raise ValueError(f"data size must be finite and >= 0, got {fields[3]}")
+                edges.append(Edge(int(fields[1]), int(fields[2]), data))
+            elif kind == "task":
+                if header is None:
+                    raise ValueError("task line before any app header")
+                if len(fields) != 3:
+                    raise ValueError("expected: task <id> <workload_MI>")
+                workload = float(fields[2])
+                if not 0 <= workload < math.inf:
+                    raise ValueError(f"workload must be finite and >= 0, got {fields[2]}")
+                tasks.append(Task(int(fields[1]), workload))
+            elif kind == "app":
+                if len(fields) != 8 or fields[2] != "release" or fields[4] != "deadline" or fields[6] != "home":
+                    raise ValueError("expected: app <n> release <r> deadline <d> home <m>")
+                release, deadline = float(fields[3]), float(fields[5])
+                if not math.isfinite(release):
+                    raise ValueError(f"release must be finite, got {fields[3]}")
+                if not math.isfinite(deadline):
+                    raise ValueError(f"deadline must be finite, got {fields[5]}")
+                header = (int(fields[1]), release, deadline, int(fields[7]))
+                if header[0] in header_lines:
+                    raise ValueError(f"app {header[0]} repeats the app id of line "
+                                     f"{header_lines[header[0]]}")
+                header_lines[header[0]] = lineno
+            else:
+                raise ValueError(f"unknown record kind {kind!r}")
+        except ValueError as exc:
+            raise WorkloadFormatError(f"line {lineno}: {exc}") from None
     flush()
     return graphs
 
 
 def save_workload_file(graphs: Iterable[TaskGraph], path) -> None:
+    lines: list[str] = []
+    for g in graphs:
+        lines.append(f"app {g.app_id} release {g.release_time!r} "
+                     f"deadline {g.deadline!r} home {g.home_ecd}\n")
+        lines.extend([f"task {t.task_id} {t.workload!r}\n" for t in g.tasks])
+        lines.extend([f"edge {e.src} {e.dst} {e.data_size!r}\n" for e in g.edges])
     with open(path, "w", encoding="utf-8") as fh:
-        for g in graphs:
-            fh.write(
-                f"app {g.app_id} release {g.release_time!r} "
-                f"deadline {g.deadline!r} home {g.home_ecd}\n"
-            )
-            for t in g.tasks:
-                fh.write(f"task {t.task_id} {t.workload!r}\n")
-            for e in g.edges:
-                fh.write(f"edge {e.src} {e.dst} {e.data_size!r}\n")
+        fh.writelines(lines)

@@ -139,6 +139,18 @@ def random_app(rng: np.random.Generator, app_id: int, n_real: int,
     return graph
 
 
+def real_tasks(graph: TaskGraph) -> tuple[Task, ...]:
+    """The graph's tasks other than the source and sink dummies."""
+    return tuple(t for t in graph.tasks if t.task_id not in (0, graph.sink_id))
+
+
+def waiting_counts(graph: TaskGraph, completed: set[int]) -> list[int]:
+    """Per task id, the parents not in ``completed``: the counts the kernel
+    keeps for ``collect_ready``."""
+    return [sum(p not in completed for p in graph.parents_of(t.task_id))
+            for t in graph.tasks]
+
+
 def with_lct(graph: TaskGraph, topo, max_capability=6000.0) -> TaskGraph:
     return compute_lct(graph, max_capability=max_capability,
                        max_rate=topo.max_rate, uplink_rate=topo.uplink_rate)

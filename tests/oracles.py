@@ -51,6 +51,21 @@ def oracle_lct(graph, max_capability, max_rate, uplink_rate):
     return lct
 
 
+def oracle_collect_ready(pending, completed, graph):
+    """Pop the ready prefix of one application's priority list, as the
+    graph's tasks, by the set scan the kernel's parent counters replaced: a
+    head is ready once ``(app, parent)`` is in ``completed`` for each of its
+    parents. ``pending`` is consumed in place."""
+    app_id = graph.app_id
+    tasks = []
+    for head in pending:
+        if any((app_id, p) not in completed for p in graph.parents_of(head)):
+            break
+        tasks.append(graph.task(head))
+    del pending[:len(tasks)]
+    return tasks
+
+
 def evaluate_schedule(graphs, assignment, rates, uplink, level_traces):
     """Directly evaluate task timings for fixed assignments.
 
@@ -71,8 +86,8 @@ def evaluate_schedule(graphs, assignment, rates, uplink, level_traces):
     graphs = {g.app_id: g for g in graphs}
     order = {}
     for app_id, g in graphs.items():
-        real = sorted(g.real_tasks(), key=lambda t: (g.lct[t.task_id], t.task_id))
-        order[app_id] = [t.task_id for t in real]
+        real = [t.task_id for t in g.tasks if t.task_id not in (0, g.sink_id)]
+        order[app_id] = sorted(real, key=lambda i: (g.lct[i], i))
 
     finish: dict[tuple[int, int], float] = {}
     on_device: dict[tuple[int, int], int] = {}
@@ -108,13 +123,8 @@ def evaluate_schedule(graphs, assignment, rates, uplink, level_traces):
         ready = []
         for a in sorted(graphs):
             g = graphs[a]
-            pending = order[a]
-            while pending:
-                head = pending[0]
-                if any((a, p) not in completed for p in g.parents_of(head)):
-                    break
-                pending.pop(0)
-                ready.append((g.lct[head], a, head))
+            ready.extend((g.lct[t.task_id], a, t.task_id)
+                         for t in oracle_collect_ready(order[a], completed, g))
         ready.sort()
         for _, a, t in ready:
             g = graphs[a]

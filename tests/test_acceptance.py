@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import UNIT_NORMS, full_state, random_app
+from conftest import UNIT_NORMS, full_state, random_app, real_tasks
 from oracles import evaluate_schedule, fd_loss_gradients, value_iteration
 from mecsched import rng as rngmod
 from mecsched.dqn_core import (
@@ -118,7 +118,7 @@ def test_criterion_1_timing_oracle_equivalence():
                 levels.append(level_values[level])
             traces[m] = levels
 
-        real_ids = [t.task_id for t in graph.real_tasks()]
+        real_ids = [t.task_id for t in real_tasks(graph)]
         for combo in itertools.product(range(1, n_dev + 1), repeat=n_real):
             n_assignments += 1
             assignment = dict(zip(((1, t) for t in real_ids), combo))

@@ -14,7 +14,8 @@ a recomputation from ``transfer_time`` and ``execution_time``, capability
 draws against ``rng.choice`` on a twin stream, and workload generation's
 block draws against scalar draws on a twin stream. The fleet-wide
 ``transfer_times`` is checked against the oracle for every device triple,
-``compute_lct``'s positional walk against the lookup walk it replaced, and
+``compute_lct``'s positional walk against the lookup walk it replaced,
+``collect_ready``'s parent counters against the set scan they replaced, and
 one ``generate`` plus ``prepare_graphs`` against a budget of two shape
 lookups per app.
 """
@@ -24,8 +25,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import augment_with_dummies, assign_deadline, make_graph
-from oracles import evaluate_schedule, oracle_lct, oracle_transfer
+from conftest import (
+    augment_with_dummies,
+    assign_deadline,
+    make_graph,
+    real_tasks,
+    waiting_counts,
+)
+from oracles import evaluate_schedule, oracle_collect_ready, oracle_lct, oracle_transfer
 from mecsched.baselines import GreedyEftScheduler, HeftStyleScheduler, RandomScheduler
 from mecsched.dqn_core import DqnLearner, TrainConfig
 from mecsched.experiment import TopologyConfig, build_topology, prepare_graphs
@@ -38,8 +45,15 @@ from mecsched.mec_model import (
     transfer_time,
     transfer_times,
 )
-from mecsched.sim_engine import ScriptedScheduler, run
-from mecsched.task_graph import Edge, Task, TaskGraph, _shape_of, compute_lct
+from mecsched.sim_engine import ScriptedScheduler, collect_ready, run
+from mecsched.task_graph import (
+    Edge,
+    Task,
+    TaskGraph,
+    _shape_of,
+    build_priority_list,
+    compute_lct,
+)
 from mecsched.workload import (
     WorkloadSpec,
     critical_path_seconds,
@@ -82,7 +96,7 @@ def scenarios(draw):
             home=draw(st.integers(1, n_dev)), dummy_data=draw(st.floats(0.0, 100.0)),
         ))
     assignment = {(g.app_id, t.task_id): draw(st.integers(1, n_dev))
-                  for g in graphs for t in g.real_tasks()}
+                  for g in graphs for t in real_tasks(g)}
     chain_seeds = [draw(st.integers(0, 2**16)) for _ in range(n_dev)]
     return n_dev, levels, rates, uplink, graphs, assignment, chain_seeds
 
@@ -244,7 +258,7 @@ def check_no_start_before_inputs_or_decision(scenario, kind):
     _, _, rates, uplink, _, _, _ = scenario
     decided_at = {(row[2], row[3]): row[0] for row in trace.rows if row[1] == "decide"}
     for g in graphs:
-        for t in g.real_tasks():
+        for t in real_tasks(g):
             key = (g.app_id, t.task_id)
             a = trace.assignments[key]
             assert a.start >= decided_at[key]
@@ -440,6 +454,27 @@ def test_compute_lct_matches_lookup_walk(graph, max_cap, max_rate, uplink):
     assert out == TaskGraph(graph.app_id, graph.release_time, graph.deadline, graph.home_ecd,
                             graph.tasks, graph.edges,
                             tuple(lct[t.task_id] for t in graph.tasks))
+
+
+@PROPERTY_SETTINGS
+@given(sink_feeding_dags(), st.data())
+def test_collect_ready_pops_what_the_set_scan_pops(graph, data):
+    graph = compute_lct(graph, 6000.0, 440.0, 1000.0)
+    completed = data.draw(st.sets(st.sampled_from([t.task_id for t in graph.tasks])))
+    priority = build_priority_list(graph)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(priority), max_size=len(priority)))
+    pending = [i for i, kept in zip(priority, keep) if kept]
+    # the kernel's bookkeeping: parent counts, less one per completed parent
+    waiting = [len(graph.parents_of(t.task_id)) for t in graph.tasks]
+    for done in completed:
+        for child in graph.children_of(done):
+            waiting[child] -= 1
+    assert waiting == waiting_counts(graph, completed)
+    expected_pending = list(pending)
+    expected = oracle_collect_ready(expected_pending,
+                                    {(graph.app_id, i) for i in completed}, graph)
+    assert collect_ready(pending, waiting, graph) == expected
+    assert pending == expected_pending
 
 
 @PROPERTY_SETTINGS

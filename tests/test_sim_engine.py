@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import make_chain_graph, make_graph, random_app, with_lct
+from conftest import (
+    make_chain_graph,
+    make_graph,
+    random_app,
+    real_tasks,
+    waiting_counts,
+    with_lct,
+)
 from oracles import evaluate_schedule
 from mecsched import rng as rngmod
 from mecsched import sim_engine
@@ -36,7 +43,7 @@ class TestCollectReady:
     def test_blocked_head_stays(self, topology):
         graph = with_lct(make_chain_graph([100.0, 200.0]), topology)
         pending = [1, 2]
-        ready = collect_ready(pending, {(1, 0)}, graph)
+        ready = collect_ready(pending, waiting_counts(graph, {0}), graph)
         assert [r.task_id for r in ready] == [1]
         assert pending == [2]  # child blocked until task 1 completes
 
@@ -46,7 +53,7 @@ class TestCollectReady:
         graph = with_lct(make_graph(edges, loads), topology)
         # task 1 already dispatched and completed
         pending = [t for t in build_priority_list(graph) if t != 1]
-        ready = collect_ready(pending, {(1, 0), (1, 1)}, graph)
+        ready = collect_ready(pending, waiting_counts(graph, {0, 1}), graph)
         ids = [r.task_id for r in ready]
         assert set(ids) == {2, 3}
         assert pending == [4]
@@ -55,7 +62,7 @@ class TestCollectReady:
 
     def test_everything_consumed_gives_empty(self, topology):
         graph = with_lct(make_chain_graph([100.0]), topology)
-        assert collect_ready([], {(1, 0)}, graph) == []
+        assert collect_ready([], waiting_counts(graph, {0}), graph) == []
 
 
 class TestObserveState:
@@ -178,7 +185,7 @@ class TestRun:
         rng = np.random.default_rng(11)
         graphs = [with_lct(random_app(rng, n, 6, release=0.1 * n), topology)
                   for n in (1, 2)]
-        decisions = {(g.app_id, t.task_id): 1 for g in graphs for t in g.real_tasks()}
+        decisions = {(g.app_id, t.task_id): 1 for g in graphs for t in real_tasks(g)}
         trace = run(graphs, topology, simple_devices([5000.0]),
                     ScriptedScheduler(decisions), identity_chains(1))
         ordered = sorted(
@@ -193,21 +200,21 @@ class TestRun:
         graphs = [with_lct(random_app(rng, n, int(rng.integers(1, 8)), release=0.05 * n),
                            topology) for n in (1, 2, 3)]
         decisions = {(g.app_id, t.task_id): int(rng.integers(1, 5))
-                     for g in graphs for t in g.real_tasks()}
+                     for g in graphs for t in real_tasks(g)}
         tc = TopologyConfig()
         trace = run(graphs, topology, build_devices(tc), ScriptedScheduler(decisions),
                     build_chains(tc, 5, "cap", 0))
         for g in graphs:
-            for t in g.real_tasks():
+            for t in real_tasks(g):
                 assert (g.app_id, t.task_id) in trace.assignments
-        assert len(trace.decisions) == sum(len(g.real_tasks()) for g in graphs)
+        assert len(trace.decisions) == sum(len(real_tasks(g)) for g in graphs)
 
     def test_decisions_are_the_real_tasks_assignments_in_commit_order(self, topology):
         rng = np.random.default_rng(13)
         graphs = [with_lct(random_app(rng, n, 5, release=0.05 * n), topology)
                   for n in (1, 2)]
         decisions = {(g.app_id, t.task_id): int(rng.integers(1, 5))
-                     for g in graphs for t in g.real_tasks()}
+                     for g in graphs for t in real_tasks(g)}
         tc = TopologyConfig()
         trace = run(graphs, topology, build_devices(tc), ScriptedScheduler(decisions),
                     build_chains(tc, 6, "cap", 0))
@@ -293,7 +300,7 @@ class TestRun:
         # a priority list referencing a never-completing parent cannot drain
         graph = with_lct(make_chain_graph([100.0, 200.0]), topology)
         pending = [2]  # head depends on task 1 which never runs
-        assert collect_ready(pending, {(1, 0)}, graph) == []
+        assert collect_ready(pending, waiting_counts(graph, {0}), graph) == []
         assert pending == [2]
 
     def test_degenerate_app_without_real_tasks(self, topology):
@@ -345,7 +352,7 @@ class TestStartTimeBounds:
                     RandomScheduler(4, rngmod.stream(33, "p")),
                     build_chains(tc, 33, "cap", 0))
         for g in graphs:
-            for t in g.real_tasks():
+            for t in real_tasks(g):
                 a = trace.assignments[(g.app_id, t.task_id)]
                 for p in g.parents_of(t.task_id):
                     pa = trace.assignments[(g.app_id, p)]
@@ -384,7 +391,7 @@ class TestOracleAgreement:
             ]
             assignment = {
                 (g.app_id, t.task_id): int(rng.integers(1, n_dev + 1))
-                for g in graphs for t in g.real_tasks()
+                for g in graphs for t in real_tasks(g)
             }
             matrix = np.full((n_dev, n_dev), 440.0)
             np.fill_diagonal(matrix, 0.0)
@@ -408,11 +415,11 @@ class TestOracleAgreement:
             graphs = [with_lct(random_app(rng, 1, n_real,
                                           release=float(rng.uniform(0, 0.5))), topology)]
             n_dev = 2
-            real_tasks = [t.task_id for t in graphs[0].real_tasks()]
+            real_ids = [t.task_id for t in real_tasks(graphs[0])]
             rates = {(a, b): 440.0 for a in range(1, n_dev + 1)
                      for b in range(1, n_dev + 1) if a != b}
-            for combo in itertools.product(range(1, n_dev + 1), repeat=len(real_tasks)):
-                assignment = dict(zip(((1, t) for t in real_tasks), combo))
+            for combo in itertools.product(range(1, n_dev + 1), repeat=len(real_ids)):
+                assignment = dict(zip(((1, t) for t in real_ids), combo))
                 matrix = np.full((n_dev, n_dev), 440.0)
                 np.fill_diagonal(matrix, 0.0)
                 topo2 = NetworkTopology(matrix, 1000.0)
@@ -606,7 +613,7 @@ class TestPlanner:
 
         if name == "scripted":
             return ScriptedScheduler({(g.app_id, t.task_id): 1 + (g.app_id + t.task_id) % 4
-                                      for g in graphs for t in g.real_tasks()})
+                                      for g in graphs for t in real_tasks(g)})
         if name == "random":
             return RandomScheduler(4, rngmod.stream(61, "p"))
         if name == "greedy_eft":

@@ -9,6 +9,7 @@ from mecsched.task_graph import (
     Task,
     TaskGraph,
     WorkloadFormatError,
+    _structure_faults,
     build_priority_list,
     compute_lct,
     load_workload_file,
@@ -70,6 +71,13 @@ class TestValidate:
         graph = TaskGraph(1, 0.0, 10.0, 1, tasks, edges)
         violations = validate(graph)
         assert any("task 2" in v for v in violations)
+
+    def test_structural_and_value_faults_both_listed(self):
+        tasks = (Task(0, 0.0), Task(1, -1.0), Task(2, 10.0), Task(3, 0.0))
+        edges = (Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(2, 1, 1.0), Edge(2, 3, 1.0))
+        graph = TaskGraph(1, 5.0, 5.0, 1, tasks, edges)
+        assert validate(graph) == ("cycle", "real task 1 has non-positive workload",
+                                   "release_time must be strictly before deadline")
 
 
 class TestAugment:
@@ -297,6 +305,16 @@ class TestGraphCaches:
         save_workload_file(generated, path)
         assert all(g._shape is generated[0]._shape for g in load_workload_file(path))
 
+    def test_loaded_apps_check_their_shared_structure_once(self, tmp_path):
+        from mecsched.workload import WorkloadSpec, generate
+
+        path = tmp_path / "apps.wl"
+        save_workload_file(generate(WorkloadSpec(n_apps=10), np.random.default_rng(9)), path)
+        _structure_faults.cache_clear()
+        assert len(load_workload_file(path)) == 10
+        info = _structure_faults.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
+
     def test_different_endpoints_never_share_a_shape(self):
         graph = make_chain_graph([100.0, 200.0])  # 0 -> 1 -> 2 -> 3
         assert graph.parents_of(1) == (0,)
@@ -404,6 +422,23 @@ class TestWorkloadFile:
         with pytest.raises(WorkloadFormatError) as info:
             load_workload_file(path)
         assert str(info.value) == "line 7: app 2 invalid: release_time must be >= 0"
+
+    def test_repeated_app_id_rejected_at_its_header(self, tmp_path):
+        app = ("app {n} release 0.0 deadline 5.0 home 1\n"
+               "task 0 0.0\ntask 1 100.0\ntask 2 0.0\n"
+               "edge 0 1 10.0\nedge 1 2 10.0\n")
+        path = tmp_path / "bad.wl"
+        path.write_text("".join(app.format(n=n) for n in (1, 2, 1)))
+        with pytest.raises(WorkloadFormatError) as info:
+            load_workload_file(path)
+        assert str(info.value) == "line 13: app 1 repeats the app id of line 1"
+
+    def test_lines_counted_alike_under_any_line_ending(self, tmp_path):
+        path = tmp_path / "bad.wl"
+        path.write_bytes(b"app 1 release 0.0 deadline 5.0 home 1\r\n"
+                         b"task 0 0.0\rtask 1 nan\n")
+        with pytest.raises(WorkloadFormatError, match="^line 3: workload"):
+            load_workload_file(path)
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.wl"

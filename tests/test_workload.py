@@ -10,7 +10,7 @@ from mecsched.workload import (
     generate,
     montage25_edges,
 )
-from conftest import assign_deadline, make_chain_graph, make_graph
+from conftest import assign_deadline, make_chain_graph, make_graph, real_tasks
 
 
 class TestShape:
@@ -31,7 +31,7 @@ class TestShape:
 
     def test_generated_graph_has_25_real_tasks(self):
         graphs = generate(WorkloadSpec(n_apps=1), np.random.default_rng(0))
-        assert len(graphs[0].real_tasks()) == 25
+        assert len(real_tasks(graphs[0])) == 25
         assert graphs[0].sink_id == 26
 
 
@@ -42,7 +42,7 @@ class TestGenerate:
 
     def test_workloads_clamped(self):
         graphs = generate(WorkloadSpec(n_apps=10), np.random.default_rng(2))
-        loads = [t.workload for g in graphs for t in g.real_tasks()]
+        loads = [t.workload for g in graphs for t in real_tasks(g)]
         assert min(loads) >= 100.0
         assert max(loads) <= 500.0
         # the draw range is wider than the clamp, so both rails are hit
