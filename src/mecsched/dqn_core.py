@@ -21,6 +21,12 @@ count. Each network keeps all its parameters in one float64 vector
 ``parameters()`` and the gradient list; passes reuse work buffers per batch
 size, Adam and target syncs act on the whole vectors in place, and a
 training ``act`` runs the network only to exploit.
+
+``forward`` scores one state without the batch detour: the value stack
+runs ``np.dot`` on the 1-D state, layer by layer, into buffers built once
+per network, and the shared advantage stack runs its batch pass over that
+state's device feature rows. Its Q row equals, bit for bit, the row that a
+batch of one gives, so ``act`` picks what the batch pass would pick.
 """
 
 from __future__ import annotations
@@ -103,6 +109,9 @@ class FlatNetwork:
 
     ``parameters()`` and the list ``backward_from_q_grad`` returns are
     per-tensor views into ``flat`` and ``grad``, in the same order.
+    ``forward`` takes one 1-D state and returns its Q row as a fresh array;
+    ``forward_batch`` takes a 2-D batch and returns the rows and the cache
+    ``backward_from_q_grad`` needs.
     ``params``, where a constructor takes it, is the vector to live in, as
     it is; without it the weights are drawn from ``rng`` (``default_rng(0)``
     when None) and the biases start at zero.
@@ -113,12 +122,12 @@ class FlatNetwork:
     def parameters(self) -> list[np.ndarray]:
         return self._params
 
-    def forward(self, x) -> np.ndarray:
+    def _check_state(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.shape[0] != self.layer_sizes[0]:
             raise ValueError(f"expected input of length {self.layer_sizes[0]}, "
                              f"got shape {x.shape}")
-        return self.forward_batch(x[None, :])[0][0]
+        return x
 
     def _check_batch(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -135,7 +144,8 @@ class ValueNetwork(FlatNetwork):
     gradient vector to live in. ``forward_layers`` returns every layer's
     activation, input first, and ``backward_layers`` writes the gradient
     into ``grad``; both use work buffers kept per batch size, which the
-    block's next pass of that size overwrites.
+    block's next pass of that size overwrites. ``forward_one`` is the
+    single-state pass, with buffers of its own.
     """
 
     def __init__(self, layer_sizes, rng: np.random.Generator | None = None, *,
@@ -151,8 +161,25 @@ class ValueNetwork(FlatNetwork):
         self._grads = _layer_views(self.grad, sizes)
         self.weights, self.biases = self._params[0::2], self._params[1::2]
         self._work: dict[int, tuple] = {}
+        # the single-state pass: (weights, bias, output row, relu) per layer
+        self._single = list(zip(self.weights, self.biases,
+                                [np.empty(n) for n in sizes[1:]], self._relu))
         if params is None:
             _draw_weights(self.weights, rng)
+
+    def forward_one(self, x: np.ndarray) -> np.ndarray:
+        """The output of one 1-D input, in a work buffer that the block's
+        next single-state pass overwrites; equal, bit for bit, to the row
+        a batch of one gives."""
+        for w, b, out, relu in self._single:
+            x = np.dot(x, w, out=out)
+            x += b
+            if relu:
+                np.maximum(x, 0.0, out=x)
+        return x
+
+    def forward(self, x) -> np.ndarray:
+        return self.forward_one(self._check_state(x)).copy()
 
     def _buffers(self, rows: int):  # activations, deltas, relu masks
         work = self._work.get(rows)
@@ -255,6 +282,12 @@ class DeviceScoringNetwork(FlatNetwork):
         a_acts = self.advantage.forward_layers(rows)
         a = ADVANTAGE_SCALE * a_acts[-1].reshape(x.shape[0], -1)
         return v_acts[-1] + a, (v_acts, a_acts)
+
+    def forward(self, x) -> np.ndarray:
+        x = self._check_state(x)
+        v = self.value.forward_one(x)
+        a = self.advantage.forward_layers(x[self.feature_index])[-1].reshape(-1)
+        return v + ADVANTAGE_SCALE * a
 
     def backward_from_q_grad(self, cache, d_q) -> list[np.ndarray]:
         v_acts, a_acts = cache
@@ -501,7 +534,7 @@ class DqnLearner:
         if not greedy and (epsilon := self.epsilon()) > 0.0 and rng.random() < epsilon:
             action = int(rng.integers(self.n_devices))
         else:
-            action = int(np.argmax(self.net.forward(state)))
+            action = int(self.net.forward(state).argmax())
         if greedy:
             return action
         self.decision_steps += 1
@@ -530,11 +563,17 @@ def _rng_from_state(state: dict) -> np.random.Generator:
     return rng
 
 
-def save_checkpoint(learner: DqnLearner, path) -> None:
+def _checkpoint_arrays(learner: DqnLearner) -> dict[str, np.ndarray]:
+    """The learner's arrays by checkpoint name: net_i, target_i, adam_m, adam_v."""
     arrays = {f"{role}_{i}": p for role, net in (("net", learner.net), ("target", learner.target_net))
               for i, p in enumerate(net.parameters())}
     arrays["adam_m"] = learner.opt.m
     arrays["adam_v"] = learner.opt.v
+    return arrays
+
+
+def save_checkpoint(learner: DqnLearner, path) -> None:
+    arrays = _checkpoint_arrays(learner)
     meta = {
         "version": CHECKPOINT_VERSION,
         "network": learner.net.kind,
@@ -555,8 +594,9 @@ def load_checkpoint(path) -> DqnLearner:
     """Rebuild a saved learner: its parameters, Adam state, step counters
     and random cursors. The recorded ``n_devices`` sets the state layout,
     and the kind must be ``device-scoring``; other kinds and checkpoint
-    versions (up to 3, Q rows held a run-locally column) are refused. The
-    replay pool is not saved, so training resumed refills it from empty."""
+    versions (up to 3, Q rows held a run-locally column) are refused, and
+    so is any saved array holding a NaN or an infinity. The replay pool is
+    not saved, so training resumed refills it from empty."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
         if meta["version"] != CHECKPOINT_VERSION:
@@ -574,14 +614,13 @@ def load_checkpoint(path) -> DqnLearner:
             rng_explore=_rng_from_state(meta["rng_explore"]),
             rng_replay=_rng_from_state(meta["rng_replay"]),
         )
-        for role, net in (("net", learner.net), ("target", learner.target_net)):
-            for i, p in enumerate(net.parameters()):
-                saved = data[f"{role}_{i}"]
-                if saved.shape != p.shape:
-                    raise ValueError("checkpoint architecture mismatch")
-                np.copyto(p, saved)
-        np.copyto(learner.opt.m, data["adam_m"])
-        np.copyto(learner.opt.v, data["adam_v"])
+        for name, p in _checkpoint_arrays(learner).items():
+            saved = data[name]
+            if saved.shape != p.shape:
+                raise ValueError("checkpoint architecture mismatch")
+            if not np.isfinite(saved).all():
+                raise ValueError(f"checkpoint {name} holds non-finite values")
+            np.copyto(p, saved)
         learner.decision_steps = int(meta["decision_steps"])
         learner.opt.step_count = int(meta["adam_step_count"])
     return learner

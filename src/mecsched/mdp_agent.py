@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -71,7 +71,8 @@ def device_feature_index(n_devices: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateNorms:
-    """Per-component scales applied before feeding the network."""
+    """Per-component scales applied before feeding the network; each must
+    be positive and finite."""
 
     rate: float = 1000.0  # Mbps
     capability: float = 24000.0  # MIPS, fleet sum
@@ -80,16 +81,19 @@ class StateNorms:
     slack: float = 1.0  # s
     device_time: float = 0.1  # s, backlog and execution time
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if not 0.0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be positive and finite, "
+                                 f"got {getattr(self, f.name)!r}")
+
 
 @functools.lru_cache(maxsize=None)
 def _scales(norms: StateNorms, n_devices: int) -> np.ndarray:
     """Per-component scales of an ``n_devices`` fleet's observation."""
-    scales = np.array([norms.rate, norms.rate, norms.capability, norms.workload,
-                       norms.workload, norms.task_workload, norms.slack,
-                       *[norms.device_time] * (2 * n_devices)], dtype=float)
-    if (scales <= 0).any():
-        raise ValueError("normalization scales must be positive")
-    return scales
+    return np.array([norms.rate, norms.rate, norms.capability, norms.workload,
+                     norms.workload, norms.task_workload, norms.slack,
+                     *[norms.device_time] * (2 * n_devices)], dtype=float)
 
 
 def normalize_state(raw: StateVector, norms: StateNorms) -> np.ndarray:

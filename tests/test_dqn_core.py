@@ -55,6 +55,11 @@ class TestForward:
         net = ValueNetwork([5, 4, 3], rng=rng())
         with pytest.raises(ValueError):
             net.forward(np.ones(4))
+        width = state_width(3)
+        for net in all_kinds().values():
+            for x in (np.ones(width - 1), np.ones((1, width))):
+                with pytest.raises(ValueError, match=f"expected input of length {width}"):
+                    net.forward(x)
 
 
 def all_kinds(seed=60):
@@ -66,6 +71,46 @@ def all_kinds(seed=60):
         "device-scoring": DeviceScoringNetwork([width, 8, 6, 3], device_feature_index(3),
                                                rng=rng(seed)),
     }
+
+
+def assert_single_rows_match_batch(net, r, n=200):
+    """``forward(x)`` equals the row of a batch of one, bit for bit, on
+    random states at scales 1e-2 to 1e2."""
+    for scale in (1e-2, 1.0, 1e2):
+        for x in r.normal(scale=scale, size=(n, net.layer_sizes[0])):
+            assert np.array_equal(net.forward(x), net.forward_batch(x[None, :])[0][0])
+
+
+class TestSingleStatePass:
+    """``forward`` runs its own single-state pass; its Q row is the one a
+    batch of one gives, before training, after it, and after a checkpoint."""
+
+    @pytest.mark.parametrize("kind", ["plain", "device-scoring"])
+    def test_equals_a_batch_of_one_before_and_after_training(self, kind):
+        net = all_kinds()[kind]
+        r = rng(67)
+        assert_single_rows_match_batch(net, r)
+        target = net.clone()
+        opt = AdamState(net.parameters(), TrainConfig().learning_rate)
+        for _ in range(20):
+            batch = (r.normal(size=(8, state_width(3))), r.integers(0, 3, size=8),
+                     r.normal(size=8), r.normal(size=(8, state_width(3))))
+            train_step(net, target, batch, opt, 0.95)
+        assert_single_rows_match_batch(net, r)
+
+    def test_equals_a_batch_of_one_after_a_checkpoint(self, tmp_path):
+        """At the learner's own shape, through a save and a load."""
+        config = TrainConfig(batch=8, buffer_capacity=64, planned_steps=100)
+        learner = DqnLearner(config, 5, rng(68), rng(69), rng(70))
+        r = rng(71)
+        for _ in range(30):
+            s, s2 = r.normal(size=state_width(4)), r.normal(size=state_width(4))
+            learner.observe(s, learner.act(s), float(r.normal()), s2)
+        path = tmp_path / "agent.npz"
+        save_checkpoint(learner, path)
+        loaded = load_checkpoint(path)
+        for net in (loaded.net, loaded.target_net):
+            assert_single_rows_match_batch(net, r, n=100)
 
 
 class TestFlatParameters:
@@ -481,6 +526,19 @@ class TestLearnerAndCheckpoint:
         assert meta["n_devices"] == 4
         assert "n_actions" not in meta
         assert load_checkpoint(path).n_devices == 4
+
+    @pytest.mark.parametrize("name, value", [("net_0", np.nan), ("adam_v", np.inf)])
+    def test_non_finite_checkpoint_refused(self, tmp_path, name, value):
+        """A NaN weight would make every greedy Q row NaN, and argmax would
+        silently pick column 0."""
+        path = tmp_path / "agent.npz"
+        save_checkpoint(self.make_learner(), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[name].flat[0] = value
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"checkpoint {name} holds non-finite values"):
+            load_checkpoint(path)
 
     def test_old_checkpoint_version_refused(self, tmp_path):
         # version 3 recorded n_actions, and its Q rows held a run-locally column

@@ -1,5 +1,6 @@
 import math
 from collections import namedtuple
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -119,8 +120,14 @@ class TestNormalization:
         assert vec[0] == pytest.approx(5.28)
 
     def test_positive_scales_required(self):
-        with pytest.raises(ValueError):
-            normalize_state(full_state(1, 1, 1, 1, 1), StateNorms(rate=0.0))
+        """Every scale is refused by name when it is not positive and finite:
+        a NaN one would make every observation NaN, an infinite one would
+        zero its components."""
+        for field in fields(StateNorms):
+            for value in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError,
+                                   match=f"^{field.name} must be positive and finite"):
+                    StateNorms(**{field.name: value})
 
 
 class TestLayout:

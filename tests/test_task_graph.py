@@ -1,4 +1,5 @@
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,25 @@ def eight_task_graph():
     workloads = {1: 100.0, 2: 200.0, 3: 300.0, 4: 150.0, 5: 250.0, 6: 120.0}
     edges = {(1, 3): 5.0, (2, 3): 4.0, (2, 4): 3.0, (3, 5): 2.0, (4, 6): 1.0}
     return make_graph(edges, workloads)
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record", [Task(1, 250.0), Edge(0, 1, 0.5)],
+                             ids=["task", "edge"])
+    def test_frozen_and_slotted(self, record):
+        """``Task`` and ``Edge`` keep no ``__dict__`` and refuse assignment,
+        and still compare, hash, copy with ``replace`` and pickle."""
+        assert not hasattr(record, "__dict__")
+        first = type(record).__slots__[0]
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, first, 2)
+        # a new name: FrozenInstanceError, or TypeError from CPython 3.11's
+        # frozen-and-slotted __setattr__; refused either way
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = 2
+        twin = pickle.loads(pickle.dumps(record))
+        assert twin == record and hash(twin) == hash(record)
+        assert getattr(replace(record, **{first: 2}), first) == 2
 
 
 class TestValidate:

@@ -17,6 +17,12 @@ won (ties count for neither side). ``--claim`` names the metric the change
 claims to improve; the record then says whether the change won at least nine
 pairs in ten and whether the gap between the medians exceeds the parent's
 interquartile range.
+
+A side's ``commit`` is read from git, so it is recorded only when the
+checkout is the top of a git repository. A copy made by ``git archive`` is
+recorded with ``"commit": null`` (a note on stderr says so) and only
+``src_sha256`` identifies it; ``git worktree add --detach DIR <commit>``
+gives a parent checkout whose commit is recorded.
 """
 
 from __future__ import annotations
@@ -133,8 +139,13 @@ def main(argv=None) -> int:
 
     for side, root in sides.items():
         prov = provenance[side]
+        commit = git_commit(root)
+        if commit is None:
+            print(f"note: the {side} checkout {root} is not the top of a git repository; "
+                  f"its record has \"commit\": null and only src_sha256 identifies it",
+                  file=sys.stderr)
         provenance[side] = {
-            "commit": git_commit(root),
+            "commit": commit,
             "src_sha256": source_digest(root),
             **{k: prov[k] for k in ("python", "numpy", "blas", "blas_threads", "nproc", "cpu_count")},
         }
