@@ -14,19 +14,20 @@ The learner speaks devices only: Q-row column ``k`` in 0..M-1 scores
 device ``k + 1``, and the actions it chooses, stores and maximizes over are
 those columns.
 
-The learner's network, ``DeviceScoringNetwork``, is built from two stacks
-(``ValueNetwork`` blocks), and the learner takes its shape from its device
-count. Each network keeps all its parameters in one float64 vector
-``flat`` and their gradient in ``grad``, with per-tensor views for
-``parameters()`` and the gradient list; passes reuse work buffers per batch
-size, Adam and target syncs act on the whole vectors in place, and a
-training ``act`` runs the network only to exploit.
+The learner has one network, ``DeviceScoringNetwork``, whose shape it takes
+from its device count. The network keeps all its parameters in one float64
+vector ``flat`` and their gradient in ``grad``, with per-tensor views for
+``parameters()`` and the gradient list, and it lays two ``ValueNetwork``
+blocks, fully connected stacks, end to end on them. Passes reuse work
+buffers per batch size, Adam and target syncs act on the whole vectors in
+place, and a training ``act`` runs the network only to exploit.
 
-``forward`` scores one state without the batch detour: the value stack
-runs ``np.dot`` on the 1-D state, layer by layer, into buffers built once
-per network, and the shared advantage stack runs its batch pass over that
-state's device feature rows. Its Q row equals, bit for bit, the row that a
-batch of one gives, so ``act`` picks what the batch pass would pick.
+``DeviceScoringNetwork.forward`` scores one state without the batch detour:
+the value block's ``forward`` runs ``np.dot`` on the 1-D state, layer by
+layer, into buffers built once per block, and the shared advantage block
+runs its batch pass over that state's device feature rows. Its Q row
+equals, bit for bit, the row that a batch of one gives, so ``act`` picks
+what the batch pass would pick.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ import numpy as np
 from .mdp_agent import device_feature_index, state_width
 
 __all__ = [
-    "FlatNetwork",
-    "ValueNetwork",
     "DeviceScoringNetwork",
     "ReplayBuffer",
     "AdamState",
@@ -98,79 +97,36 @@ def _layer_views(vector: np.ndarray, sizes) -> list[np.ndarray]:
     return views
 
 
-def _draw_weights(weights, rng: np.random.Generator | None) -> None:
-    rng = np.random.default_rng(0) if rng is None else rng
-    for w in weights:
-        w[...] = glorot_uniform(*w.shape, rng)
+class ValueNetwork:
+    """A fully connected stack, rectified in every layer but the last: the
+    block ``DeviceScoringNetwork`` is built from.
 
-
-class FlatNetwork:
-    """What the stack and the device-scoring network built from it share.
-
-    ``parameters()`` and the list ``backward_from_q_grad`` returns are
-    per-tensor views into ``flat`` and ``grad``, in the same order.
-    ``forward`` takes one 1-D state and returns its Q row as a fresh array;
-    ``forward_batch`` takes a 2-D batch and returns the rows and the cache
-    ``backward_from_q_grad`` needs.
-    ``params``, where a constructor takes it, is the vector to live in, as
-    it is; without it the weights are drawn from ``rng`` (``default_rng(0)``
-    when None) and the biases start at zero.
+    The block lives in the slices ``params`` and ``grad`` of its network's
+    ``flat`` and ``grad`` vectors; its attributes ``params`` and ``grads``
+    are per-tensor views of them, ``[W0, b0, W1, b1, ...]``. ``forward`` is
+    the single-state pass, into buffers of its own. ``forward_layers``
+    returns every layer's activation of a batch, input first, into work
+    buffers kept per batch size, which the block's next pass of that size
+    overwrites; ``backward_layers`` writes the gradient of such a pass into
+    ``grad``, using the same buffers.
     """
 
-    layer_sizes: list[int]
-
-    def parameters(self) -> list[np.ndarray]:
-        return self._params
-
-    def _check_state(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.shape[0] != self.layer_sizes[0]:
-            raise ValueError(f"expected input of length {self.layer_sizes[0]}, "
-                             f"got shape {x.shape}")
-        return x
-
-    def _check_batch(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
-            raise ValueError(f"expected shape (batch, {self.layer_sizes[0]})")
-        return x
-
-
-class ValueNetwork(FlatNetwork):
-    """Q-value approximator mapping a state vector to one value per action.
-
-    A fully connected stack, rectified in every layer but the last; also the
-    block the device-scoring network is built from, with ``grad`` the
-    gradient vector to live in. ``forward_layers`` returns every layer's
-    activation, input first, and ``backward_layers`` writes the gradient
-    into ``grad``; both use work buffers kept per batch size, which the
-    block's next pass of that size overwrites. ``forward_one`` is the
-    single-state pass, with buffers of its own.
-    """
-
-    def __init__(self, layer_sizes, rng: np.random.Generator | None = None, *,
-                 params=None, grad=None):
+    def __init__(self, layer_sizes, params: np.ndarray, grad: np.ndarray):
         sizes = [int(s) for s in layer_sizes]
-        if len(sizes) < 2:
-            raise ValueError("need at least input and output sizes")
         self.layer_sizes = sizes
         self._relu = [True] * (len(sizes) - 2) + [False]
-        self.flat = np.zeros(_n_params(sizes)) if params is None else params
-        self.grad = np.zeros_like(self.flat) if grad is None else grad
-        self._params = _layer_views(self.flat, sizes)
-        self._grads = _layer_views(self.grad, sizes)
-        self.weights, self.biases = self._params[0::2], self._params[1::2]
-        self._work: dict[int, tuple] = {}
+        self.params = _layer_views(params, sizes)
+        self.grads = _layer_views(grad, sizes)
+        self.weights, self.biases = self.params[0::2], self.params[1::2]
+        self._work: dict[int, tuple] = {}  # per batch size: activations, deltas, relu masks
         # the single-state pass: (weights, bias, output row, relu) per layer
         self._single = list(zip(self.weights, self.biases,
                                 [np.empty(n) for n in sizes[1:]], self._relu))
-        if params is None:
-            _draw_weights(self.weights, rng)
 
-    def forward_one(self, x: np.ndarray) -> np.ndarray:
-        """The output of one 1-D input, in a work buffer that the block's
-        next single-state pass overwrites; equal, bit for bit, to the row
-        a batch of one gives."""
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The output of one 1-D input, unchecked, in a work buffer that the
+        block's next single-state pass overwrites; equal, bit for bit, to
+        the row a batch of one gives."""
         for w, b, out, relu in self._single:
             x = np.dot(x, w, out=out)
             x += b
@@ -178,23 +134,18 @@ class ValueNetwork(FlatNetwork):
                 np.maximum(x, 0.0, out=x)
         return x
 
-    def forward(self, x) -> np.ndarray:
-        return self.forward_one(self._check_state(x)).copy()
-
-    def _buffers(self, rows: int):  # activations, deltas, relu masks
+    def forward_layers(self, x: np.ndarray) -> list[np.ndarray]:
+        rows = x.shape[0]
         work = self._work.get(rows)
         if work is None:
+            sizes = self.layer_sizes
             work = self._work[rows] = (
-                [np.empty((rows, n)) for n in self.layer_sizes[1:]],
-                [np.empty((rows, n)) for n in self.layer_sizes],
-                [np.empty((rows, n), dtype=bool) for n in self.layer_sizes[1:]],
+                [np.empty((rows, n)) for n in sizes[1:]],
+                [np.empty((rows, n)) for n in sizes],
+                [np.empty((rows, n), dtype=bool) for n in sizes[1:]],
             )
-        return work
-
-    def forward_layers(self, x: np.ndarray) -> list[np.ndarray]:
-        outs = self._buffers(x.shape[0])[0]
         acts = [x]
-        for w, b, relu, out in zip(self.weights, self.biases, self._relu, outs):
+        for w, b, relu, out in zip(self.weights, self.biases, self._relu, work[0]):
             np.matmul(acts[-1], w, out=out)
             out += b
             if relu:
@@ -205,31 +156,20 @@ class ValueNetwork(FlatNetwork):
     def backward_layers(self, acts, d_out: np.ndarray) -> None:
         """Gradient of a scalar loss given d(loss)/d(output) of the pass
         ``acts``; the first layer's input gets none."""
-        _, deltas, masks = self._buffers(d_out.shape[0])
+        _, deltas, masks = self._work[d_out.shape[0]]
         delta = d_out
         for layer in range(len(self.weights) - 1, -1, -1):
             if self._relu[layer]:
                 # max(z, 0) > 0 exactly where z > 0, NaN included
                 mask = np.greater(acts[layer + 1], 0.0, out=masks[layer])
                 delta = np.multiply(delta, mask, out=deltas[layer + 1])
-            np.matmul(acts[layer].T, delta, out=self._grads[2 * layer])
-            np.add.reduce(delta, axis=0, out=self._grads[2 * layer + 1])
+            np.matmul(acts[layer].T, delta, out=self.grads[2 * layer])
+            np.add.reduce(delta, axis=0, out=self.grads[2 * layer + 1])
             if layer:
                 delta = np.matmul(delta, self.weights[layer].T, out=deltas[layer])
 
-    def forward_batch(self, x):
-        acts = self.forward_layers(self._check_batch(x))
-        return acts[-1].copy(), acts
 
-    def backward_from_q_grad(self, cache, d_q) -> list[np.ndarray]:
-        self.backward_layers(cache, d_q)
-        return self._grads
-
-    def clone(self) -> "ValueNetwork":
-        return ValueNetwork(self.layer_sizes, params=self.flat.copy())
-
-
-class DeviceScoringNetwork(FlatNetwork):
+class DeviceScoringNetwork:
     """Q(s, a) = V(s) + A(z_a) with one advantage stack shared by all devices.
 
     ``V`` is a fully connected stack over the whole state; ``A`` scores the
@@ -247,7 +187,13 @@ class DeviceScoringNetwork(FlatNetwork):
     down to the size of the gaps between devices, far below ``V``'s.
 
     ``V`` and ``A`` are ``ValueNetwork`` blocks laid end to end on ``flat``
-    and ``grad``; fresh weights are drawn for ``V`` first.
+    and ``grad``; ``parameters()`` and the list ``backward_from_q_grad``
+    returns are their per-tensor views, in that order. ``params``, when
+    given, is the vector to live in, as it is; without it the weights are
+    drawn from ``rng`` (``default_rng(0)`` when None), ``V``'s first, and
+    the biases start at zero. ``forward`` returns one state's Q row as a
+    fresh array, ``forward_batch`` a batch's rows and the cache
+    ``backward_from_q_grad`` needs.
     """
 
     kind = "device-scoring"  # recorded in checkpoints
@@ -266,14 +212,30 @@ class DeviceScoringNetwork(FlatNetwork):
         self.flat = (np.zeros(split + _n_params(advantage_sizes))
                      if params is None else params)
         self.grad = np.zeros_like(self.flat)
-        self.value = ValueNetwork(value_sizes, params=self.flat[:split],
-                                  grad=self.grad[:split])
-        self.advantage = ValueNetwork(advantage_sizes, params=self.flat[split:],
-                                      grad=self.grad[split:])
-        self._params = self.value.parameters() + self.advantage.parameters()
-        self._grads = self.value._grads + self.advantage._grads
+        self.value = ValueNetwork(value_sizes, self.flat[:split], self.grad[:split])
+        self.advantage = ValueNetwork(advantage_sizes, self.flat[split:], self.grad[split:])
+        self._params = self.value.params + self.advantage.params
+        self._grads = self.value.grads + self.advantage.grads
         if params is None:
-            _draw_weights(self.value.weights + self.advantage.weights, rng)
+            rng = np.random.default_rng(0) if rng is None else rng
+            for w in self.value.weights + self.advantage.weights:
+                w[...] = glorot_uniform(*w.shape, rng)
+
+    def parameters(self) -> list[np.ndarray]:
+        return self._params
+
+    def _check_state(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or x.shape[0] != self.layer_sizes[0]:
+            raise ValueError(f"expected input of length {self.layer_sizes[0]}, "
+                             f"got shape {x.shape}")
+        return x
+
+    def _check_batch(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
+            raise ValueError(f"expected shape (batch, {self.layer_sizes[0]})")
+        return x
 
     def forward_batch(self, x):
         x = self._check_batch(x)
@@ -285,7 +247,7 @@ class DeviceScoringNetwork(FlatNetwork):
 
     def forward(self, x) -> np.ndarray:
         x = self._check_state(x)
-        v = self.value.forward_one(x)
+        v = self.value.forward(x)
         a = self.advantage.forward_layers(x[self.feature_index])[-1].reshape(-1)
         return v + ADVANTAGE_SCALE * a
 

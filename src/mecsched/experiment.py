@@ -95,6 +95,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if not 0 <= self.master_seed < 2**64:
+            # rng.stream keeps the low 64 bits, so another seed would alias one of these
+            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed!r}")
         if self.workload.n_devices != self.topology.n_devices:
             raise ValueError(f"workload.n_devices ({self.workload.n_devices}) must equal "
                              f"topology.n_devices ({self.topology.n_devices})")
@@ -150,7 +153,10 @@ def _matrix(text: str) -> tuple[tuple[float, ...], ...]:
 
 
 def _flag(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes")
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/0, true/false or yes/no, got {text!r}")
+    return word in ("1", "true", "yes")
 
 
 # INI section -> key -> parser of its value; the [experiment] keys set fields

@@ -196,12 +196,6 @@ class NetworkTopology:
     def n_devices(self) -> int:
         return self.inter_ecd_rate.shape[0]
 
-    def rate(self, m: int, mp: int) -> float:
-        n = len(self._rates)
-        if m == mp or not (1 <= m <= n and 1 <= mp <= n):
-            raise KeyError(f"no link rate for device pair ({m}, {mp})")
-        return self._rates[m - 1][mp - 1]
-
     @cached_property
     def sum_rate(self) -> float:
         """Sum over ordered pairs m != m' of the full mesh (read on every

@@ -52,7 +52,6 @@ from .task_graph import Edge, Task, TaskGraph, build_priority_list
 __all__ = [
     "DecisionContext",
     "SchedulerPort",
-    "ScriptedScheduler",
     "SchedulingError",
     "DeadlockError",
     "SimulationTrace",
@@ -77,17 +76,6 @@ class SchedulingError(RuntimeError):
 
 class DeadlockError(RuntimeError):
     """The event queue drained while applications were still incomplete."""
-
-
-class ScriptedScheduler(SchedulerPort):
-    """Replays a fixed (app, task) -> device mapping; used for replay and
-    brute-force checks."""
-
-    def __init__(self, decisions: dict[tuple[int, int], int]):
-        self.decisions = dict(decisions)
-
-    def decide(self, ctx: DecisionContext) -> int:
-        return self.decisions[(ctx.app_id, ctx.task_id)]
 
 
 def collect_ready(

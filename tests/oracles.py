@@ -1,14 +1,28 @@
 """Independent reference implementations used to cross-check the package.
 
-Nothing here imports simulator internals beyond the plain data types: the
-schedule evaluator re-derives all timing from the timing rules with its own
-event loop, the gradient oracle uses central finite differences, and the
-policy oracle is tabular value iteration.
+Nothing here imports simulator internals beyond the plain data types and
+the scheduler port: the schedule evaluator re-derives all timing from the
+timing rules with its own event loop, the scripted scheduler replays a
+fixed assignment through the port, the gradient oracle uses central finite
+differences, and the policy oracle is tabular value iteration.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from mecsched.scheduler_port import DecisionContext, SchedulerPort
+
+
+class ScriptedScheduler(SchedulerPort):
+    """Replays a fixed (app, task) -> device mapping; used for replay and
+    brute-force checks."""
+
+    def __init__(self, decisions: dict[tuple[int, int], int]):
+        self.decisions = dict(decisions)
+
+    def decide(self, ctx: DecisionContext) -> int:
+        return self.decisions[(ctx.app_id, ctx.task_id)]
 
 
 def oracle_transfer(data, src_dev, dst_dev, rates, uplink, home):

@@ -16,12 +16,13 @@ import pytest
 from scipy import stats
 
 from conftest import UNIT_NORMS, full_state, random_app, real_tasks
-from oracles import evaluate_schedule, fd_loss_gradients, value_iteration
+from oracles import ScriptedScheduler, evaluate_schedule, fd_loss_gradients, value_iteration
+from test_golden_training import RECORDED_UNDER, run_digest, versions
 from mecsched import rng as rngmod
 from mecsched.dqn_core import (
+    DeviceScoringNetwork,
     DqnLearner,
     TrainConfig,
-    ValueNetwork,
     loss_and_grads,
     save_checkpoint,
 )
@@ -41,10 +42,12 @@ from mecsched.mdp_agent import (
     DqnScheduler,
     StateVector,
     compute_reward,
+    device_feature_index,
     normalize_state,
+    state_width,
 )
 from mecsched.mec_model import CapabilityChain, EdgeDevice, NetworkTopology
-from mecsched.sim_engine import DecisionContext, ScriptedScheduler, run
+from mecsched.sim_engine import DecisionContext, run
 from mecsched.task_graph import compute_lct
 from mecsched.workload import WorkloadSpec, generate
 
@@ -79,6 +82,23 @@ def trained_setup(tmp_path_factory):
     checkpoint = tmp_path_factory.mktemp("agent") / "checkpoint.npz"
     save_checkpoint(learner, checkpoint)
     return cfg, learner, curve, str(checkpoint)
+
+
+# The digest of the shared 800-episode run, hashed as test_golden_training
+# hashes its short run; recorded under the versions named there, and to be
+# re-recorded if it changes with a numpy or Python upgrade alone.
+TRAINED_RUN_DIGEST = "9d84a88a2a3faf09cac5f0a5a6eacfebf8f28419b8daf9ae1ee2bade5ba94d42"
+
+
+def test_trained_run_matches_recorded_digest(trained_setup):
+    """Pins every bit of the late regime the short golden run never reaches:
+    Adam past its bias correction, a nearly full pool and a mostly
+    exploiting learner."""
+    _, learner, curve, _ = trained_setup
+    assert run_digest(learner, curve) == TRAINED_RUN_DIGEST, (
+        f"the 800-episode run changed; recorded under {RECORDED_UNDER}, "
+        f"this run uses {versions()}"
+    )
 
 
 # -- 1. timing-oracle equivalence -------------------------------------------
@@ -150,8 +170,9 @@ def test_criterion_2_gradient_check():
     rng = np.random.default_rng(1002)
     worst = 0.0
     probes = 0
-    for sizes in ([5, 2, 2], [5, 4, 3], [5, 8, 8, 5]):
-        net = ValueNetwork(sizes, rng=rng)
+    # the learner's network over fleets of 1-3 devices
+    for sizes in ([state_width(1), 2, 1], [state_width(2), 4, 2], [state_width(3), 8, 8, 3]):
+        net = DeviceScoringNetwork(sizes, device_feature_index(sizes[-1]), rng=rng)
         states = rng.normal(size=(8, sizes[0]))
         actions = rng.integers(0, sizes[-1], size=8)
         targets = rng.normal(size=8)

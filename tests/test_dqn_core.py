@@ -6,6 +6,7 @@ from scipy import stats
 from conftest import UNIT_NORMS, full_state
 from oracles import fd_loss_gradients, value_iteration
 from mecsched.dqn_core import (
+    ADVANTAGE_SCALE,
     AdamState,
     DeviceScoringNetwork,
     DivergenceError,
@@ -27,50 +28,64 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def scoring_net(n_devices=3, hidden=(8, 6), seed=60):
+    """The learner's network over an ``n_devices`` fleet: a
+    ``state_width(n_devices)`` input and one output per device."""
+    return DeviceScoringNetwork([state_width(n_devices), *hidden, n_devices],
+                                device_feature_index(n_devices), rng=rng(seed))
+
+
+def zero_parameters(net):
+    for p in net.parameters():
+        p[:] = 0.0
+
+
 class TestForward:
     def test_zero_parameters_give_zero_q(self):
-        net = ValueNetwork([5, 4, 3], rng=rng())
-        for w in net.weights:
-            w[:] = 0.0
-        assert np.allclose(net.forward(np.ones(5)), 0.0)
+        net = scoring_net()
+        for w in net.value.weights + net.advantage.weights:
+            w[:] = 0.0  # the biases start at zero
+        assert np.allclose(net.forward(np.ones(state_width(3))), 0.0)
 
     def test_single_path_hand_computation(self):
-        net = ValueNetwork([2, 2, 1], rng=rng())
-        net.weights[0][:] = np.array([[1.0, 0.0], [0.0, -1.0]])
-        net.biases[0][:] = np.array([0.5, 0.0])
-        net.weights[1][:] = np.array([[2.0], [3.0]])
-        net.biases[1][:] = np.array([-1.0])
-        # x = (1, 2): z1 = (1.5, -2) -> relu (1.5, 0) -> 2*1.5 - 1 = 2.0
-        assert net.forward(np.array([1.0, 2.0]))[0] == pytest.approx(2.0)
+        net = scoring_net(1, hidden=(2,))
+        zero_parameters(net)
+        net.value.weights[0][:2] = np.array([[1.0, 0.0], [0.0, -1.0]])
+        net.value.biases[0][:] = np.array([0.5, 0.0])
+        net.value.weights[1][:] = np.array([[2.0], [3.0]])
+        net.value.biases[1][:] = np.array([-1.0])
+        net.advantage.weights[0][2, 0] = 1.0  # hidden unit 0 reads the backlog
+        net.advantage.weights[1][0, 0] = 4.0
+        net.advantage.biases[1][:] = np.array([-0.5])
+        x = np.zeros(state_width(1))
+        x[:2] = (1.0, 2.0)
+        x[device_feature_index(1)[0, 2]] = 3.0
+        # V: z1 = (1.5, -2) -> relu (1.5, 0) -> 2*1.5 - 1 = 2.0
+        # A: relu(3) = 3 -> 4*3 - 0.5 = 11.5, times ADVANTAGE_SCALE
+        assert net.forward(x)[0] == pytest.approx(2.0 + ADVANTAGE_SCALE * 11.5)
 
     def test_batch_rows_independent(self):
-        net = ValueNetwork([5, 8, 3], rng=rng(1))
-        xs = rng(2).normal(size=(64, 5))
+        net = scoring_net(seed=1)
+        xs = rng(2).normal(size=(64, state_width(3)))
         batch, _ = net.forward_batch(xs)
         rows = np.stack([net.forward(x) for x in xs])
         assert np.allclose(batch, rows)
         assert batch.shape == (64, 3)
 
     def test_shape_mismatch_rejected(self):
-        net = ValueNetwork([5, 4, 3], rng=rng())
-        with pytest.raises(ValueError):
-            net.forward(np.ones(4))
         width = state_width(3)
-        for net in all_kinds().values():
-            for x in (np.ones(width - 1), np.ones((1, width))):
-                with pytest.raises(ValueError, match=f"expected input of length {width}"):
-                    net.forward(x)
+        net = scoring_net()
+        for x in (np.ones(width - 1), np.ones((1, width))):
+            with pytest.raises(ValueError, match=f"expected input of length {width}"):
+                net.forward(x)
+        for xs in (np.ones(width), np.ones((2, width + 1))):
+            with pytest.raises(ValueError, match=f"expected shape \\(batch, {width}\\)"):
+                net.forward_batch(xs)
 
 
 def all_kinds(seed=60):
-    """The plain stack and the learner's network built from it, over a
-    3-device observation."""
-    width = state_width(3)
-    return {
-        "plain": ValueNetwork([width, 8, 6, 3], rng=rng(seed)),
-        "device-scoring": DeviceScoringNetwork([width, 8, 6, 3], device_feature_index(3),
-                                               rng=rng(seed)),
-    }
+    """Every network kind, over a 3-device observation: the learner's one."""
+    return {DeviceScoringNetwork.kind: scoring_net(seed=seed)}
 
 
 def assert_single_rows_match_batch(net, r, n=200):
@@ -85,7 +100,7 @@ class TestSingleStatePass:
     """``forward`` runs its own single-state pass; its Q row is the one a
     batch of one gives, before training, after it, and after a checkpoint."""
 
-    @pytest.mark.parametrize("kind", ["plain", "device-scoring"])
+    @pytest.mark.parametrize("kind", ["device-scoring"])
     def test_equals_a_batch_of_one_before_and_after_training(self, kind):
         net = all_kinds()[kind]
         r = rng(67)
@@ -117,7 +132,7 @@ class TestFlatParameters:
     """Parameters, gradients and work buffers are shared storage; what a
     caller is handed must not change behind its back."""
 
-    @pytest.mark.parametrize("kind", ["plain", "device-scoring"])
+    @pytest.mark.parametrize("kind", ["device-scoring"])
     def test_successive_results_are_independent(self, kind):
         net = all_kinds()[kind]
         r = rng(61)
@@ -133,7 +148,7 @@ class TestFlatParameters:
         net.forward(xs[1][0])
         assert np.array_equal(single, kept)
 
-    @pytest.mark.parametrize("kind", ["plain", "device-scoring"])
+    @pytest.mark.parametrize("kind", ["device-scoring"])
     def test_parameters_are_views_into_one_vector(self, kind):
         net = all_kinds()[kind]
         params = net.parameters()
@@ -149,7 +164,7 @@ class TestFlatParameters:
         assert [g.shape for g in grads] == [p.shape for p in params]
         assert all(np.shares_memory(g, net.grad) for g in grads)
 
-    @pytest.mark.parametrize("kind", ["plain", "device-scoring"])
+    @pytest.mark.parametrize("kind", ["device-scoring"])
     def test_training_leaves_a_synced_target_alone(self, kind):
         net = all_kinds()[kind]
         target = net.clone()
@@ -187,6 +202,29 @@ class TestFlatParameters:
             assert twin.random() < 1.0
             assert learner.act(state) == twin.integers(3)
         assert learner.rng_explore.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("epsilon, passes", [(0.0, 1), (1.0, 0)])
+    def test_value_block_forward_runs_once_per_exploiting_act(self, monkeypatch,
+                                                              epsilon, passes):
+        """The benchmark's tracer times ``ValueNetwork.forward`` by wrapping
+        it on the class; an exploiting ``act`` reaches it exactly once, an
+        exploring one never."""
+        calls = []
+        original = ValueNetwork.forward
+
+        def counted(block, x):
+            calls.append(1)
+            return original(block, x)
+
+        monkeypatch.setattr(ValueNetwork, "forward", counted)
+        config = TrainConfig(batch=8, buffer_capacity=64, planned_steps=100,
+                             epsilon_start=epsilon, epsilon_end=epsilon, hidden_sizes=(8,))
+        learner = DqnLearner(config, 4, rng(64), rng(65), rng(66))
+        state = rng(67).normal(size=state_width(3))
+        for greedy in (False, True):
+            calls.clear()
+            learner.act(state, greedy=greedy)
+            assert len(calls) == (1 if greedy else passes)
 
 
 def stub_learner(q, epsilon=0.0, seed=0):
@@ -237,42 +275,51 @@ class TestSelectAction:
 
 class TestTargets:
     def test_gamma_zero_reduces_to_reward(self):
-        net = ValueNetwork([5, 4, 3], rng=rng(6))
-        batch = (np.zeros((4, 5)), np.array([1, 1, 2, 2]), np.arange(4.0),
-                 rng(7).normal(size=(4, 5)))
+        net = scoring_net(seed=6)
+        width = state_width(3)
+        batch = (np.zeros((4, width)), np.array([1, 1, 2, 2]), np.arange(4.0),
+                 rng(7).normal(size=(4, width)))
         assert np.allclose(compute_targets(batch, net, 0.0), np.arange(4.0))
 
     def test_hand_value(self):
-        net = ValueNetwork([5, 4, 2], rng=rng(8))
-        s2 = np.ones((1, 5))
-        q2 = net.forward(np.ones(5))
-        batch = (np.zeros((1, 5)), np.array([1]), np.array([1.0]), s2)
+        net = scoring_net(2, seed=8)
+        width = state_width(2)
+        q2 = net.forward(np.ones(width))
+        batch = (np.zeros((1, width)), np.array([1]), np.array([1.0]), np.ones((1, width)))
         y = compute_targets(batch, net, 0.95)
         assert y[0] == pytest.approx(1.0 + 0.95 * q2.max())
 
     def test_target_maximizes_over_every_device_column(self):
-        net = ValueNetwork([5, 4, 3], rng=rng(9))
-        net.weights[-1][:] = 0.0
+        """Only the best device's backlog is set, and the shared scorer gives
+        a backlog of 1 a Q of 100; every column, device 0's too, can win."""
+        net = scoring_net(seed=9)
+        zero_parameters(net)
+        net.advantage.weights[0][2, 0] = 1.0  # hidden unit 0 reads the backlog
+        net.advantage.weights[1][0, 0] = 100.0 / ADVANTAGE_SCALE
         for best in range(3):
-            net.biases[-1][:] = 1.0
-            net.biases[-1][best] = 100.0
-            batch = (np.zeros((1, 5)), np.array([1]), np.array([0.0]), np.ones((1, 5)))
+            s2 = np.zeros((1, state_width(3)))
+            s2[0, device_feature_index(3)[best, 2]] = 1.0
+            batch = (np.zeros_like(s2), np.array([1]), np.array([0.0]), s2)
             assert compute_targets(batch, net, 1.0)[0] == pytest.approx(100.0)
 
     def test_zero_target_net(self):
-        net = ValueNetwork([5, 4, 3], rng=rng(10))
-        for p in net.parameters():
-            p[:] = 0.0
-        batch = (np.zeros((3, 5)), np.array([1, 1, 2]), np.array([1.0, 2.0, 3.0]),
-                 np.ones((3, 5)))
+        net = scoring_net(seed=10)
+        zero_parameters(net)
+        width = state_width(3)
+        batch = (np.zeros((3, width)), np.array([1, 1, 2]), np.array([1.0, 2.0, 3.0]),
+                 np.ones((3, width)))
         assert np.allclose(compute_targets(batch, net, 0.95),
                            np.array([1.0, 2.0, 3.0]))
 
 
 class TestGradients:
-    @pytest.mark.parametrize("sizes", [[5, 2, 2], [5, 8, 8, 5], [3, 4, 4, 4, 2]])
+    # No state here silences a whole hidden layer: the next layer's
+    # pre-activations would then be exactly its zero biases, a ReLU kink that
+    # central differences read as half a slope.
+    @pytest.mark.parametrize("sizes", [[state_width(2), 2, 2], [state_width(3), 8, 8, 3],
+                                       [state_width(1), 8, 4, 4, 1]])
     def test_full_gradient_matches_finite_differences(self, sizes):
-        net = ValueNetwork(sizes, rng=rng(11))
+        net = DeviceScoringNetwork(sizes, device_feature_index(sizes[-1]), rng=rng(11))
         r = rng(12)
         states = r.normal(size=(6, sizes[0]))
         actions = r.integers(0, sizes[-1], size=6)
@@ -285,18 +332,27 @@ class TestGradients:
                 denom = max(abs(fd_val), abs(flat[idx]), 1e-8)
                 assert abs(flat[idx] - fd_val) / denom < 1e-4
 
-    def test_only_selected_action_column_updated_in_last_layer_bias(self):
-        net = ValueNetwork([3, 4, 3], rng=rng(13))
-        states = rng(14).normal(size=(5, 3))
+    def test_only_selected_device_column_passes_gradient(self):
+        """With every action on device 1, the feature rows only devices 0
+        and 2 read (their backlog and execution time) reach the loss
+        through their own Q columns alone. The value stack is made blind
+        to them, so changing them moves no loss and no gradient of the
+        shared scorer."""
+        net = scoring_net(seed=13)
+        others = device_feature_index(3)[[0, 2], 2:].ravel()
+        net.value.weights[0][others] = 0.0
+        states = rng(14).normal(size=(5, state_width(3)))
         actions = np.ones(5, dtype=int)
-        _, grads = loss_and_grads(net, states, actions, np.zeros(5))
-        last_bias_grad = grads[-1]
-        assert last_bias_grad[0] == 0.0
-        assert last_bias_grad[2] == 0.0
+        loss, grads = loss_and_grads(net, states, actions, np.zeros(5))
+        kept = [g.copy() for g in grads[len(net.value.params):]]
+        states[:, others] += 10.0
+        moved, grads = loss_and_grads(net, states, actions, np.zeros(5))
+        assert moved == loss
+        assert all(np.array_equal(a, b) for a, b in zip(kept, grads[len(net.value.params):]))
 
     def test_exact_fit_gives_zero_loss_and_zero_gradient(self):
-        net = ValueNetwork([3, 4, 2], rng=rng(15))
-        states = rng(16).normal(size=(4, 3))
+        net = scoring_net(2, seed=15)
+        states = rng(16).normal(size=(4, state_width(2)))
         actions = np.array([0, 1, 0, 1])
         q, _ = net.forward_batch(states)
         targets = q[np.arange(4), actions]
@@ -361,33 +417,35 @@ class TestDeviceScoringNetwork:
 
 class TestTrainStep:
     def test_repeated_training_on_one_transition_converges(self):
-        net = ValueNetwork([5, 8, 3], rng=rng(17))
+        net = scoring_net(hidden=(8,), seed=17)
         target = net.clone()
         opt = AdamState(net.parameters(), learning_rate=0.01)
-        state = np.ones((1, 5))
-        batch = (state, np.array([1]), np.array([2.0]), np.ones((1, 5)))
+        state = np.ones((1, state_width(3)))
+        batch = (state, np.array([1]), np.array([2.0]), state)
         losses = [train_step(net, target, batch, opt, 0.0) for _ in range(800)]
         assert losses[-1] < 1e-6
         assert losses[-1] < losses[0]
 
     def test_divergence_raises(self):
-        net = ValueNetwork([5, 4, 2], rng=rng(18))
-        net.weights[0][0, 0] = np.nan
+        net = scoring_net(2, seed=18)
+        net.value.weights[0][0, 0] = np.nan
         target = net.clone()
         opt = AdamState(net.parameters(), TrainConfig().learning_rate)
-        batch = (np.ones((1, 5)), np.array([1]), np.array([1.0]), np.ones((1, 5)))
+        state = np.ones((1, state_width(2)))
+        batch = (state, np.array([1]), np.array([1.0]), state)
         with pytest.raises(DivergenceError):
             train_step(net, target, batch, opt, 0.95)
 
     def test_target_untouched_between_syncs(self):
-        net = ValueNetwork([5, 8, 3], rng=rng(19))
+        net = scoring_net(seed=19)
         target = net.clone()
         before = [p.copy() for p in target.parameters()]
         opt = AdamState(net.parameters(), TrainConfig().learning_rate)
         r = rng(20)
+        width = state_width(3)
         for _ in range(50):
-            batch = (r.normal(size=(8, 5)), r.integers(1, 3, size=8),
-                     r.normal(size=8), r.normal(size=(8, 5)))
+            batch = (r.normal(size=(8, width)), r.integers(1, 3, size=8),
+                     r.normal(size=8), r.normal(size=(8, width)))
             train_step(net, target, batch, opt, 0.95)
         assert all(np.array_equal(a, b) for a, b in zip(before, target.parameters()))
         assert not all(
@@ -397,15 +455,15 @@ class TestTrainStep:
 
 class TestSyncTarget:
     def test_bitwise_copy(self):
-        net = ValueNetwork([5, 8, 3], rng=rng(21))
-        target = ValueNetwork([5, 8, 3], rng=rng(22))
-        x = rng(23).normal(size=5)
+        net = scoring_net(seed=21)
+        target = scoring_net(seed=22)
+        x = rng(23).normal(size=state_width(3))
         assert not np.allclose(net.forward(x), target.forward(x))
         sync_target(net, target)
         assert np.array_equal(net.forward(x), target.forward(x))
 
     def test_idempotent(self):
-        net = ValueNetwork([5, 4, 2], rng=rng(24))
+        net = scoring_net(2, seed=24)
         target = net.clone()
         sync_target(net, target)
         first = [p.copy() for p in target.parameters()]
@@ -414,8 +472,8 @@ class TestSyncTarget:
 
     def test_architecture_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            sync_target(ValueNetwork([5, 4, 2], rng=rng(25)),
-                        ValueNetwork([5, 3, 2], rng=rng(26)))
+            sync_target(scoring_net(2, hidden=(4,), seed=25),
+                        scoring_net(2, hidden=(3,), seed=26))
 
 
 class TestReplayBuffer:

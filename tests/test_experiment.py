@@ -196,6 +196,51 @@ class TestConfigFile:
                                workload=WorkloadSpec(n_devices=8))
         assert cfg.workload.n_devices == cfg.topology.n_devices == 8
 
+    FLAGS = [("reward", "clamp_early"), ("experiment", "write_traces")]
+
+    @staticmethod
+    def read_flag(cfg, section, key):
+        return getattr(cfg.reward if section == "reward" else cfg, key)
+
+    @pytest.mark.parametrize("section, key", FLAGS)
+    @pytest.mark.parametrize("word, value", [("1", True), ("TRUE", True), ("Yes", True),
+                                             ("0", False), ("false", False), ("NO", False)])
+    def test_flag_words_in_any_case(self, tmp_path, section, key, word, value):
+        path = tmp_path / "flags.ini"
+        path.write_text(f"[{section}]\n{key} = {word}\n")
+        assert self.read_flag(load_config(path), section, key) is value
+
+    @pytest.mark.parametrize("section, key", FLAGS)
+    @pytest.mark.parametrize("word", ["maybe", "2", "on", ""])
+    def test_other_flag_words_refused_by_key(self, tmp_path, section, key, word):
+        """Before, any word but 1, true or yes loaded silently as False."""
+        path = tmp_path / "flags.ini"
+        path.write_text(f"[{section}]\n{key} = {word}\n")
+        with pytest.raises(ValueError, match=rf"flags\.ini: \[{section}\] {key}: expected "
+                                             rf"1/0, true/false or yes/no, got '{word}'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, tmp_path, seed):
+        path = tmp_path / "seed.ini"
+        path.write_text(f"[experiment]\nmaster_seed = {seed}\n")
+        assert load_config(path).master_seed == seed
+        assert replace(ExperimentConfig(), master_seed=seed).master_seed == seed
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seed_outside_64_bits_refused(self, tmp_path, seed):
+        """rng.stream keeps a seed's low 64 bits: -1 would run as 2**64 - 1,
+        and 2**64 + 1 as seed 1."""
+        path = tmp_path / "seed.ini"
+        path.write_text(f"[experiment]\nmaster_seed = {seed}\n")
+        message = rf"master_seed must lie in \[0, 2\*\*64\), got {seed}"
+        with pytest.raises(ValueError, match=rf"seed\.ini: \[experiment\] {message}"):
+            load_config(path)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            replace(ExperimentConfig(), master_seed=seed)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            load_config(None, {"master_seed": seed})  # what --seed passes
+
 
 class TestGenWorkload:
     def test_writes_loadable_file(self, tmp_path):

@@ -47,6 +47,12 @@ def training_config() -> ExperimentConfig:
 def training_digest(kind: str) -> str:
     learner, curve = train_agent(training_config())
     assert learner.net.kind == kind
+    return run_digest(learner, curve)
+
+
+def run_digest(learner, curve) -> str:
+    """sha256 of the curve, every prediction and target parameter, Adam's
+    moments and the repr of the last loss, in that order."""
     h = hashlib.sha256()
     h.update(curve.tobytes())
     for net in (learner.net, learner.target_net):

@@ -32,7 +32,13 @@ from conftest import (
     real_tasks,
     waiting_counts,
 )
-from oracles import evaluate_schedule, oracle_collect_ready, oracle_lct, oracle_transfer
+from oracles import (
+    ScriptedScheduler,
+    evaluate_schedule,
+    oracle_collect_ready,
+    oracle_lct,
+    oracle_transfer,
+)
 from mecsched.baselines import GreedyEftScheduler, HeftStyleScheduler, RandomScheduler
 from mecsched.dqn_core import DqnLearner, TrainConfig
 from mecsched.experiment import TopologyConfig, build_topology, prepare_graphs
@@ -45,7 +51,7 @@ from mecsched.mec_model import (
     transfer_time,
     transfer_times,
 )
-from mecsched.sim_engine import ScriptedScheduler, collect_ready, run
+from mecsched.sim_engine import collect_ready, run
 from mecsched.task_graph import (
     Edge,
     Task,

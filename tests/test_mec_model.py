@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
+from oracles import ScriptedScheduler
 from mecsched.mec_model import (
     CapabilityChain,
     EdgeDevice,
@@ -93,7 +94,7 @@ class TestTransferTime:
 
 def run_one_app(graph, topology, decisions, free_at=(0.0,), mips=5000.0):
     """Simulate one app with fixed assignments on devices free from ``free_at``."""
-    from mecsched.sim_engine import ScriptedScheduler, run
+    from mecsched.sim_engine import run
     from mecsched.task_graph import compute_lct
 
     graph = compute_lct(graph, mips, topology.max_rate, topology.uplink_rate)
@@ -140,7 +141,7 @@ class TestMakespan:
     def test_single_task_chain_of_transfers(self, topology):
         # upload 0.1 s + exec 0.1 s + download 0.1 s via the home device
         from mecsched.experiment import build_chains, build_devices, TopologyConfig
-        from mecsched.sim_engine import ScriptedScheduler, run
+        from mecsched.sim_engine import run
         from mecsched.task_graph import compute_lct
 
         tc = TopologyConfig(capability_levels=(5000.0,), transition_matrix=((1.0,),))
@@ -263,8 +264,7 @@ class TestTopologyRates:
         with pytest.raises(ValueError, match="read-only"):
             topo.inter_ecd_rate[0, 1] = 1.0
         rates[0, 1] = 1.0  # the caller's array is copied, not frozen
-        assert topo.rate(1, 2) == 440.0
-        assert type(topo.rate(1, 2)) is float
+        assert topo.inter_ecd_rate[0, 1] == 440.0
 
 
 def test_ordered_sum_adds_left_to_right_without_compensation():

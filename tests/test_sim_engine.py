@@ -11,7 +11,7 @@ from conftest import (
     waiting_counts,
     with_lct,
 )
-from oracles import evaluate_schedule
+from oracles import ScriptedScheduler, evaluate_schedule
 from mecsched import rng as rngmod
 from mecsched import sim_engine
 from mecsched.experiment import TopologyConfig, build_chains, build_devices
@@ -20,7 +20,6 @@ from mecsched.mec_model import CapabilityChain, EdgeDevice, NetworkTopology
 from mecsched.sim_engine import (
     SchedulerPort,
     SchedulingError,
-    ScriptedScheduler,
     SimulationTrace,
     collect_ready,
     observe_state,
