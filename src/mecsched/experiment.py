@@ -76,8 +76,9 @@ class TopologyConfig:
                              f"finite numbers, got {levels!r}")
         matrix = check_transition_matrix(self.transition_matrix, "transition_matrix")
         if len(matrix) != len(levels):
-            raise ValueError(f"transition_matrix must have one row per capability level "
-                             f"({len(levels)})")
+            # name both keys: either one may be the one written wrong
+            raise ValueError(f"transition_matrix must have one row per capability_levels "
+                             f"entry ({len(levels)}), got {len(matrix)} rows")
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,9 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Read an INI file over the defaults; unknown sections and keys, values
     that do not parse and settings a section refuses raise ValueError naming
     the section and the key. A list key left empty keeps its default."""
-    parser = configparser.ConfigParser()
+    # no interpolation: a '%' in a value is read as written, and a value it
+    # spoils is refused by its key's parser like any other
+    parser = configparser.ConfigParser(interpolation=None)
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)

@@ -113,26 +113,41 @@ def observe_state(
     The five aggregates are fleet rates, the capability sum and outstanding
     work; the queued workload counts every task assigned to a device whose
     completion has not fired yet, the executing one at full weight (each
-    device's running total, added up in device order). The head of ``ready``
-    is the task being placed: its workload and slack (``lct[task_id] - now``,
-    ``lct`` being its graph's column) follow the aggregates, both 0 when
-    nothing is ready. Last come each device's backlog (seconds from now until
-    its queue drains, 0 when idle) and current capability, in device-id order.
+    device's running total ``queued_mi``, added up in device order). The
+    head of ``ready`` is the task being placed: its workload and slack
+    (``lct[task_id] - now``, ``lct`` being its graph's column) follow the
+    aggregates, both 0 when nothing is ready. Last come each device's
+    backlog (seconds from now until its queue drains, 0 when idle) and
+    current capability, in device-id order.
+
+    Every sum adds left to right from 0.0, the sum ``ordered_sum`` gives,
+    written out as loops that build no list and call no method: this runs
+    at every decision that records trace rows or feeds the DQN.
     """
-    head = ready[0] if ready else None
-    capability = tuple([d.capability for d in devices])
-    return StateVector(
-        sum_inter_rate=topo.sum_rate,
-        uplink_rate=topo.uplink_rate,
-        sum_capability=ordered_sum(capability),
-        ready_workload=ordered_sum([t.workload for t in ready]),
-        queued_workload=ordered_sum([d.queued_workload() for d in devices]),
-        task_workload=head.workload if head else 0.0,
-        task_slack=lct[head.task_id] - now if head else 0.0,
-        backlog=tuple([0.0 if d.queue_free_at < now else d.queue_free_at - now
-                       for d in devices]),
-        capability=capability,
-    )
+    # the record is built positionally: keywords cost more on this path
+    sum_capability = 0.0
+    queued = 0.0
+    capability = []
+    backlog = []
+    for d in devices:
+        c = d.capability_levels[d.current_level]  # d.capability, without the call
+        capability.append(c)
+        sum_capability += c
+        queued += d.queued_mi
+        free_at = d.queue_free_at
+        backlog.append(0.0 if free_at < now else free_at - now)
+    ready_workload = 0.0
+    for t in ready:
+        ready_workload += t.workload
+    if ready:
+        head = ready[0]
+        task_workload = head.workload
+        task_slack = lct[head.task_id] - now
+    else:
+        task_workload = task_slack = 0.0
+    return StateVector(topo.sum_rate, topo.uplink_rate, sum_capability, ready_workload,
+                       queued, task_workload, task_slack, tuple(backlog),
+                       tuple(capability))
 
 
 class SimulationTrace:

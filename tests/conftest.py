@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import os
+import struct
 
 # One BLAS thread unless the caller chose a count, set before numpy is first
 # imported: the suite's matrices are small, and OpenBLAS would start a thread
@@ -171,3 +173,10 @@ def full_state(*aggregates, task_workload=1.0, slack=0.0, backlog=(0.0, 0.0),
         capability = (1.0,) * len(backlog)
     return StateVector(*head, float(task_workload), float(slack),
                        tuple(map(float, backlog)), tuple(map(float, capability)))
+
+
+def same_float(a, b) -> bool:
+    """Equal bit for bit, or both NaN: IEEE 754 leaves open which operand's
+    payload and sign an add of two NaNs returns, and CPython's specialized
+    float add and ``float.__add__`` pick differently."""
+    return math.isnan(a) and math.isnan(b) or struct.pack("<d", a) == struct.pack("<d", b)

@@ -4,13 +4,19 @@ Nothing here imports simulator internals beyond the plain data types and
 the scheduler port: the schedule evaluator re-derives all timing from the
 timing rules with its own event loop, the scripted scheduler replays a
 fixed assignment through the port, the gradient oracle uses central finite
-differences, and the policy oracle is tabular value iteration.
+differences, and the policy oracle is tabular value iteration. The
+observation oracle keeps the earlier formula of the kernel's
+``observe_state``, which the package must match bit for bit.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 import numpy as np
 
+from mecsched.mdp_agent import StateVector
 from mecsched.scheduler_port import DecisionContext, SchedulerPort
 
 
@@ -219,3 +225,26 @@ def value_iteration(transitions, rewards, gamma, sweeps=2000):
         for s in range(n_states)
     ]
     return values, policy
+
+
+def oracle_observe_state(now, topo, devices, ready, lct):
+    """The observation by ``reduce(add, ..., 0.0)`` sums over throw-away
+    lists, as ``observe_state`` computed it before its plain loops; each
+    device's queued MI is its running total ``queued_mi``."""
+    def left_sum(values):
+        return float(reduce(add, values, 0.0))
+
+    head = ready[0] if ready else None
+    capability = tuple([d.capability for d in devices])
+    return StateVector(
+        sum_inter_rate=topo.sum_rate,
+        uplink_rate=topo.uplink_rate,
+        sum_capability=left_sum(capability),
+        ready_workload=left_sum([t.workload for t in ready]),
+        queued_workload=left_sum([d.queued_mi for d in devices]),
+        task_workload=head.workload if head else 0.0,
+        task_slack=lct[head.task_id] - now if head else 0.0,
+        backlog=tuple([0.0 if d.queue_free_at < now else d.queue_free_at - now
+                       for d in devices]),
+        capability=capability,
+    )

@@ -4,9 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mecsched.cli import main
 from mecsched.experiment import (
+    _CONFIG_KEYS,
+    _FIELD_NAMES,
     ExperimentConfig,
     TopologyConfig,
     build_devices,
@@ -38,6 +42,50 @@ def tiny_config(master_seed=11, replications=2, episodes=2, n_apps=2):
     return replace(cfg, agent=replace(cfg.agent, episodes=episodes,
                                       buffer_capacity=5000, batch=16,
                                       hidden_sizes=(16, 8)))
+
+
+# the values every key is tried with, as they would be written in a file
+ODD_VALUES = ("nan", "inf", "-inf", "-1", "0", "1.5", "mystery", "")
+
+
+def with_odd_values(test):
+    for value in reversed(ODD_VALUES):
+        test = example(value=value)(test)
+    return test
+
+
+def resolved(cfg, section, key):
+    """The field ``[section] key`` sets in a loaded config."""
+    holder = cfg if section == "experiment" else getattr(cfg, section)
+    return getattr(holder, _FIELD_NAMES.get(key, key))
+
+
+class TestConfigKeySweep:
+    """Every key, written alone with an odd value, either loads as written
+    (an empty list keeps its default) or is refused naming the file, the
+    section and the key."""
+
+    @pytest.mark.parametrize("section, key", [(section, key)
+                                              for section, keys in _CONFIG_KEYS.items()
+                                              for key in keys])
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @with_odd_values
+    @given(value=st.one_of(st.floats().map(repr), st.integers(-1000, 1000).map(str),
+                           st.text("abe019.-+%;_ ", max_size=8)))
+    def test_loads_as_written_or_is_refused_by_key(self, tmp_path_factory, section, key,
+                                                   value):
+        path = tmp_path_factory.mktemp("sweep") / "odd.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        try:
+            cfg = load_config(path)
+        except ValueError as exc:
+            message = str(exc)
+            assert message.startswith(f"{path}: [{section}] ")
+            assert key in message
+            return
+        written = _CONFIG_KEYS[section][key](value.strip())
+        default = resolved(load_config(), section, key)
+        assert resolved(cfg, section, key) == (default if written == () else written)
 
 
 class TestConfigFile:
@@ -142,8 +190,11 @@ class TestConfigFile:
         ("[topology]\ncapability_levels = 6000 5000\ntransition_matrix = 0.5 0.5; 1\n",
          r"bad\.ini: \[topology\] transition_matrix must be square"),
         ("[topology]\ntransition_matrix = 0.5 0.5; 0.5 0.5\n",
-         r"bad\.ini: \[topology\] transition_matrix must have one row per capability "
-         r"level \(5\)"),
+         r"bad\.ini: \[topology\] transition_matrix must have one row per "
+         r"capability_levels entry \(5\), got 2 rows"),
+        ("[topology]\ncapability_levels = 1.5\n",
+         r"bad\.ini: \[topology\] transition_matrix must have one row per "
+         r"capability_levels entry \(1\), got 5 rows"),
         ("[reward]\neta = nan\n", r"bad\.ini: \[reward\] eta must be finite, got nan"),
         ("[reward]\npsi = inf\n", r"bad\.ini: \[reward\] psi must be finite, got inf"),
         ("[reward]\nbeta = -inf\n", r"bad\.ini: \[reward\] beta must be finite, got -inf"),
@@ -160,15 +211,16 @@ class TestConfigFile:
          r"bad\.ini: \[experiment\] lams must each be positive and finite, got inf"),
         ("[workload]\nworkload_range = 0 0\n",
          r"bad\.ini: \[workload\] workload_range must be two finite numbers 0 < low"),
+        ("[agent]\nepisodes = 5%\n", r"bad\.ini: \[agent\] episodes: invalid literal"),
     ], ids=["misspelt-key", "key-of-other-section", "unknown-section", "bad-value",
             "pool-below-batch", "nan-lam", "zero-rate", "negative-deadline-capability",
             "unknown-shape", "unknown-activation", "retired-activation", "no-replications",
             "unknown-scheduler", "retired-scheduler", "no-devices", "nan-uplink",
             "inf-inter-rate", "zero-inter-rate", "nan-level", "negative-level",
-            "nan-transition", "row-sum", "ragged-matrix", "matrix-size", "nan-eta",
-            "inf-psi", "inf-beta", "zero-hidden-size", "negative-hidden-size",
+            "nan-transition", "row-sum", "ragged-matrix", "matrix-size", "single-level",
+            "nan-eta", "inf-psi", "inf-beta", "zero-hidden-size", "negative-hidden-size",
             "negative-lam-sweep", "zero-lam-sweep", "nan-lam-sweep", "inf-lam-sweep",
-            "zero-workload-range"])
+            "zero-workload-range", "percent-sign"])
     def test_bad_keys_rejected_with_location(self, tmp_path, text, message):
         path = tmp_path / "bad.ini"
         path.write_text(text)

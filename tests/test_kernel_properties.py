@@ -15,10 +15,13 @@ draws against ``rng.choice`` on a twin stream, and workload generation's
 block draws against scalar draws on a twin stream. The fleet-wide
 ``transfer_times`` is checked against the oracle for every device triple,
 ``compute_lct``'s positional walk against the lookup walk it replaced,
-``collect_ready``'s parent counters against the set scan they replaced, and
+``collect_ready``'s parent counters against the set scan they replaced,
 one ``generate`` plus ``prepare_graphs`` against a budget of two shape
-lookups per app.
+lookups per app, and ``observe_state``'s loops against the ``reduce`` sums
+they replaced, bit for bit (any NaN for any NaN).
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from conftest import (
     assign_deadline,
     make_graph,
     real_tasks,
+    same_float,
     waiting_counts,
 )
 from oracles import (
@@ -37,6 +41,7 @@ from oracles import (
     evaluate_schedule,
     oracle_collect_ready,
     oracle_lct,
+    oracle_observe_state,
     oracle_transfer,
 )
 from mecsched.baselines import GreedyEftScheduler, HeftStyleScheduler, RandomScheduler
@@ -51,7 +56,7 @@ from mecsched.mec_model import (
     transfer_time,
     transfer_times,
 )
-from mecsched.sim_engine import collect_ready, run
+from mecsched.sim_engine import collect_ready, observe_state, run
 from mecsched.task_graph import (
     Edge,
     Task,
@@ -127,7 +132,8 @@ def make_scheduler(kind, scenario, topo):
 
 class QueueAudit:
     """Delegates to a scheduler; at every decision, checks each device's
-    running queue total against a fresh left-to-right sum of its queue."""
+    running queue total against a fresh left-to-right sum of its queue, and
+    the observed queued workload against a left-to-right sum of those."""
 
     def __init__(self, inner, devices):
         self.inner = inner
@@ -138,14 +144,16 @@ class QueueAudit:
         return getattr(self.inner, name)
 
     def decide(self, ctx):
-        totals = []
+        # explicit left-to-right sums: builtin sum is compensated on
+        # Python >= 3.12 and may differ from the kernel in the last bits
+        fleet = 0.0
         for device in self.devices:
             total = 0.0
             for _, _, mi in device.queue:
                 total += mi
-            assert device.queued_workload() == total
-            totals.append(total)
-        assert ctx.observation.queued_workload == float(sum(totals))
+            assert device.queued_mi == total
+            fleet += total
+        assert ctx.observation.queued_workload == fleet
         self.decisions += 1
         return self.inner.decide(ctx)
 
@@ -492,3 +500,48 @@ def test_generate_and_prepare_look_each_app_shape_up_at_most_twice(n_apps, seed)
     prepare_graphs(generate(spec, np.random.default_rng(seed)), tc, build_topology(tc))
     info = _shape_of.cache_info()
     assert info.hits + info.misses <= 2 * n_apps
+
+
+# observation inputs, signed zeros, NaN and infinities included
+ODD_FLOATS = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]),
+)
+# summands: mostly values whose sum depends on the order they are added in
+SUMMANDS = st.one_of(st.sampled_from([0.1, 0.2, 0.3, 0.7, 1e16, -1e16]), ODD_FLOATS)
+
+
+# more examples than the others: few of them draw a sum whose order matters
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(st.integers(1, 8), st.data())
+def test_observe_state_matches_the_reduce_oracle_bit_for_bit(n_dev, data):
+    now = data.draw(st.one_of(st.floats(0.0, 10.0), ODD_FLOATS))
+    devices = []
+    for m in range(1, n_dev + 1):
+        levels = data.draw(st.lists(st.floats(1.0, 1e5), min_size=1, max_size=4))
+        device = EdgeDevice(m, tuple(levels), data.draw(st.integers(0, len(levels) - 1)))
+        # the device frees before, at or after now, or at an odd time
+        device.queue_free_at = data.draw(st.one_of(
+            st.just(now), st.floats(-5.0, 5.0).map(lambda d: now + d), ODD_FLOATS))
+        mis = data.draw(st.lists(SUMMANDS, max_size=8))
+        for task_id, mi in enumerate(mis):
+            device.enqueue(1, task_id, mi)
+        for task_id in range(data.draw(st.integers(0, len(mis)))):
+            device.pop_head(1, task_id)
+        devices.append(device)
+    workloads = data.draw(st.lists(SUMMANDS, max_size=6))
+    ids = data.draw(st.permutations(range(len(workloads))))
+    ready = [Task(i, w) for i, w in zip(ids, workloads)]
+    lct = data.draw(st.lists(ODD_FLOATS, min_size=len(ready), max_size=len(ready)))
+    rates = np.full((n_dev, n_dev), 440.0)
+    topo = NetworkTopology(rates, 1000.0)
+
+    got = observe_state(now, topo, devices, ready, lct)
+    want = oracle_observe_state(now, topo, devices, ready, lct)
+    for name in ("sum_inter_rate", "uplink_rate", "sum_capability", "ready_workload",
+                 "queued_workload", "task_workload", "task_slack"):
+        assert same_float(getattr(got, name), getattr(want, name)), name
+    for name in ("backlog", "capability"):
+        assert len(getattr(got, name)) == len(getattr(want, name)) == n_dev, name
+        assert all(map(same_float, getattr(got, name), getattr(want, name))), name

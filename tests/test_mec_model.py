@@ -1,7 +1,13 @@
+import math
+from functools import reduce
+from operator import add
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_graph
+from conftest import make_graph, same_float
 from oracles import ScriptedScheduler
 from mecsched.mec_model import (
     CapabilityChain,
@@ -217,14 +223,14 @@ class TestDeviceQueue:
         dev.enqueue(2, 1, 0.1)
         dev.enqueue(1, 4, 0.2)
         assert dev.queue == ((1, 3, 400.0), (2, 1, 0.1), (1, 4, 0.2))
-        assert dev.queued_workload() == 400.0 + 0.1 + 0.2
+        assert dev.queued_mi == 400.0 + 0.1 + 0.2
         dev.pop_head(1, 3)
         assert dev.queue == ((2, 1, 0.1), (1, 4, 0.2))
-        assert dev.queued_workload() == 0.1 + 0.2
+        assert dev.queued_mi == 0.1 + 0.2
         dev.pop_head(2, 1)
         dev.pop_head(1, 4)
         assert dev.queue == ()
-        assert dev.queued_workload() == 0.0
+        assert dev.queued_mi == 0.0
 
     def test_completion_out_of_fcfs_order_rejected(self):
         dev = device()
@@ -242,7 +248,7 @@ class TestDeviceQueue:
             dev.queue.append((1, 2, 50.0))
         with pytest.raises(AttributeError):
             dev.queue = []
-        assert dev.queued_workload() == 100.0
+        assert dev.queued_mi == 100.0
 
 
 class TestTopologyRates:
@@ -272,3 +278,25 @@ def test_ordered_sum_adds_left_to_right_without_compensation():
     assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
     assert ordered_sum([]) == 0.0
     assert type(ordered_sum(np.array([1.0, 2.0]))) is float
+
+
+SUM_OPERANDS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                     0.1, 0.2, 0.3, 1.0, 1e16, -1e16]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(SUM_OPERANDS, max_size=12),
+       st.lists(st.integers(-2**60, 2**60), max_size=12))
+def test_ordered_sum_equals_reduce_add_bit_for_bit(floats, ints):
+    mixed = [v for pair in zip(floats, ints) for v in pair]
+    for values in (floats, ints, mixed, np.array(floats, dtype=float),
+                   np.array(ints, dtype=np.int64)):
+        with np.errstate(all="ignore"):  # inf - inf on numpy scalars warns
+            want = float(reduce(add, values, 0.0))
+            got = ordered_sum(values)
+        assert type(got) is float
+        assert same_float(got, want)
+    assert same_float(ordered_sum(v for v in floats), float(reduce(add, floats, 0.0)))
