@@ -55,14 +55,14 @@ def upward_rank(graph: TaskGraph, mean_capability: float, mean_rate: float) -> d
     Compute times use the fleet's mean capability and edge transfers a single
     mean rate; larger rank means further from the sink.
     """
+    tasks = graph.tasks
     ranks: dict[int, float] = {}
     for i in reversed(graph.topological_order()):
-        task = graph.task(i)
-        exec_est = task.workload / mean_capability
+        exec_est = tasks[i].workload / mean_capability
         best_child = 0.0
-        for j in graph.children_of(i):
-            comm = graph.edge_data(i, j) / mean_rate
-            best_child = max(best_child, comm + ranks[j])
+        for edge in graph.child_edges(i):
+            comm = edge.data_size / mean_rate
+            best_child = max(best_child, comm + ranks[edge.dst])
         ranks[i] = exec_est + best_child
     return ranks
 

@@ -88,8 +88,8 @@ def collect_ready(
 
     ``waiting`` counts, by task id, the parents not yet completed; a task is
     ready at 0. The list is in ascending (LCT, task id) order, so the prefix
-    is too; it is consumed in place. Task ids are 0..K in order, as
-    ``compute_lct`` checks, so a task sits at its id in ``graph.tasks``.
+    is too; it is consumed in place. Task ids are 0..K in order, as the
+    graph's shape requires, so a task sits at its id in ``graph.tasks``.
     """
     tasks = graph.tasks
     ready: list[Task] = []

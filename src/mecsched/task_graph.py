@@ -12,7 +12,7 @@ transfer assumptions. Ready tasks are dispatched in ascending LCT order.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -52,33 +52,33 @@ class TaskGraph:
     release_time: float
     deadline: float
     home_ecd: int
-    tasks: tuple[Task, ...]  # ordered by task_id
+    tasks: tuple[Task, ...]  # task k has id k
     edges: tuple[Edge, ...]
     lct: tuple[float, ...] | None = None  # seconds, by task id; set by compute_lct
 
     @cached_property
     def _key(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """The task ids and edge endpoints, in order: what the shape and the
-        structural checks are keyed by."""
+        """The task ids and edge endpoints, in order: what the shape is
+        keyed by."""
         return (tuple([t.task_id for t in self.tasks]),
                 tuple([(e.src, e.dst) for e in self.edges]))
 
     @cached_property
     def _shape(self) -> _Shape:
-        return _shape_of(*self._key)
+        shape = _shape_of(*self._key)
+        if shape.parents is None:
+            raise ValueError(f"app {self.app_id}: {'; '.join(shape.faults)}")
+        return shape
 
     @property
     def sink_id(self) -> int:
-        return self._shape.sink
+        return len(self.tasks) - 1
 
     @cached_property
-    def _parent_edges(self) -> dict[int, tuple[Edge, ...]]:
+    def _parent_edges(self) -> tuple[tuple[Edge, ...], ...]:
         edges = self.edges
-        return {t: tuple(edges[k] for k in positions)
-                for t, positions in self._shape.parent_edges.items()}
-
-    def task(self, task_id: int) -> Task:
-        return self.tasks[self._shape.position[task_id]]
+        return tuple([tuple([edges[k] for k in positions])
+                      for positions in self._shape.parent_edges])
 
     def parents_of(self, task_id: int) -> tuple[int, ...]:
         return self._shape.parents[task_id]
@@ -90,8 +90,10 @@ class TaskGraph:
     def children_of(self, task_id: int) -> tuple[int, ...]:
         return self._shape.children[task_id]
 
-    def edge_data(self, src: int, dst: int) -> float:
-        return self.edges[self._shape.edge_position[(src, dst)]].data_size
+    def child_edges(self, task_id: int) -> tuple[Edge, ...]:
+        """Outgoing edges of a task, in child-id order."""
+        edges = self.edges
+        return tuple([edges[k] for k in self._shape.child_edges[task_id]])
 
     def topological_order(self) -> list[int]:
         """Kahn order over all tasks; raises ValueError on a cycle."""
@@ -103,56 +105,92 @@ class TaskGraph:
 
 @dataclass(frozen=True)
 class _Shape:
-    """What a graph's task ids and edge endpoints determine on their own.
+    """What a graph's task ids and edge endpoints determine on their own:
+    its structural faults and, by task id, its adjacency.
 
     Graphs with the same ids and endpoints in the same order (every app of a
     ``generate`` call, the same apps loaded from a file, and the prepared
     copy of each) get the same ``_Shape`` from ``_shape_of``, which is
     keyed by exactly those; it holds no task or size, and nothing mutates it.
-    An endpoint that is not a task id raises KeyError here, so
-    ``_structure_faults`` checks endpoints before it asks for the shape.
+    When the ids are not 0..K or an endpoint is bad, only ``faults`` is set.
     """
 
-    position: dict[int, int]  # task id -> index into tasks
-    parents: dict[int, tuple[int, ...]]
-    children: dict[int, tuple[int, ...]]
-    parent_edges: dict[int, tuple[int, ...]]  # indices into edges, parent-id order
-    child_edges: dict[int, tuple[int, ...]]  # indices into edges, child-id order
-    edge_position: dict[tuple[int, int], int]  # (src, dst) -> index into edges
-    order: tuple[int, ...] | None  # Kahn order, ties by id; None on a cycle
-    sink: int  # the highest task id
+    faults: tuple[str, ...]  # empty when the structure is sound
+    parents: tuple[tuple[int, ...], ...] | None = None
+    children: tuple[tuple[int, ...], ...] | None = None
+    parent_edges: tuple[tuple[int, ...], ...] | None = None  # edge indices, parent-id order
+    child_edges: tuple[tuple[int, ...], ...] | None = None  # edge indices, child-id order
+    order: tuple[int, ...] | None = None  # Kahn order, ties by id; None on a cycle
 
 
 @lru_cache(maxsize=256)
 def _shape_of(ids: tuple[int, ...], endpoints: tuple[tuple[int, int], ...]) -> _Shape:
-    parent_lists: dict[int, list[int]] = {i: [] for i in ids}
-    child_lists: dict[int, list[int]] = {i: [] for i in ids}
-    for src, dst in endpoints:
-        parent_lists[dst].append(src)
-        child_lists[src].append(dst)
-    parents = {i: tuple(sorted(v)) for i, v in parent_lists.items()}
-    children = {i: tuple(sorted(v)) for i, v in child_lists.items()}
-    edge_position = {pair: k for k, pair in enumerate(endpoints)}
+    n = len(ids)
+    if ids != tuple(range(n)):
+        return _Shape(("task ids must be 0..K in order",))
+    if n < 2:
+        return _Shape(("need a source and a sink task",))
+    faults: list[str] = []
+    seen = set()
+    for pair in endpoints:
+        src, dst = pair
+        if src == dst:
+            faults.append(f"self edge on task {src}")
+        if not (0 <= src < n and 0 <= dst < n):
+            faults.append(f"edge {src}->{dst} references unknown task")
+        if pair in seen:
+            faults.append(f"duplicate edge {src}->{dst}")
+        seen.add(pair)
+    if faults:
+        return _Shape(tuple(faults))
 
-    indeg = {i: len(parents[i]) for i in ids}
-    frontier = sorted(i for i, d in indeg.items() if d == 0)
+    # (neighbour id, edge position) per task; ids are unique per list
+    into: list[list[tuple[int, int]]] = [[] for _ in ids]
+    out: list[list[tuple[int, int]]] = [[] for _ in ids]
+    for k, (src, dst) in enumerate(endpoints):
+        into[dst].append((src, k))
+        out[src].append((dst, k))
+    for pairs in (*into, *out):
+        pairs.sort()
+    parents = tuple([tuple([p for p, _ in v]) for v in into])
+    children = tuple([tuple([c for c, _ in v]) for v in out])
+
+    indeg = [len(p) for p in parents]
+    frontier = [i for i in ids if not indeg[i]]  # a heap: ascending already
     order: list[int] = []
     while frontier:
-        node = frontier.pop(0)
+        node = heapq.heappop(frontier)  # the smallest ready id, for determinism
         order.append(node)
         for child in children[node]:
             indeg[child] -= 1
-            if indeg[child] == 0:
-                bisect.insort(frontier, child)  # sorted, for determinism
+            if not indeg[child]:
+                heapq.heappush(frontier, child)
+
+    sink = n - 1
+    if len(order) < n:
+        faults.append("cycle")
+    else:
+        if parents[0]:
+            faults.append("source task 0 has parents")
+        if not children[0]:
+            faults.append("source task 0 has no children")
+        if children[sink]:
+            faults.append(f"sink task {sink} has children")
+        if not parents[sink]:
+            faults.append(f"sink task {sink} has no parents")
+        # with these, every task lies on a path from the source to the sink
+        for i in range(1, sink):
+            if not parents[i]:
+                faults.append(f"real task {i} has no parents")
+            if not children[i]:
+                faults.append(f"real task {i} has no children")
     return _Shape(
-        position={i: k for k, i in enumerate(ids)},
+        faults=tuple(faults),
         parents=parents,
         children=children,
-        parent_edges={t: tuple(edge_position[(p, t)] for p in ps) for t, ps in parents.items()},
-        child_edges={t: tuple(edge_position[(t, c)] for c in cs) for t, cs in children.items()},
-        edge_position=edge_position,
-        order=tuple(order) if len(order) == len(ids) else None,
-        sink=max(ids),
+        parent_edges=tuple([tuple([k for _, k in v]) for v in into]),
+        child_edges=tuple([tuple([k for _, k in v]) for v in out]),
+        order=tuple(order) if len(order) == n else None,
     )
 
 
@@ -164,12 +202,11 @@ def validate(graph: TaskGraph) -> tuple[str, ...]:
     """Every broken invariant of a TaskGraph, empty when the graph is sound;
     never raises.
 
-    The structural faults come first, computed once per distinct shape key
-    (``_structure_faults``); the graph's own values follow: dummy and real
-    workloads, data sizes, release, deadline and home. The first and last
-    task are the dummies.
+    The structural faults come first, found once per distinct shape; the
+    graph's own values follow: dummy and real workloads, data sizes,
+    release, deadline and home. The first and last task are the dummies.
     """
-    bad = list(_structure_faults(*graph._key))
+    bad = list(_shape_of(*graph._key).faults)
     tasks = graph.tasks
     last = len(tasks) - 1
     for k, t in enumerate(tasks):
@@ -190,69 +227,6 @@ def validate(graph: TaskGraph) -> tuple[str, ...]:
     return tuple(bad)
 
 
-@lru_cache(maxsize=256)
-def _structure_faults(ids: tuple[int, ...],
-                      endpoints: tuple[tuple[int, int], ...]) -> tuple[str, ...]:
-    """The broken structural invariants of every graph with these task ids
-    and edge endpoints: id range, edges, cycle, source and sink, parents and
-    children, reachability."""
-    if not ids:
-        return ("empty graph",)
-    if ids != tuple(range(len(ids))):
-        return ("task ids not contiguous from 0",)
-    sink = ids[-1]
-    known = range(sink + 1)
-
-    # the shape is built from the endpoints, so they are checked first
-    bad: list[str] = []
-    seen_pairs = set()
-    for pair in endpoints:
-        src, dst = pair
-        if src == dst:
-            bad.append(f"self edge on task {src}")
-        if src not in known or dst not in known:
-            bad.append(f"edge {src}->{dst} references unknown task")
-        if pair in seen_pairs:
-            bad.append(f"duplicate edge {src}->{dst}")
-        seen_pairs.add(pair)
-    if bad:
-        return tuple(bad)
-
-    shape = _shape_of(ids, endpoints)
-    if shape.order is None:
-        return ("cycle",)
-    parents, children = shape.parents, shape.children
-    if parents[0]:
-        bad.append("source task 0 has parents")
-    if children[sink]:
-        bad.append(f"sink task {sink} has children")
-    for i in ids[1:-1]:
-        if not parents[i]:
-            bad.append(f"real task {i} has no parents")
-        if not children[i]:
-            bad.append(f"real task {i} has no children")
-
-    reach_fwd = _reachable(children, 0)
-    reach_bwd = _reachable(parents, sink)
-    for i in ids:
-        if i not in reach_fwd:
-            bad.append(f"task {i} unreachable from source")
-        if i not in reach_bwd:
-            bad.append(f"task {i} cannot reach sink")
-    return tuple(bad)
-
-
-def _reachable(step: dict[int, tuple[int, ...]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in step[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
 def compute_lct(
     graph: TaskGraph,
     max_capability: float,
@@ -260,24 +234,23 @@ def compute_lct(
     uplink_rate: float,
 ) -> TaskGraph:
     """A copy of the graph, sharing its tasks and edges, with its ``lct``
-    column filled by backward propagation; task ids must be 0..K in order.
+    column filled by backward propagation; refuses, naming the app, any
+    structural fault ``validate`` reports.
 
     Parents of the sink get ``deadline - result_data / uplink_rate``; any
     task with real children gets the minimum over children of
-    ``child_lct - child_workload / max_capability - edge_data / max_rate``.
+    ``child_lct - child_workload / max_capability - data_size / max_rate``.
     A task that both feeds the sink and has real children takes the tighter
     of the two bounds. Tasks are visited in reverse Kahn order, and each
     one's children in id order through the shape's child-edge positions.
     """
     if max_capability <= 0 or max_rate <= 0 or uplink_rate <= 0:
         raise ValueError("capability and rates must be positive")
-    tasks = graph.tasks
-    if any(t.task_id != k for k, t in enumerate(tasks)):
-        raise ValueError(f"app {graph.app_id}: task ids must be 0..K in order")
-    shape = graph._shape
-    if shape.order is None:
-        raise ValueError("task graph contains a cycle")
-    edges, sink, deadline = graph.edges, shape.sink, graph.deadline
+    shape = _shape_of(*graph._key)
+    if shape.faults:
+        raise ValueError(f"app {graph.app_id}: {'; '.join(shape.faults)}")
+    tasks, edges, deadline = graph.tasks, graph.edges, graph.deadline
+    sink = len(tasks) - 1
     lct = [deadline] * len(tasks)  # every entry but the sink's is overwritten
     for i in reversed(shape.order):
         if i == sink:

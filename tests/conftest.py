@@ -55,8 +55,7 @@ def augment_with_dummies(
     ids = sorted(t.task_id for t in raw.tasks)
     if ids != list(range(1, len(ids) + 1)):
         raise ValueError("raw graph must use contiguous task ids starting at 1")
-    entries = [i for i in ids if not raw.parents_of(i)]
-    exits = [i for i in ids if not raw.children_of(i)]
+    entries, exits = entries_and_exits(raw)
     if len(offload_sizes) != len(entries):
         raise ValueError(
             f"offload_sizes has {len(offload_sizes)} entries, graph has {len(entries)}"
@@ -78,6 +77,21 @@ def augment_with_dummies(
     graph = replace(raw, tasks=tasks, edges=tuple(edges))
     graph.topological_order()  # raises on cycles; the dummies add none
     return graph
+
+
+def entries_and_exits(raw: TaskGraph) -> tuple[list[int], list[int]]:
+    """The real tasks of a dummy-free graph without parents and without
+    children, in ascending id order, read from its edges: with ids 1..K it
+    has no shape."""
+    ids = sorted(t.task_id for t in raw.tasks)
+    targets = {e.dst for e in raw.edges}
+    sources = {e.src for e in raw.edges}
+    return [i for i in ids if i not in targets], [i for i in ids if i not in sources]
+
+
+def edge_data(graph: TaskGraph, src: int, dst: int) -> float:
+    """Megabits on the edge ``src -> dst``."""
+    return next(e.data_size for e in graph.edges if (e.src, e.dst) == (src, dst))
 
 
 def assign_deadline(graph: TaskGraph, capability: float = 5000.0,
@@ -104,8 +118,7 @@ def make_graph(edges, workloads, app_id=1, release=0.0, deadline=10.0, home=1,
         tasks=tasks,
         edges=tuple(Edge(s, d, float(v)) for (s, d), v in sorted(edges.items())),
     )
-    entries = [i for i in sorted(workloads) if not raw.parents_of(i)]
-    exits = [i for i in sorted(workloads) if not raw.children_of(i)]
+    entries, exits = entries_and_exits(raw)
     return augment_with_dummies(
         raw,
         offload_sizes=[dummy_data] * len(entries),

@@ -6,13 +6,17 @@ timing rules with its own event loop, the scripted scheduler replays a
 fixed assignment through the port, the gradient oracle uses central finite
 differences, and the policy oracle is tabular value iteration. The
 observation oracle keeps the earlier formula of the kernel's
-``observe_state``, which the package must match bit for bit.
+``observe_state``, which the package must match bit for bit. The structure
+oracle keeps the earlier dict-keyed derivation of a graph's adjacency and,
+in a second pass, its faults, with a two-way reachability search.
 """
 
 from __future__ import annotations
 
+import bisect
 from functools import reduce
 from operator import add
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,11 +52,17 @@ def oracle_transfer(data, src_dev, dst_dev, rates, uplink, home):
     return data / rates[(src_dev, dst_dev)]
 
 
+def edge_sizes(graph):
+    """Megabits by ``(src, dst)``."""
+    return {(e.src, e.dst): e.data_size for e in graph.edges}
+
+
 def oracle_lct(graph, max_capability, max_rate, uplink_rate):
     """Latest completion time per task id, by the lookup walk ``compute_lct``
-    replaced: reverse topological order, children in id order through
-    ``task()`` and ``edge_data()``."""
+    replaced: reverse topological order, children in id order, workloads by
+    id and edge sizes by endpoints."""
     sink = graph.sink_id
+    data = edge_sizes(graph)
     lct = {sink: graph.deadline}
     for i in reversed(graph.topological_order()):
         if i == sink:
@@ -60,15 +70,112 @@ def oracle_lct(graph, max_capability, max_rate, uplink_rate):
         bounds = []
         for j in graph.children_of(i):
             if j == sink:
-                bounds.append(graph.deadline - graph.edge_data(i, sink) / uplink_rate)
+                bounds.append(graph.deadline - data[(i, sink)] / uplink_rate)
             else:
                 bounds.append(
                     lct[j]
-                    - graph.task(j).workload / max_capability
-                    - graph.edge_data(i, j) / max_rate
+                    - graph.tasks[j].workload / max_capability
+                    - data[(i, j)] / max_rate
                 )
         lct[i] = min(bounds)
     return lct
+
+
+def oracle_shape_of(ids, endpoints):
+    """Dict-keyed adjacency of a graph with these task ids and edge
+    endpoints (every endpoint must be a task id): positions, parents,
+    children, parent- and child-edge positions, edge positions by
+    ``(src, dst)``, the Kahn order with ties by id (``None`` on a cycle)
+    and the sink."""
+    parent_lists = {i: [] for i in ids}
+    child_lists = {i: [] for i in ids}
+    for src, dst in endpoints:
+        parent_lists[dst].append(src)
+        child_lists[src].append(dst)
+    parents = {i: tuple(sorted(v)) for i, v in parent_lists.items()}
+    children = {i: tuple(sorted(v)) for i, v in child_lists.items()}
+    edge_position = {pair: k for k, pair in enumerate(endpoints)}
+
+    indeg = {i: len(parents[i]) for i in ids}
+    frontier = sorted(i for i, d in indeg.items() if d == 0)
+    order = []
+    while frontier:
+        node = frontier.pop(0)
+        order.append(node)
+        for child in children[node]:
+            indeg[child] -= 1
+            if indeg[child] == 0:
+                bisect.insort(frontier, child)
+    return SimpleNamespace(
+        position={i: k for k, i in enumerate(ids)},
+        parents=parents,
+        children=children,
+        parent_edges={t: tuple(edge_position[(p, t)] for p in ps) for t, ps in parents.items()},
+        child_edges={t: tuple(edge_position[(t, c)] for c in cs) for t, cs in children.items()},
+        edge_position=edge_position,
+        order=tuple(order) if len(order) == len(ids) else None,
+        sink=max(ids),
+    )
+
+
+def oracle_structure_faults(ids, endpoints):
+    """The broken structural invariants of every graph with these task ids
+    and edge endpoints: id range, edges, cycle, source and sink, parents and
+    children, reachability from the source and to the sink."""
+    if not ids:
+        return ("empty graph",)
+    if ids != tuple(range(len(ids))):
+        return ("task ids not contiguous from 0",)
+    sink = ids[-1]
+    known = range(sink + 1)
+
+    bad = []
+    seen_pairs = set()
+    for pair in endpoints:
+        src, dst = pair
+        if src == dst:
+            bad.append(f"self edge on task {src}")
+        if src not in known or dst not in known:
+            bad.append(f"edge {src}->{dst} references unknown task")
+        if pair in seen_pairs:
+            bad.append(f"duplicate edge {src}->{dst}")
+        seen_pairs.add(pair)
+    if bad:
+        return tuple(bad)
+
+    shape = oracle_shape_of(ids, endpoints)
+    if shape.order is None:
+        return ("cycle",)
+    parents, children = shape.parents, shape.children
+    if parents[0]:
+        bad.append("source task 0 has parents")
+    if children[sink]:
+        bad.append(f"sink task {sink} has children")
+    for i in ids[1:-1]:
+        if not parents[i]:
+            bad.append(f"real task {i} has no parents")
+        if not children[i]:
+            bad.append(f"real task {i} has no children")
+
+    reach_fwd = _reachable(children, 0)
+    reach_bwd = _reachable(parents, sink)
+    for i in ids:
+        if i not in reach_fwd:
+            bad.append(f"task {i} unreachable from source")
+        if i not in reach_bwd:
+            bad.append(f"task {i} cannot reach sink")
+    return tuple(bad)
+
+
+def _reachable(step, start):
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in step[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def oracle_collect_ready(pending, completed, graph):
@@ -81,7 +188,7 @@ def oracle_collect_ready(pending, completed, graph):
     for head in pending:
         if any((app_id, p) not in completed for p in graph.parents_of(head)):
             break
-        tasks.append(graph.task(head))
+        tasks.append(graph.tasks[head])
     del pending[:len(tasks)]
     return tasks
 
@@ -104,6 +211,7 @@ def evaluate_schedule(graphs, assignment, rates, uplink, level_traces):
     ascending by (lct, app, task), committed one at a time FCFS.
     """
     graphs = {g.app_id: g for g in graphs}
+    data = {app_id: edge_sizes(g) for app_id, g in graphs.items()}
     order = {}
     for app_id, g in graphs.items():
         real = [t.task_id for t in g.tasks if t.task_id not in (0, g.sink_id)]
@@ -124,7 +232,7 @@ def evaluate_schedule(graphs, assignment, rates, uplink, level_traces):
     def arrival_time(app_id, parent, child, target):
         g = graphs[app_id]
         hop = oracle_transfer(
-            g.edge_data(parent, child), on_device[(app_id, parent)], target,
+            data[app_id][(parent, child)], on_device[(app_id, parent)], target,
             rates, uplink, g.home_ecd,
         )
         return finish[(app_id, parent)] + hop
@@ -153,7 +261,7 @@ def evaluate_schedule(graphs, assignment, rates, uplink, level_traces):
             trace = level_traces[m]
             mips = trace[min(n_done[m], len(trace) - 1)]
             start = max(free[m], max(arrivals), now)
-            fin = start + g.task(t).workload / mips
+            fin = start + g.tasks[t].workload / mips
             finish[(a, t)] = fin
             on_device[(a, t)] = m
             free[m] = fin

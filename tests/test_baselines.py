@@ -102,9 +102,9 @@ class TestHeftStyle:
         tc = TopologyConfig()
         sched = HeftStyleScheduler(topology, tc.capability_levels)
         graph = with_lct(make_graph({}, {1: 100.0, 2: 400.0}), topology)
-        ready = [graph.task(1), graph.task(2)]
+        ready = [graph.tasks[1], graph.tasks[2]]
         sched.order_ready(graph, ready)
-        assert ready == [graph.task(2), graph.task(1)]  # heavier task has larger rank -> earlier
+        assert ready == [graph.tasks[2], graph.tasks[1]]  # heavier task has larger rank -> earlier
 
     def test_reused_instance_matches_fresh_ones(self):
         # every workload numbers its apps 1..n, so a reused instance meets

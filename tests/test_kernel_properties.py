@@ -17,7 +17,8 @@ block draws against scalar draws on a twin stream. The fleet-wide
 ``compute_lct``'s positional walk against the lookup walk it replaced,
 ``collect_ready``'s parent counters against the set scan they replaced,
 one ``generate`` plus ``prepare_graphs`` against a budget of two shape
-lookups per app, and ``observe_state``'s loops against the ``reduce`` sums
+lookups per app, a graph's one-pass shape against the earlier two-pass
+derivation with its reachability search, and ``observe_state``'s loops against the ``reduce`` sums
 they replaced, bit for bit (any NaN for any NaN).
 """
 
@@ -29,8 +30,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    augment_with_dummies,
     assign_deadline,
+    augment_with_dummies,
+    edge_data,
+    entries_and_exits,
     make_graph,
     real_tasks,
     same_float,
@@ -42,6 +45,8 @@ from oracles import (
     oracle_collect_ready,
     oracle_lct,
     oracle_observe_state,
+    oracle_shape_of,
+    oracle_structure_faults,
     oracle_transfer,
 )
 from mecsched.baselines import GreedyEftScheduler, HeftStyleScheduler, RandomScheduler
@@ -180,7 +185,7 @@ class PlanAudit:
 
     def decide(self, ctx):
         graph = self.graphs[ctx.app_id]
-        task = graph.task(ctx.task_id)
+        task = graph.tasks[ctx.task_id]
         finishes = {}
         for m in ctx.valid_actions:
             arrivals = []
@@ -278,7 +283,7 @@ def check_no_start_before_inputs_or_decision(scenario, kind):
             assert a.start >= decided_at[key]
             for p in g.parents_of(t.task_id):
                 pa = trace.assignments[(g.app_id, p)]
-                hop = oracle_transfer(g.edge_data(p, t.task_id), pa.ecd_id, a.ecd_id,
+                hop = oracle_transfer(edge_data(g, p, t.task_id), pa.ecd_id, a.ecd_id,
                                       rates, uplink, g.home_ecd)
                 assert a.start >= pa.finish + hop
 
@@ -389,8 +394,7 @@ def scalar_generate(spec, rng):
         edges = tuple(Edge(s, d, draw_data()) for s, d in edge_pairs)
         home = int(rng.integers(1, spec.n_devices + 1))
         raw = TaskGraph(n, clock, float("inf"), home, tasks, edges)
-        entries = [i for i in range(1, n_tasks + 1) if not raw.parents_of(i)]
-        exits = [i for i in range(1, n_tasks + 1) if not raw.children_of(i)]
+        entries, exits = entries_and_exits(raw)
         graph = augment_with_dummies(raw, [draw_data() for _ in entries],
                                      [draw_data() for _ in exits])
         graphs.append(assign_deadline(graph, spec.deadline_capability, spec.deadline_factor))
@@ -500,6 +504,55 @@ def test_generate_and_prepare_look_each_app_shape_up_at_most_twice(n_apps, seed)
     prepare_graphs(generate(spec, np.random.default_rng(seed)), tc, build_topology(tc))
     info = _shape_of.cache_info()
     assert info.hits + info.misses <= 2 * n_apps
+
+
+@st.composite
+def drawn_structures(draw):
+    """Task ids and edge endpoints of 1-8 tasks: drawn forward edges, often
+    bracketed by the first and last task into a sound DAG, and in half the
+    examples one or two drawn pairs that may be self edges, duplicates,
+    unknown ids (-1 and K + 1) or close a cycle, in a drawn order; now and
+    then the ids are shuffled."""
+    n = draw(st.integers(1, 8))
+    forward = [(s, d) for s in range(n) for d in range(s + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(forward), max_size=len(forward)))
+    pairs = {p for p, kept in zip(forward, keep) if kept}
+    if draw(st.booleans()):
+        pairs |= {(0, i) for i in range(1, n) if all(d != i for _, d in pairs)}
+        pairs |= {(i, n - 1) for i in range(n - 1) if all(s != i for s, _ in pairs)}
+    extra = []
+    if draw(st.booleans()):
+        node = st.integers(-1, n)
+        extra = draw(st.lists(st.tuples(node, node), min_size=1, max_size=2))
+    endpoints = draw(st.permutations(sorted(pairs) + extra))
+    ids = tuple(range(n))
+    if draw(st.integers(0, 7)) == 0:
+        ids = tuple(draw(st.permutations(ids)))
+    return ids, tuple(endpoints)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(drawn_structures())
+def test_shape_matches_the_two_pass_oracle(structure):
+    """Sound exactly when the oracle is, a one-task graph excepted, and on a
+    sound graph the same adjacency and Kahn order, task id by task id."""
+    ids, endpoints = structure
+    shape = _shape_of(ids, endpoints)
+    faults = oracle_structure_faults(ids, endpoints)
+    if len(ids) == 1 and not faults:
+        # one task is its own source and sink to the oracle; refused now
+        assert shape.faults == ("need a source and a sink task",)
+        return
+    assert (not shape.faults) == (not faults), (shape.faults, faults)
+    if faults:
+        return
+    oracle = oracle_shape_of(ids, endpoints)
+    for i in ids:
+        assert shape.parents[i] == oracle.parents[i]
+        assert shape.children[i] == oracle.children[i]
+        assert shape.parent_edges[i] == oracle.parent_edges[i]
+        assert shape.child_edges[i] == oracle.child_edges[i]
+    assert shape.order == oracle.order
 
 
 # observation inputs, signed zeros, NaN and infinities included

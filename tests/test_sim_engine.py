@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    edge_data,
     make_chain_graph,
     make_graph,
     random_app,
@@ -152,7 +153,7 @@ class TestRewardInputs:
         assert len(calls) == 2
         for (now, args, _), task_id in zip(calls, (1, 2)):
             workload, lct, arrival_wait, queue_wait, exec_time, finish, params = args
-            task, placed = graph.task(task_id), trace.assignments[(1, task_id)]
+            task, placed = graph.tasks[task_id], trace.assignments[(1, task_id)]
             assert (workload, lct, finish) == (task.workload, graph.lct[task_id], placed.finish)
             assert arrival_wait + queue_wait + exec_time == pytest.approx(
                 finish - now, rel=1e-12)
@@ -355,7 +356,7 @@ class TestStartTimeBounds:
                 a = trace.assignments[(g.app_id, t.task_id)]
                 for p in g.parents_of(t.task_id):
                     pa = trace.assignments[(g.app_id, p)]
-                    hop = transfer_time(Edge(p, t.task_id, g.edge_data(p, t.task_id)),
+                    hop = transfer_time(Edge(p, t.task_id, edge_data(g, p, t.task_id)),
                                         pa.ecd_id, a.ecd_id, topology, g.home_ecd)
                     assert a.start >= pa.finish + hop - 1e-12
 

@@ -1,16 +1,17 @@
 import pickle
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
-from conftest import augment_with_dummies, make_chain_graph, make_graph, random_app
+from conftest import augment_with_dummies, edge_data, make_chain_graph, make_graph, random_app
 from mecsched.task_graph import (
     Edge,
     Task,
     TaskGraph,
     WorkloadFormatError,
-    _structure_faults,
+    _shape_of,
     build_priority_list,
     compute_lct,
     load_workload_file,
@@ -92,6 +93,17 @@ class TestValidate:
         violations = validate(graph)
         assert any("task 2" in v for v in violations)
 
+    @pytest.mark.parametrize("tasks, edges, faults", [
+        ((Task(0, 0.0),), (), ("need a source and a sink task",)),
+        ((Task(0, 0.0), Task(1, 0.0)), (),
+         ("source task 0 has no children", "sink task 1 has no parents")),
+    ], ids=["one-task", "unlinked-dummies"])
+    def test_source_and_sink_required_and_linked(self, tasks, edges, faults):
+        graph = TaskGraph(1, 0.0, 10.0, 1, tasks, edges)
+        assert validate(graph) == faults
+        assert not validate(replace(graph, tasks=(Task(0, 0.0), Task(1, 0.0)),
+                                    edges=(Edge(0, 1, 1.0),)))
+
     def test_structural_and_value_faults_both_listed(self):
         tasks = (Task(0, 0.0), Task(1, -1.0), Task(2, 10.0), Task(3, 0.0))
         edges = (Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(2, 1, 1.0), Edge(2, 3, 1.0))
@@ -109,14 +121,14 @@ class TestAugment:
         assert graph.parents_of(2) == (0,)
         assert graph.children_of(5) == (7,)
         assert graph.children_of(6) == (7,)
-        assert graph.task(0).workload == 0.0
-        assert graph.task(7).workload == 0.0
+        assert graph.tasks[0].workload == 0.0
+        assert graph.tasks[7].workload == 0.0
 
     def test_single_task_becomes_chain(self):
         graph = make_graph({}, {1: 100.0}, dummy_data=10.0)
         assert [t.task_id for t in graph.tasks] == [0, 1, 2]
-        assert graph.edge_data(0, 1) == 10.0
-        assert graph.edge_data(1, 2) == 10.0
+        assert edge_data(graph, 0, 1) == 10.0
+        assert edge_data(graph, 1, 2) == 10.0
 
     def test_empty_raw_rejected(self):
         raw = TaskGraph(1, 0.0, 1.0, 1, (), ())
@@ -139,6 +151,17 @@ class TestComputeLct:
     def test_ids_not_0_to_k_in_order_refused(self, tasks, edges):
         graph = TaskGraph(4, 0.0, 10.0, 1, tasks, edges)
         with pytest.raises(ValueError, match=r"^app 4: task ids must be 0\.\.K in order"):
+            compute_lct(graph, 6000.0, 1000.0, 1000.0)
+
+    @pytest.mark.parametrize("edges, fault", [
+        ((Edge(0, 1, 1.0), Edge(0, 2, 1.0), Edge(1, 3, 1.0)), "real task 2 has no children"),
+        ((Edge(0, 1, 1.0), Edge(1, 3, 1.0), Edge(2, 3, 1.0)), "real task 2 has no parents"),
+        ((Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(2, 1, 1.0), Edge(2, 3, 1.0)), "cycle"),
+    ], ids=["childless", "parentless", "cycle"])
+    def test_unsound_structure_refused_by_app(self, edges, fault):
+        tasks = (Task(0, 0.0), Task(1, 10.0), Task(2, 10.0), Task(3, 0.0))
+        graph = TaskGraph(5, 0.0, 10.0, 1, tasks, edges)
+        with pytest.raises(ValueError, match=f"^app 5: {fault}$"):
             compute_lct(graph, 6000.0, 1000.0, 1000.0)
 
     def test_sink_parent_uses_uplink(self):
@@ -193,7 +216,7 @@ class TestComputeLct:
             for e in out.edges:
                 if e.src == 0 or e.dst == sink:
                     continue
-                child = out.task(e.dst)
+                child = out.tasks[e.dst]
                 bound = (out.lct[e.dst] - child.workload / 6000.0
                          - e.data_size / topology.max_rate)
                 assert out.lct[e.src] <= bound + 1e-9
@@ -253,7 +276,30 @@ class TestGraphCaches:
             assert tuple(e.src for e in graph.parent_edges(t.task_id)) == graph.parents_of(t.task_id)
             for e in graph.parent_edges(t.task_id):
                 assert e.dst == t.task_id
-                assert e.data_size == graph.edge_data(e.src, e.dst)
+                assert e.data_size == edge_data(graph, e.src, e.dst)
+
+    def test_child_edges_in_child_id_order(self):
+        edges = {(1, 3): 5.0, (1, 2): 1.0, (2, 3): 7.0}
+        graph = make_graph(edges, {1: 100.0, 2: 100.0, 3: 100.0})
+        graph = replace(graph, edges=graph.edges[::-1])  # not in child-id order
+        assert graph.child_edges(1) == (Edge(1, 2, 1.0), Edge(1, 3, 5.0))
+        for t in graph.tasks:
+            assert tuple(e.dst for e in graph.child_edges(t.task_id)) == graph.children_of(t.task_id)
+            assert all(e.src == t.task_id for e in graph.child_edges(t.task_id))
+
+    @pytest.mark.parametrize("tasks, edges, fault", [
+        ((Task(0, 0.0), Task(2, 10.0), Task(1, 10.0), Task(3, 0.0)),
+         (Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(2, 3, 1.0)), "task ids must be 0..K in order"),
+        ((Task(0, 0.0),), (), "need a source and a sink task"),
+        ((Task(0, 0.0), Task(1, 10.0), Task(2, 0.0)),
+         (Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(1, 5, 1.0)), "edge 1->5 references unknown task"),
+    ], ids=["ids", "one-task", "unknown-endpoint"])
+    def test_graph_without_adjacency_refused_by_app(self, tasks, edges, fault):
+        graph = TaskGraph(6, 0.0, 10.0, 1, tasks, edges)
+        for read in (lambda: graph.parents_of(0), graph.topological_order,
+                     lambda: graph.parent_edges(0)):
+            with pytest.raises(ValueError, match=f"^app 6: {re.escape(fault)}$"):
+                read()
 
     def test_topological_order_returns_a_fresh_list(self):
         graph = make_chain_graph([100.0, 200.0])
@@ -330,9 +376,9 @@ class TestGraphCaches:
 
         path = tmp_path / "apps.wl"
         save_workload_file(generate(WorkloadSpec(n_apps=10), np.random.default_rng(9)), path)
-        _structure_faults.cache_clear()
+        _shape_of.cache_clear()
         assert len(load_workload_file(path)) == 10
-        info = _structure_faults.cache_info()
+        info = _shape_of.cache_info()
         assert (info.misses, info.hits) == (1, 9)
 
     def test_different_endpoints_never_share_a_shape(self):
@@ -428,6 +474,13 @@ class TestWorkloadFile:
             load_workload_file(path)
         assert str(info.value) == (f"line {header}: app {bad_app} invalid: "
                                    "release_time must be strictly before deadline")
+
+    def test_one_task_app_reported_at_its_header(self, tmp_path):
+        path = tmp_path / "bad.wl"
+        path.write_text("app 1 release 0.0 deadline 1.0 home 1\ntask 0 0.0\n")
+        with pytest.raises(WorkloadFormatError) as info:
+            load_workload_file(path)
+        assert str(info.value) == "line 1: app 1 invalid: need a source and a sink task"
 
     def test_negative_release_reported_at_its_header(self, tmp_path):
         path = tmp_path / "bad.wl"
