@@ -28,6 +28,20 @@ layer, into buffers built once per block, and the shared advantage block
 runs its batch pass over that state's device feature rows. Its Q row
 equals, bit for bit, the row that a batch of one gives, so ``act`` picks
 what the batch pass would pick.
+
+The target network is constant between syncs, so ``DqnLearner`` keeps one
+target value per replay slot, stamped with the target generation it was
+computed under; writing a slot or syncing the target makes values stale.
+A step's stale sampled slots, filled up with other stale slots (the newest,
+then those at a pointer sweeping the pool), go through one
+``compute_targets`` pass of exactly ``batch`` rows, and the step gathers
+its targets from the stored values. At a fixed pass size that is a
+multiple of 4, a row's output does not depend on the rows that share its
+pass or on its position, so the stored values are the bits a per-step pass
+gives. Two rules keep them: ``batch`` is a multiple of 4, and the pool
+holds at most ``batch * target_sync_steps`` transitions (beyond that a
+slot is sampled less than once per sync period). Otherwise each step runs
+its own pass.
 """
 
 from __future__ import annotations
@@ -275,32 +289,39 @@ def sync_target(net, target_net) -> None:
 
 
 class ReplayBuffer:
-    """Ring buffer of transitions with uniform without-replacement batches."""
+    """Ring buffer of transitions with uniform without-replacement batches.
+
+    ``add`` returns the slot it wrote; ``cursor`` is the slot it writes
+    next. ``sample`` returns a batch's slots with their states and actions,
+    and the rewards and next states are read by slot from ``rewards`` and
+    ``next_states``.
+    """
 
     def __init__(self, capacity: int, width: int, rng: np.random.Generator):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
         self.rng = rng
-        self._states = np.zeros((capacity, width))
-        self._actions = np.zeros(capacity, dtype=np.int64)
-        self._rewards = np.zeros(capacity)
-        self._next_states = np.zeros((capacity, width))
-        self._cursor = 0
+        self.states = np.zeros((capacity, width))
+        self.actions = np.zeros(capacity, dtype=np.int64)
+        self.rewards = np.zeros(capacity)
+        self.next_states = np.zeros((capacity, width))
+        self.cursor = 0
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
     def add(self, state: np.ndarray, action: int, reward: float,
-            next_state: np.ndarray) -> None:
-        i = self._cursor
-        self._states[i] = state
-        self._actions[i] = action
-        self._rewards[i] = reward
-        self._next_states[i] = next_state
-        self._cursor = (i + 1) % self.capacity
+            next_state: np.ndarray) -> int:
+        i = self.cursor
+        self.states[i] = state
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
+        self.cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
+        return i
 
     def sample_indices(self, batch: int) -> np.ndarray:
         if batch > self._size:
@@ -308,13 +329,9 @@ class ReplayBuffer:
         return self.rng.choice(self._size, size=batch, replace=False)
 
     def sample(self, batch: int):
+        """(slots, states, actions) of a uniform batch."""
         idx = self.sample_indices(batch)
-        return (
-            self._states[idx],
-            self._actions[idx],
-            self._rewards[idx],
-            self._next_states[idx],
-        )
+        return idx, self.states[idx], self.actions[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +383,8 @@ class AdamState:
 # ---------------------------------------------------------------------------
 
 
-def compute_targets(batch, target_net, gamma: float) -> np.ndarray:
+def compute_targets(rewards, next_states, target_net, gamma: float) -> np.ndarray:
     """Bellman targets r + gamma * max over the columns of target Q."""
-    _, _, rewards, next_states = batch
     q_next, _ = target_net.forward_batch(next_states)
     return rewards + gamma * q_next.max(axis=1)
 
@@ -390,10 +406,8 @@ def loss_and_grads(net, states, actions, targets):
     return loss, net.backward_from_q_grad(cache, d_q)
 
 
-def train_step(net, target_net, batch, opt: AdamState, gamma: float) -> float:
-    """One SGD step on a sampled batch; returns the pre-update loss."""
-    states, actions, _, _ = batch
-    targets = compute_targets(batch, target_net, gamma)
+def train_step(net, states, actions, targets, opt: AdamState) -> float:
+    """One SGD step towards given targets; returns the pre-update loss."""
     loss, _ = loss_and_grads(net, states, actions, targets)
     if not np.isfinite(loss):
         raise DivergenceError(
@@ -436,6 +450,8 @@ class TrainConfig:
         for name in ("batch", "target_sync_steps", "episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.planned_steps < 0:
+            raise ValueError(f"planned_steps must be >= 0, got {self.planned_steps!r}")
         if self.buffer_capacity < self.batch:
             # a pool smaller than a batch never trains
             raise ValueError(f"buffer_capacity must be >= batch ({self.batch}), "
@@ -461,6 +477,11 @@ class DqnLearner:
     device-scoring network scores the devices' ``device_feature_index``
     rows. The constructor's ``n_actions`` is ``n_devices + 1``, a count
     kept for its callers; only ``n_devices`` is stored.
+
+    ``observe`` takes its targets from the per-slot values the module notes
+    describe when ``batch`` is a multiple of 4 and the pool holds at most
+    ``batch * target_sync_steps`` transitions, and from a pass of its own
+    otherwise. ``act``'s sync makes every stored value stale.
     """
 
     def __init__(self, config: TrainConfig, n_actions: int,
@@ -479,6 +500,17 @@ class DqnLearner:
         self.rng_explore = rng_explore
         self.decision_steps = 0
         self.last_loss: float | None = None
+        # per-slot target values; a stamp equal to the generation is current,
+        # 0 is stale
+        self._values = self._stamps = None
+        self._generation = 1
+        if config.batch % 4 == 0:
+            slots = min(config.buffer_capacity, config.batch * config.target_sync_steps)
+            self._values = np.zeros(slots)
+            self._stamps = np.zeros(slots, dtype=np.int64)
+            self._sweep = 0  # the next slot the sweeping pointer looks at
+            self._offsets = np.arange(config.batch)
+            self._pass = (np.zeros(config.batch), np.zeros((config.batch, sizes[0])))
 
     def epsilon(self) -> float:
         cfg = self.config
@@ -502,16 +534,58 @@ class DqnLearner:
         self.decision_steps += 1
         if self.decision_steps % self.config.target_sync_steps == 0:
             sync_target(self.net, self.target_net)
+            self._generation += 1
         return action
 
     def observe(self, state: np.ndarray, action: int, reward: float,
                 next_state: np.ndarray) -> None:
-        self.buffer.add(state, action, reward, next_state)
-        if len(self.buffer) >= self.config.batch:
-            batch = self.buffer.sample(self.config.batch)
-            self.last_loss = train_step(
-                self.net, self.target_net, batch, self.opt, self.config.gamma
-            )
+        buf = self.buffer
+        slot = buf.add(state, action, reward, next_state)
+        if self._stamps is not None:
+            if len(buf) > self._stamps.size:  # past the pool rule for good
+                self._values = self._stamps = self._pass = None
+            else:
+                self._stamps[slot] = 0
+        if len(buf) >= self.config.batch:
+            idx, states, actions = buf.sample(self.config.batch)
+            if self._stamps is None:
+                targets = compute_targets(buf.rewards[idx], buf.next_states[idx],
+                                          self.target_net, self.config.gamma)
+            else:
+                targets = self._stored_targets(idx)
+            self.last_loss = train_step(self.net, states, actions, targets, self.opt)
+
+    def _stored_targets(self, idx: np.ndarray) -> np.ndarray:
+        """The target values of slots ``idx``, after one pass over the
+        stale ones among them plus filler, if any is stale."""
+        stamps, generation = self._stamps, self._generation
+        stale = idx[stamps[idx] != generation]
+        if stale.size:
+            buf, batch = self.buffer, self.config.batch
+            size = len(buf)
+            picks = [stale]
+            stamps[stale] = generation
+            free = batch - stale.size
+            # filler, O(batch): the newest slots, then those at the sweep
+            newest = (buf.cursor - 1 - self._offsets) % size
+            window = (self._sweep + self._offsets) % size
+            for candidates in (newest, window):
+                if not free:
+                    break
+                pick = candidates[stamps[candidates] != generation][:free]
+                stamps[pick] = generation
+                picks.append(pick)
+                free -= pick.size
+                if candidates is window:
+                    self._sweep = int(window[-1] + 1) % size
+            rows = np.concatenate(picks)
+            n = rows.size
+            rewards, next_states = self._pass  # rows past n are padding
+            rewards[:n] = buf.rewards[rows]
+            next_states[:n] = buf.next_states[rows]
+            self._values[rows] = compute_targets(rewards, next_states, self.target_net,
+                                                 self.config.gamma)[:n]
+        return self._values[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,10 @@ def generate(spec: WorkloadSpec, rng: np.random.Generator) -> list[TaskGraph]:
     # the apps' common structure, for the critical path; refuses a cycle
     template = TaskGraph(0, 0.0, 0.0, 1, tuple(Task(i, 0.0) for i in range(sink + 1)),
                          tuple(Edge(s, d, 0.0) for s, d in endpoints))
-    template.topological_order()
+    try:
+        template.topological_order()
+    except ValueError as err:
+        raise ValueError(f"graph shape {spec.graph_shape!r}: {err}") from None
 
     graphs: list[TaskGraph] = []
     clock = 0.0

@@ -8,7 +8,10 @@ differences, and the policy oracle is tabular value iteration. The
 observation oracle keeps the earlier formula of the kernel's
 ``observe_state``, which the package must match bit for bit. The structure
 oracle keeps the earlier dict-keyed derivation of a graph's adjacency and,
-in a second pass, its faults, with a two-way reachability search.
+in a second pass, its faults, with a two-way reachability search. The
+learning-step oracle runs every optimizer step on targets from its own
+pass of the target network, as the learner did before it kept a target
+value per replay slot.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from mecsched.dqn_core import compute_targets, train_step
 from mecsched.mdp_agent import StateVector
 from mecsched.scheduler_port import DecisionContext, SchedulerPort
 
@@ -311,6 +315,21 @@ def fd_loss_gradients(net, states, actions, targets, h=1e-5, probes=None, rng=No
             pairs.append((int(i), (lo - hi) / (2.0 * h)))
         results.append(pairs)
     return results
+
+
+def oracle_observe(learner, state, action, reward, next_state) -> None:
+    """``learner.observe`` with a target pass per step: store the
+    transition and, once the pool holds a batch, sample one, compute its
+    targets from one ``compute_targets`` pass over the sampled next states
+    and take one ``train_step``. Works on the learner's own pool, networks
+    and optimizer, and draws the same replay numbers."""
+    buf = learner.buffer
+    buf.add(state, action, reward, next_state)
+    if len(buf) >= learner.config.batch:
+        idx, states, actions = buf.sample(learner.config.batch)
+        targets = compute_targets(buf.rewards[idx], buf.next_states[idx],
+                                  learner.target_net, learner.config.gamma)
+        learner.last_loss = train_step(learner.net, states, actions, targets, learner.opt)
 
 
 def value_iteration(transitions, rewards, gamma, sweeps=2000):

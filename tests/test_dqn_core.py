@@ -1,10 +1,13 @@
 import json
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import UNIT_NORMS, full_state
-from oracles import fd_loss_gradients, value_iteration
+from oracles import fd_loss_gradients, oracle_observe, value_iteration
+from mecsched import dqn_core
 from mecsched.dqn_core import (
     ADVANTAGE_SCALE,
     AdamState,
@@ -33,6 +36,14 @@ def scoring_net(n_devices=3, hidden=(8, 6), seed=60):
     ``state_width(n_devices)`` input and one output per device."""
     return DeviceScoringNetwork([state_width(n_devices), *hidden, n_devices],
                                 device_feature_index(n_devices), rng=rng(seed))
+
+
+def step(net, target, batch, opt, gamma):
+    """One optimizer step on a (states, actions, rewards, next states) batch,
+    its targets from one pass of ``target``."""
+    states, actions, rewards, next_states = batch
+    return train_step(net, states, actions,
+                      compute_targets(rewards, next_states, target, gamma), opt)
 
 
 def zero_parameters(net):
@@ -110,7 +121,7 @@ class TestSingleStatePass:
         for _ in range(20):
             batch = (r.normal(size=(8, state_width(3))), r.integers(0, 3, size=8),
                      r.normal(size=8), r.normal(size=(8, state_width(3))))
-            train_step(net, target, batch, opt, 0.95)
+            step(net, target, batch, opt, 0.95)
         assert_single_rows_match_batch(net, r)
 
     def test_equals_a_batch_of_one_after_a_checkpoint(self, tmp_path):
@@ -176,7 +187,7 @@ class TestFlatParameters:
             for _ in range(steps):
                 batch = (r.normal(size=(8, state_width(3))), r.integers(0, 3, size=8),
                          r.normal(size=8), r.normal(size=(8, state_width(3))))
-                train_step(net, target, batch, opt, 0.95)
+                step(net, target, batch, opt, 0.95)
 
         train(5)
         sync_target(net, target)
@@ -277,16 +288,15 @@ class TestTargets:
     def test_gamma_zero_reduces_to_reward(self):
         net = scoring_net(seed=6)
         width = state_width(3)
-        batch = (np.zeros((4, width)), np.array([1, 1, 2, 2]), np.arange(4.0),
-                 rng(7).normal(size=(4, width)))
-        assert np.allclose(compute_targets(batch, net, 0.0), np.arange(4.0))
+        next_states = rng(7).normal(size=(4, width))
+        assert np.allclose(compute_targets(np.arange(4.0), next_states, net, 0.0),
+                           np.arange(4.0))
 
     def test_hand_value(self):
         net = scoring_net(2, seed=8)
         width = state_width(2)
         q2 = net.forward(np.ones(width))
-        batch = (np.zeros((1, width)), np.array([1]), np.array([1.0]), np.ones((1, width)))
-        y = compute_targets(batch, net, 0.95)
+        y = compute_targets(np.array([1.0]), np.ones((1, width)), net, 0.95)
         assert y[0] == pytest.approx(1.0 + 0.95 * q2.max())
 
     def test_target_maximizes_over_every_device_column(self):
@@ -299,17 +309,14 @@ class TestTargets:
         for best in range(3):
             s2 = np.zeros((1, state_width(3)))
             s2[0, device_feature_index(3)[best, 2]] = 1.0
-            batch = (np.zeros_like(s2), np.array([1]), np.array([0.0]), s2)
-            assert compute_targets(batch, net, 1.0)[0] == pytest.approx(100.0)
+            assert compute_targets(np.array([0.0]), s2, net, 1.0)[0] == pytest.approx(100.0)
 
     def test_zero_target_net(self):
         net = scoring_net(seed=10)
         zero_parameters(net)
         width = state_width(3)
-        batch = (np.zeros((3, width)), np.array([1, 1, 2]), np.array([1.0, 2.0, 3.0]),
-                 np.ones((3, width)))
-        assert np.allclose(compute_targets(batch, net, 0.95),
-                           np.array([1.0, 2.0, 3.0]))
+        rewards = np.array([1.0, 2.0, 3.0])
+        assert np.allclose(compute_targets(rewards, np.ones((3, width)), net, 0.95), rewards)
 
 
 class TestGradients:
@@ -422,7 +429,7 @@ class TestTrainStep:
         opt = AdamState(net.parameters(), learning_rate=0.01)
         state = np.ones((1, state_width(3)))
         batch = (state, np.array([1]), np.array([2.0]), state)
-        losses = [train_step(net, target, batch, opt, 0.0) for _ in range(800)]
+        losses = [step(net, target, batch, opt, 0.0) for _ in range(800)]
         assert losses[-1] < 1e-6
         assert losses[-1] < losses[0]
 
@@ -434,7 +441,7 @@ class TestTrainStep:
         state = np.ones((1, state_width(2)))
         batch = (state, np.array([1]), np.array([1.0]), state)
         with pytest.raises(DivergenceError):
-            train_step(net, target, batch, opt, 0.95)
+            step(net, target, batch, opt, 0.95)
 
     def test_target_untouched_between_syncs(self):
         net = scoring_net(seed=19)
@@ -446,7 +453,7 @@ class TestTrainStep:
         for _ in range(50):
             batch = (r.normal(size=(8, width)), r.integers(1, 3, size=8),
                      r.normal(size=8), r.normal(size=(8, width)))
-            train_step(net, target, batch, opt, 0.95)
+            step(net, target, batch, opt, 0.95)
         assert all(np.array_equal(a, b) for a, b in zip(before, target.parameters()))
         assert not all(
             np.array_equal(a, b) for a, b in zip(before, net.parameters())
@@ -482,8 +489,9 @@ class TestReplayBuffer:
         for k in range(6):
             buf.add(np.array([k, k]), 1, float(k), np.array([k, k]))
         assert len(buf) == 4
-        states, _, rewards, _ = buf.sample(4)
-        assert set(rewards) == {2.0, 3.0, 4.0, 5.0}
+        idx, states, _ = buf.sample(4)
+        assert set(buf.rewards[idx]) == {2.0, 3.0, 4.0, 5.0}
+        assert np.array_equal(states[:, 0], buf.rewards[idx])
 
     def test_batch_has_no_duplicates(self):
         buf = ReplayBuffer(1000, 2, rng(28))
@@ -519,7 +527,7 @@ class TestTrainConfig:
         ("learning_rate", -1.0), ("learning_rate", float("inf")),
         ("epsilon_decay_fraction", -0.1), ("batch", 0), ("target_sync_steps", 0),
         ("episodes", -3), ("buffer_capacity", 10), ("hidden_sizes", (8, 0)),
-        ("hidden_sizes", (-3,)),
+        ("hidden_sizes", (-3,)), ("planned_steps", -1),
     ])
     def test_bad_setting_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}"):
@@ -527,6 +535,81 @@ class TestTrainConfig:
 
     def test_pool_of_one_batch_accepted(self):
         assert TrainConfig(batch=8, buffer_capacity=8).buffer_capacity == 8
+
+
+class TestStoredTargets:
+    """The learner's per-slot target values give the bits of a target pass
+    per step."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.sampled_from([8, 64]),
+           scale=st.sampled_from([0.1, 1.0, 10.0]), data=st.data())
+    def test_a_row_has_the_same_bits_wherever_it_sits(self, seed, rows, scale, data):
+        """At the pass sizes the stored values are computed at, a row's Q
+        values do not depend on its companions or its position in the
+        pass. A BLAS under which they do fails here."""
+        net = DeviceScoringNetwork([state_width(4), *TrainConfig().hidden_sizes, 4],
+                                   device_feature_index(4), rng(90))
+        r = rng(seed)
+        first, second = r.normal(scale=scale, size=(2, rows, state_width(4)))
+        i = data.draw(st.integers(0, rows - 1), label="position in the first pass")
+        j = data.draw(st.integers(0, rows - 1), label="position in the second pass")
+        second[j] = first[i]
+        q_first, _ = net.forward_batch(first)
+        q_second, _ = net.forward_batch(second)
+        assert np.array_equal(q_first[i], q_second[j])
+
+    @pytest.mark.parametrize("batch, capacity, sync", [
+        (8, 30, 6),     # the values stay on: the pool wraps below 8 * 6 slots
+        (8, 60, 5),     # the pool crosses 8 * 5 = 40 slots, then wraps
+        (64, 200, 3),   # the reference batch; the pool crosses 192 slots
+        (6, 30, 5),     # not a multiple of 4: a pass every step
+    ])
+    def test_side_by_side_with_a_pass_per_step(self, tmp_path, monkeypatch,
+                                               batch, capacity, sync):
+        """Weights, target weights, Adam moments and every loss equal the
+        oracle's bit for bit, across syncs, ring wraps, the pool rule and a
+        checkpoint round trip; no step runs more than one target pass."""
+        config = TrainConfig(batch=batch, buffer_capacity=capacity,
+                             target_sync_steps=sync, planned_steps=400)
+        learners = [DqnLearner(config, 5, rng(80), rng(81), rng(82)) for _ in range(2)]
+        passes = []
+        counted = dqn_core.compute_targets
+
+        def counting(*args):
+            passes[-1] += 1
+            return counted(*args)
+
+        monkeypatch.setattr(dqn_core, "compute_targets", counting)
+        r = rng(83)
+        losses, pool = ([], []), []
+        for step in range(300):
+            if step == 220:
+                for k, learner in enumerate(learners):
+                    save_checkpoint(learner, tmp_path / f"{k}.npz")
+                learners = [load_checkpoint(tmp_path / f"{k}.npz") for k in range(2)]
+            s, s2 = r.normal(size=(2, state_width(4)))
+            reward = float(r.normal())
+            actions = [learner.act(s) for learner in learners]
+            assert actions[0] == actions[1]
+            passes.append(0)
+            learners[0].observe(s, actions[0], reward, s2)
+            oracle_observe(learners[1], s, actions[1], reward, s2)
+            pool.append(len(learners[0].buffer))
+            for k, learner in enumerate(learners):
+                losses[k].append(learner.last_loss)
+        ours, oracle = learners
+        assert losses[0] == losses[1]
+        for a, b in ((ours.net.flat, oracle.net.flat),
+                     (ours.target_net.flat, oracle.target_net.flat),
+                     (ours.opt.m, oracle.opt.m), (ours.opt.v, oracle.opt.v)):
+            assert np.array_equal(a, b)
+        assert ours.opt.step_count > 150
+        training = [k for k, size in enumerate(pool) if size >= batch]
+        assert max(passes) == 1
+        assert all(passes[k] == 1 for k in training
+                   if batch % 4 or pool[k] > batch * sync)
+        assert (sum(passes) < len(training)) == (batch % 4 == 0)
 
 
 class TestLearnerAndCheckpoint:
