@@ -121,7 +121,7 @@ class TestGenerate:
         assert WorkloadSpec(bc_range=(0.0, 0.0)).bc_range == (0.0, 0.0)
 
     @pytest.mark.parametrize("shape, reason", [
-        ((3, [(1, 2), (2, 3), (3, 1)]), "^graph shape 'montage25': task graph contains a cycle$"),
+        ((3, [(1, 2), (2, 3), (3, 1)]), "cycle"),
         ((3, [(1, 2), (2, 5)]), "contiguous"),  # an id outside 1..3
         ((2, [(0, 1), (1, 2)]), "contiguous"),  # the source dummy's id
     ])
@@ -129,7 +129,7 @@ class TestGenerate:
         monkeypatch.setitem(workload._SHAPES, "montage25", lambda: shape)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match=reason):
+        with pytest.raises(ValueError, match=f"^graph shape 'montage25'.* {reason}"):
             generate(WorkloadSpec(), rng)
         assert rng.bit_generator.state == state
 
