@@ -500,17 +500,14 @@ class DqnLearner:
         self.rng_explore = rng_explore
         self.decision_steps = 0
         self.last_loss: float | None = None
-        # per-slot target values; a stamp equal to the generation is current,
-        # 0 is stale
+        # per-slot target values, kept for at most _slots slots (0: none) and
+        # allocated by the first step that uses them; a stamp equal to the
+        # generation is current, 0 is stale
+        self._slots = (min(config.buffer_capacity, config.batch * config.target_sync_steps)
+                       if config.batch % 4 == 0 else 0)
         self._values = self._stamps = None
         self._generation = 1
-        if config.batch % 4 == 0:
-            slots = min(config.buffer_capacity, config.batch * config.target_sync_steps)
-            self._values = np.zeros(slots)
-            self._stamps = np.zeros(slots, dtype=np.int64)
-            self._sweep = 0  # the next slot the sweeping pointer looks at
-            self._offsets = np.arange(config.batch)
-            self._pass = (np.zeros(config.batch), np.zeros((config.batch, sizes[0])))
+        self._sweep = 0  # the next slot the sweeping pointer looks at
 
     def epsilon(self) -> float:
         cfg = self.config
@@ -541,27 +538,32 @@ class DqnLearner:
                 next_state: np.ndarray) -> None:
         buf = self.buffer
         slot = buf.add(state, action, reward, next_state)
-        if self._stamps is not None:
-            if len(buf) > self._stamps.size:  # past the pool rule for good
-                self._values = self._stamps = self._pass = None
-            else:
-                self._stamps[slot] = 0
+        if len(buf) > self._slots:  # past the pool rule for good
+            self._slots = 0
+            self._values = self._stamps = None
+        elif self._stamps is not None:
+            self._stamps[slot] = 0
         if len(buf) >= self.config.batch:
             idx, states, actions = buf.sample(self.config.batch)
-            if self._stamps is None:
+            if self._slots:
+                targets = self._stored_targets(idx)
+            else:
                 targets = compute_targets(buf.rewards[idx], buf.next_states[idx],
                                           self.target_net, self.config.gamma)
-            else:
-                targets = self._stored_targets(idx)
             self.last_loss = train_step(self.net, states, actions, targets, self.opt)
 
     def _stored_targets(self, idx: np.ndarray) -> np.ndarray:
         """The target values of slots ``idx``, after one pass over the
         stale ones among them plus filler, if any is stale."""
+        buf, batch = self.buffer, self.config.batch
+        if self._stamps is None:
+            self._values = np.zeros(self._slots)
+            self._stamps = np.zeros(self._slots, dtype=np.int64)
+            self._offsets = np.arange(batch)
+            self._pass = (np.zeros(batch), np.zeros((batch, buf.states.shape[1])))
         stamps, generation = self._stamps, self._generation
         stale = idx[stamps[idx] != generation]
         if stale.size:
-            buf, batch = self.buffer, self.config.batch
             size = len(buf)
             picks = [stale]
             stamps[stale] = generation
