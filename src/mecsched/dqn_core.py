@@ -30,18 +30,20 @@ equals, bit for bit, the row that a batch of one gives, so ``act`` picks
 what the batch pass would pick.
 
 The target network is constant between syncs, so ``DqnLearner`` keeps one
-target value per replay slot, stamped with the target generation it was
-computed under; writing a slot or syncing the target makes values stale.
-A step's stale sampled slots, filled up with other stale slots (the newest,
-then those at a pointer sweeping the pool), go through one
-``compute_targets`` pass of exactly ``batch`` rows, and the step gathers
-its targets from the stored values. At a fixed pass size that is a
-multiple of 4, a row's output does not depend on the rows that share its
-pass or on its position, so the stored values are the bits a per-step pass
-gives. Two rules keep them: ``batch`` is a multiple of 4, and the pool
-holds at most ``batch * target_sync_steps`` transitions (beyond that a
-slot is sampled less than once per sync period). Otherwise each step runs
-its own pass.
+target value per replay slot and one count, ``_stale``: the newest
+``_stale`` slots hold no current value. Each write adds one, and a target
+sync makes every slot stale. When a step samples a stale slot, every stale
+slot goes through ``compute_targets``, in ring order and in passes of
+exactly ``batch`` rows, and the count drops to 0; the step gathers its
+targets from the stored values. At a fixed pass size that is a multiple of
+4, a row's output does not depend on the rows that share its pass or on
+its position, so the stored values are the bits a per-step pass gives.
+Two rules keep them: ``batch`` is a multiple of 4, and the pool holds at
+most ``batch * target_sync_steps`` transitions, a cost rule: refreshing N
+slots costs N / ``batch`` passes, against ``target_sync_steps`` passes per
+sync period when each step runs its own pass, as it does otherwise. (Near
+that bound and with a short sync period, the refreshes of the newest slots
+between syncs tip the balance the other way.)
 """
 
 from __future__ import annotations
@@ -291,10 +293,9 @@ def sync_target(net, target_net) -> None:
 class ReplayBuffer:
     """Ring buffer of transitions with uniform without-replacement batches.
 
-    ``add`` returns the slot it wrote; ``cursor`` is the slot it writes
-    next. ``sample`` returns a batch's slots with their states and actions,
-    and the rewards and next states are read by slot from ``rewards`` and
-    ``next_states``.
+    ``cursor`` is the slot ``add`` writes next. ``sample`` returns a batch's
+    slots with their states and actions, and the rewards and next states
+    are read by slot from ``rewards`` and ``next_states``.
     """
 
     def __init__(self, capacity: int, width: int, rng: np.random.Generator):
@@ -313,7 +314,7 @@ class ReplayBuffer:
         return self._size
 
     def add(self, state: np.ndarray, action: int, reward: float,
-            next_state: np.ndarray) -> int:
+            next_state: np.ndarray) -> None:
         i = self.cursor
         self.states[i] = state
         self.actions[i] = action
@@ -321,16 +322,12 @@ class ReplayBuffer:
         self.next_states[i] = next_state
         self.cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
-        return i
-
-    def sample_indices(self, batch: int) -> np.ndarray:
-        if batch > self._size:
-            raise ValueError("not enough stored transitions")
-        return self.rng.choice(self._size, size=batch, replace=False)
 
     def sample(self, batch: int):
         """(slots, states, actions) of a uniform batch."""
-        idx = self.sample_indices(batch)
+        if batch > self._size:
+            raise ValueError("not enough stored transitions")
+        idx = self.rng.choice(self._size, size=batch, replace=False)
         return idx, self.states[idx], self.actions[idx]
 
 
@@ -481,7 +478,8 @@ class DqnLearner:
     ``observe`` takes its targets from the per-slot values the module notes
     describe when ``batch`` is a multiple of 4 and the pool holds at most
     ``batch * target_sync_steps`` transitions, and from a pass of its own
-    otherwise. ``act``'s sync makes every stored value stale.
+    otherwise. Each ``observe`` write adds its slot to the newest stale
+    ones, and ``act``'s sync makes every slot stale.
     """
 
     def __init__(self, config: TrainConfig, n_actions: int,
@@ -501,13 +499,12 @@ class DqnLearner:
         self.decision_steps = 0
         self.last_loss: float | None = None
         # per-slot target values, kept for at most _slots slots (0: none) and
-        # allocated by the first step that uses them; a stamp equal to the
-        # generation is current, 0 is stale
+        # allocated by the first step that uses them; the _stale newest slots
+        # hold none that is current
         self._slots = (min(config.buffer_capacity, config.batch * config.target_sync_steps)
                        if config.batch % 4 == 0 else 0)
-        self._values = self._stamps = None
-        self._generation = 1
-        self._sweep = 0  # the next slot the sweeping pointer looks at
+        self._values = None
+        self._stale = config.buffer_capacity
 
     def epsilon(self) -> float:
         cfg = self.config
@@ -531,18 +528,17 @@ class DqnLearner:
         self.decision_steps += 1
         if self.decision_steps % self.config.target_sync_steps == 0:
             sync_target(self.net, self.target_net)
-            self._generation += 1
+            self._stale = self.config.buffer_capacity
         return action
 
     def observe(self, state: np.ndarray, action: int, reward: float,
                 next_state: np.ndarray) -> None:
         buf = self.buffer
-        slot = buf.add(state, action, reward, next_state)
+        buf.add(state, action, reward, next_state)
+        self._stale += 1
         if len(buf) > self._slots:  # past the pool rule for good
             self._slots = 0
-            self._values = self._stamps = None
-        elif self._stamps is not None:
-            self._stamps[slot] = 0
+            self._values = None
         if len(buf) >= self.config.batch:
             idx, states, actions = buf.sample(self.config.batch)
             if self._slots:
@@ -553,40 +549,25 @@ class DqnLearner:
             self.last_loss = train_step(self.net, states, actions, targets, self.opt)
 
     def _stored_targets(self, idx: np.ndarray) -> np.ndarray:
-        """The target values of slots ``idx``, after one pass over the
-        stale ones among them plus filler, if any is stale."""
+        """The target values of slots ``idx``, after refreshing every stale
+        slot if any of ``idx`` is stale."""
         buf, batch = self.buffer, self.config.batch
-        if self._stamps is None:
+        size = len(buf)
+        stale = min(self._stale, size)
+        if self._values is None:
             self._values = np.zeros(self._slots)
-            self._stamps = np.zeros(self._slots, dtype=np.int64)
-            self._offsets = np.arange(batch)
             self._pass = (np.zeros(batch), np.zeros((batch, buf.states.shape[1])))
-        stamps, generation = self._stamps, self._generation
-        stale = idx[stamps[idx] != generation]
-        if stale.size:
-            size = len(buf)
-            picks = [stale]
-            stamps[stale] = generation
-            free = batch - stale.size
-            # filler, O(batch): the newest slots, then those at the sweep
-            newest = (buf.cursor - 1 - self._offsets) % size
-            window = (self._sweep + self._offsets) % size
-            for candidates in (newest, window):
-                if not free:
-                    break
-                pick = candidates[stamps[candidates] != generation][:free]
-                stamps[pick] = generation
-                picks.append(pick)
-                free -= pick.size
-                if candidates is window:
-                    self._sweep = int(window[-1] + 1) % size
-            rows = np.concatenate(picks)
-            n = rows.size
-            rewards, next_states = self._pass  # rows past n are padding
-            rewards[:n] = buf.rewards[rows]
-            next_states[:n] = buf.next_states[rows]
-            self._values[rows] = compute_targets(rewards, next_states, self.target_net,
-                                                 self.config.gamma)[:n]
+        if ((buf.cursor - 1 - idx) % size < stale).any():
+            rewards, next_states = self._pass  # rows past a short last pass: the previous one's
+            slots = (buf.cursor + np.arange(-stale, 0)) % size
+            for lo in range(0, stale, batch):
+                rows = slots[lo:lo + batch]
+                n = rows.size
+                rewards[:n] = buf.rewards[rows]
+                next_states[:n] = buf.next_states[rows]
+                self._values[rows] = compute_targets(rewards, next_states, self.target_net,
+                                                     self.config.gamma)[:n]
+            self._stale = 0
         return self._values[idx]
 
 

@@ -99,7 +99,7 @@ class TaskGraph:
         """Kahn order over all tasks; raises ValueError on a cycle."""
         order = self._shape.order
         if order is None:
-            raise ValueError("task graph contains a cycle")
+            raise ValueError(f"app {self.app_id}: task graph contains a cycle")
         return list(order)
 
 

@@ -9,7 +9,8 @@ syncing shows up here, down to the last bit of a float.
 
 The digests depend on numpy's random streams and on the BLAS's rounding; if
 they change with a numpy or Python upgrade alone, re-record them under the
-new versions.
+new versions. The same holds for the recorded count of target passes, which
+follows the replay draws.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mecsched import dqn_core
 from mecsched.dqn_core import TrainConfig
 from mecsched.experiment import ExperimentConfig, train_agent
 from mecsched.workload import WorkloadSpec
@@ -31,6 +33,8 @@ RECORDED_UNDER = "numpy 2.4.6, Python 3.11.7"
 GOLDEN = {
     "device-scoring": "eeb8b0fe9f570538417e6fc2c66b7037516b901bf4e5f51d46cbbd13ef770655",
 }
+# dqn_core.compute_targets passes of the training above (162 optimizer steps)
+TARGET_PASSES = 108
 
 
 def training_config() -> ExperimentConfig:
@@ -73,6 +77,24 @@ def test_training_matches_recorded_digest(kind):
     assert training_digest(kind) == GOLDEN[kind], (
         f"training of the {kind} learner changed; digests were recorded under "
         f"{RECORDED_UNDER}, this run uses {versions()}"
+    )
+
+
+def test_target_pass_count_matches_recorded(monkeypatch):
+    """The stored target values save passes; their count, which the run
+    digest cannot see, is pinned here."""
+    passes = []
+    counted = dqn_core.compute_targets
+
+    def counting(*args):
+        passes.append(None)
+        return counted(*args)
+
+    monkeypatch.setattr(dqn_core, "compute_targets", counting)
+    learner, _ = train_agent(training_config())
+    assert len(passes) == TARGET_PASSES < learner.opt.step_count, (
+        f"{len(passes)} target passes for {learner.opt.step_count} optimizer steps; "
+        f"recorded under {RECORDED_UNDER}, this run uses {versions()}"
     )
 
 

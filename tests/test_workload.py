@@ -3,7 +3,14 @@ import pytest
 from scipy import stats
 
 from mecsched import workload
-from mecsched.task_graph import load_workload_file, save_workload_file, validate
+from mecsched.task_graph import (
+    Edge,
+    Task,
+    TaskGraph,
+    load_workload_file,
+    save_workload_file,
+    validate,
+)
 from mecsched.workload import (
     WorkloadSpec,
     critical_path_seconds,
@@ -152,6 +159,12 @@ class TestDeadline:
     def test_parallel_branches_take_max(self):
         graph = make_graph({}, {1: 500.0, 2: 100.0}, release=0.0)
         assert critical_path_seconds(graph, 5000.0) == pytest.approx(0.1)
+
+    def test_cycle_refused_naming_the_app(self):
+        tasks = tuple(Task(i, 100.0) for i in range(5))
+        edges = tuple(Edge(s, d, 1.0) for s, d in [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4)])
+        with pytest.raises(ValueError, match="^app 7: task graph contains a cycle$"):
+            critical_path_seconds(TaskGraph(7, 0.0, 10.0, 1, tasks, edges), 5000.0)
 
     def test_transfers_ignored(self):
         light = make_chain_graph([500.0, 500.0], edge_data=0.0)
