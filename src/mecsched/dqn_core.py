@@ -30,20 +30,18 @@ equals, bit for bit, the row that a batch of one gives, so ``act`` picks
 what the batch pass would pick.
 
 The target network is constant between syncs, so ``DqnLearner`` keeps one
-target value per replay slot and one count, ``_stale``: the newest
-``_stale`` slots hold no current value. Each write adds one, and a target
-sync makes every slot stale. When a step samples a stale slot, every stale
-slot goes through ``compute_targets``, in ring order and in passes of
-exactly ``batch`` rows, and the count drops to 0; the step gathers its
-targets from the stored values. At a fixed pass size that is a multiple of
-4, a row's output does not depend on the rows that share its pass or on
-its position, so the stored values are the bits a per-step pass gives.
-Two rules keep them: ``batch`` is a multiple of 4, and the pool holds at
-most ``batch * target_sync_steps`` transitions, a cost rule: refreshing N
-slots costs N / ``batch`` passes, against ``target_sync_steps`` passes per
-sync period when each step runs its own pass, as it does otherwise. (Near
-that bound and with a short sync period, the refreshes of the newest slots
-between syncs tip the balance the other way.)
+target value per replay slot and a count, ``_stale``, of the newest slots
+that hold none: each write adds one, and a target sync makes every slot
+stale. A step that samples a stale slot first sends the stale slots it
+sampled and the oldest stale ones, in ring order, through at most
+``REFRESH_PASSES`` ``compute_targets`` passes of exactly ``batch`` rows
+(one when the next sync is nearer than twice that many steps), and takes
+the oldest ones off the count. At a pass size that is a multiple of 4, a
+row's output does not depend on the rows that share its pass or on its
+position, so the stored values are the bits a per-step pass gives. Two
+rules keep them, else each step runs its own pass: ``batch`` is a multiple
+of 4, and the pool holds at most ``batch * target_sync_steps`` transitions,
+so refreshing it costs no more passes than a sync period has steps.
 """
 
 from __future__ import annotations
@@ -82,6 +80,9 @@ ADVANTAGE_SCALE = 0.1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# the most target passes a training step runs to refresh stored values
+REFRESH_PASSES = 4
 
 
 class DivergenceError(RuntimeError):
@@ -475,11 +476,10 @@ class DqnLearner:
     rows. The constructor's ``n_actions`` is ``n_devices + 1``, a count
     kept for its callers; only ``n_devices`` is stored.
 
-    ``observe`` takes its targets from the per-slot values the module notes
-    describe when ``batch`` is a multiple of 4 and the pool holds at most
-    ``batch * target_sync_steps`` transitions, and from a pass of its own
-    otherwise. Each ``observe`` write adds its slot to the newest stale
-    ones, and ``act``'s sync makes every slot stale.
+    ``observe`` takes its targets from the per-slot values and the count of
+    stale slots the module notes describe when ``batch`` is a multiple of 4
+    and the pool holds at most ``batch * target_sync_steps`` transitions,
+    and from a pass of its own otherwise.
     """
 
     def __init__(self, config: TrainConfig, n_actions: int,
@@ -498,9 +498,8 @@ class DqnLearner:
         self.rng_explore = rng_explore
         self.decision_steps = 0
         self.last_loss: float | None = None
-        # per-slot target values, kept for at most _slots slots (0: none) and
-        # allocated by the first step that uses them; the _stale newest slots
-        # hold none that is current
+        # per-slot target values for at most _slots slots (0: none), allocated
+        # by the first step that uses them; the _stale newest are not current
         self._slots = (min(config.buffer_capacity, config.batch * config.target_sync_steps)
                        if config.batch % 4 == 0 else 0)
         self._values = None
@@ -549,25 +548,30 @@ class DqnLearner:
             self.last_loss = train_step(self.net, states, actions, targets, self.opt)
 
     def _stored_targets(self, idx: np.ndarray) -> np.ndarray:
-        """The target values of slots ``idx``, after refreshing every stale
-        slot if any of ``idx`` is stale."""
+        """The target values of slots ``idx``, after a refresh of the stale
+        ones among them and of the oldest stale slots, if any is stale."""
         buf, batch = self.buffer, self.config.batch
         size = len(buf)
         stale = min(self._stale, size)
         if self._values is None:
             self._values = np.zeros(self._slots)
-            self._pass = (np.zeros(batch), np.zeros((batch, buf.states.shape[1])))
-        if ((buf.cursor - 1 - idx) % size < stale).any():
-            rewards, next_states = self._pass  # rows past a short last pass: the previous one's
-            slots = (buf.cursor + np.arange(-stale, 0)) % size
-            for lo in range(0, stale, batch):
-                rows = slots[lo:lo + batch]
-                n = rows.size
-                rewards[:n] = buf.rewards[rows]
-                next_states[:n] = buf.next_states[rows]
-                self._values[rows] = compute_targets(rewards, next_states, self.target_net,
-                                                     self.config.gamma)[:n]
-            self._stale = 0
+        depth = stale - 1 - (buf.cursor - 1 - idx) % size  # 0: the oldest stale slot
+        hits = np.sort(depth[depth >= 0])
+        if hits.size:
+            sync = self.config.target_sync_steps
+            passes = min(-(-stale // batch), REFRESH_PASSES)
+            if 2 * passes > sync - self.decision_steps % sync:
+                passes = 1  # too near the next sync for more to pay off
+            # the oldest `run` stale slots, the sampled ones among them counted
+            # once, fill the passes; the sampled ones past them come too
+            free = passes * batch - hits.size
+            run = min(stale, free + int(np.count_nonzero(hits - np.arange(hits.size) <= free)))
+            rows = (buf.cursor - stale + np.concatenate((np.arange(run), hits[hits >= run]))) % size
+            rows = np.resize(rows, -(-rows.size // batch) * batch)  # a short last pass repeats rows
+            for part in rows.reshape(-1, batch):
+                self._values[part] = compute_targets(buf.rewards[part], buf.next_states[part],
+                                                     self.target_net, self.config.gamma)
+            self._stale = stale - run
         return self._values[idx]
 
 

@@ -134,9 +134,8 @@ def generate(spec: WorkloadSpec, rng: np.random.Generator) -> list[TaskGraph]:
                          tuple(Edge(s, d, 0.0) for s, d in endpoints))
     try:
         template.topological_order()
-    except ValueError as err:  # "app 0: <fault>": the template's id says nothing
-        raise ValueError(f"graph shape {spec.graph_shape!r}: "
-                         f"{str(err).removeprefix('app 0: ')}") from None
+    except ValueError as err:
+        raise ValueError(f"graph shape {spec.graph_shape!r}: {err}") from None
 
     graphs: list[TaskGraph] = []
     clock = 0.0
