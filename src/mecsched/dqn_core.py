@@ -555,20 +555,21 @@ class DqnLearner:
         stale = min(self._stale, size)
         if self._values is None:
             self._values = np.zeros(self._slots)
-        depth = stale - 1 - (buf.cursor - 1 - idx) % size  # 0: the oldest stale slot
-        hits = np.sort(depth[depth >= 0])
-        if hits.size:
+        age = (buf.cursor - 1 - idx) % size  # 0: the newest slot
+        if age.min() < stale:
+            hits = np.sort(stale - 1 - age[age < stale])  # 0: the oldest stale slot
             sync = self.config.target_sync_steps
             passes = min(-(-stale // batch), REFRESH_PASSES)
             if 2 * passes > sync - self.decision_steps % sync:
                 passes = 1  # too near the next sync for more to pay off
             # the oldest `run` stale slots, the sampled ones among them counted
-            # once, fill the passes; the sampled ones past them come too
+            # once, fill the passes; the sampled ones past them come too, and a
+            # short last pass repeats rows
             free = passes * batch - hits.size
             run = min(stale, free + int(np.count_nonzero(hits - np.arange(hits.size) <= free)))
-            rows = (buf.cursor - stale + np.concatenate((np.arange(run), hits[hits >= run]))) % size
-            rows = np.resize(rows, -(-rows.size // batch) * batch)  # a short last pass repeats rows
-            for part in rows.reshape(-1, batch):
+            depths = np.concatenate((np.arange(run), hits[hits >= run]))
+            depths = depths[np.arange(-(-depths.size // batch) * batch) % depths.size]
+            for part in ((buf.cursor - stale + depths) % size).reshape(-1, batch):
                 self._values[part] = compute_targets(buf.rewards[part], buf.next_states[part],
                                                      self.target_net, self.config.gamma)
             self._stale = stale - run
