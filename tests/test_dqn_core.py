@@ -559,8 +559,9 @@ class TestStoredTargets:
         q_second, _ = net.forward_batch(second)
         assert np.array_equal(q_first[i], q_second[j])
 
-    # target passes in each case's 300 steps, as recorded; a refresh may run
-    # several, but no step more than REFRESH_PASSES
+    # target passes in each case's 300 steps, as recorded (they follow the
+    # replay draws: re-record them under a new numpy, as test_golden_training's
+    # digests); a refresh may run several, but no step more than REFRESH_PASSES
     PASSES = {(8, 30, 6): 280, (8, 60, 5): 282, (64, 200, 3): 173, (6, 30, 5): 290,
               (8, 400, 50): 167}
 
