@@ -77,8 +77,7 @@ class HeftStyleScheduler(GreedyEftScheduler):
 
     def __init__(self, topo: NetworkTopology, capability_levels) -> None:
         self.mean_capability = float(np.mean(capability_levels))
-        off = ~np.eye(topo.n_devices, dtype=bool)
-        rates = list(topo.inter_ecd_rate[off]) + [topo.uplink_rate]
+        rates = list(topo.link_rates) + [topo.uplink_rate]
         self.mean_rate = float(np.mean(rates))
         # app id -> (the graph ranked, its ranks by task id)
         self._ranks: dict[int, tuple[TaskGraph, dict[int, float]]] = {}

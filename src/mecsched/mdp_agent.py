@@ -156,12 +156,12 @@ def compute_reward(
 class DqnScheduler(SchedulerPort):
     """Event-driven decision layer bridging the simulator to a Q-learner.
 
-    Implements the scheduler port: ``decide`` reads the observation (the
-    only scheduler that does), hands the previous step's reward to the
-    learner, and asks it for a Q column 0..M-1, returning its device id,
-    the column plus one; ``notify_outcome`` stashes the freshly computed
-    reward; ``end_episode`` flushes the final transition against the
-    post-episode observation. A learner of another fleet size is refused.
+    Keeps the last decision's (state, action) and the last reward reported
+    to ``notify_outcome``. ``decide`` reads the observation (the only
+    scheduler that does) and, when training, first hands the learner the
+    transition it completes, then asks for a Q column 0..M-1, returning its
+    device id, the column plus one; ``end_episode`` completes the last
+    transition. A learner of another fleet size is refused.
     """
 
     def __init__(self, learner, n_devices: int, norms: StateNorms | None = None,
@@ -173,34 +173,21 @@ class DqnScheduler(SchedulerPort):
         self.norms = norms if norms is not None else StateNorms()
         self.training = training
         self._pending: tuple[np.ndarray, int] | None = None
-        self._pending_reward: float | None = None
-
-    # -- scheduler port -----------------------------------------------------
+        self._reward = 0.0
 
     def decide(self, ctx) -> int:
         state = normalize_state(ctx.observation, self.norms)
-        self._absorb(state)
+        if self.training and self._pending is not None:
+            self.learner.observe(*self._pending, self._reward, state)
         action = self.learner.act(state, greedy=not self.training)
         self._pending = (state, action)
         return action + 1
 
     def notify_outcome(self, reward: float) -> None:
-        self._pending_reward = reward
+        self._reward = reward
 
     def end_episode(self, observation: StateVector) -> None:
-        self._absorb(normalize_state(observation, self.norms))
+        if self.training and self._pending is not None:
+            self.learner.observe(*self._pending, self._reward,
+                                 normalize_state(observation, self.norms))
         self._pending = None
-        self._pending_reward = None
-
-    # -- internals ----------------------------------------------------------
-
-    def _absorb(self, next_state: np.ndarray) -> None:
-        """Complete the previous step's transition, if any, and learn."""
-        if self._pending is None or self._pending_reward is None:
-            return
-        if not self.training:
-            self._pending_reward = None
-            return
-        state, action = self._pending
-        self.learner.observe(state, action, self._pending_reward, next_state)
-        self._pending_reward = None

@@ -195,14 +195,20 @@ class NetworkTopology:
         matrix = np.array(self.inter_ecd_rate, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("inter_ecd_rate must be square")
-        off = ~np.eye(matrix.shape[0], dtype=bool)
-        rates = matrix[off]
+        matrix.setflags(write=False)
+        object.__setattr__(self, "inter_ecd_rate", matrix)
+        rates = self.link_rates
         if not ((rates > 0) & (rates < math.inf)).all():
             raise ValueError("all inter-device rates must be positive and finite")
         if not 0.0 < self.uplink_rate < math.inf:
             raise ValueError("uplink rate must be positive and finite")
-        matrix.setflags(write=False)
-        object.__setattr__(self, "inter_ecd_rate", matrix)
+
+    @cached_property
+    def link_rates(self) -> np.ndarray:
+        """The matrix without its diagonal: each pair m != m', row by row."""
+        rates = self.inter_ecd_rate[~np.eye(self.n_devices, dtype=bool)]
+        rates.setflags(write=False)
+        return rates
 
     @cached_property
     def _rates(self) -> tuple[tuple[float, ...], ...]:
@@ -216,8 +222,7 @@ class NetworkTopology:
     def sum_rate(self) -> float:
         """Sum over ordered pairs m != m' of the full mesh (read on every
         decision, so computed once)."""
-        off = ~np.eye(self.n_devices, dtype=bool)
-        return float(self.inter_ecd_rate[off].sum())
+        return float(self.link_rates.sum())
 
     @cached_property
     def max_rate(self) -> float:
@@ -225,8 +230,7 @@ class NetworkTopology:
         prepared app, so computed once)."""
         if self.n_devices < 2:
             return float(self.uplink_rate)
-        off = ~np.eye(self.n_devices, dtype=bool)
-        return float(max(self.inter_ecd_rate[off].max(), self.uplink_rate))
+        return float(max(self.link_rates.max(), self.uplink_rate))
 
 
 @dataclass(slots=True)
@@ -243,11 +247,7 @@ class Assignment:
             raise ValueError("finish before start")
 
 
-def execution_time(task: Task, device: EdgeDevice | None) -> float:
-    if task.workload == 0:
-        return 0.0
-    if device is None:
-        raise ValueError("real task requires a device")
+def execution_time(task: Task, device: EdgeDevice) -> float:
     return task.workload / device.capability
 
 

@@ -5,7 +5,8 @@ An event completes a task of one application only, so only that
 application's priority list can gain ready tasks (all parents completed).
 Readiness is counted, not scanned: each application keeps, by task id, the
 parents not yet completed, which every event lowers for its task's
-children, and the sink is placed by the commit of its last parent. The
+children. The sink follows the same rule: it is placed when its count
+reaches 0, and completes once every parent's output has reached the user. The
 kernel pops the ready prefix, the graph's own ``Task``s in ascending order
 of the prepared graph's ``lct`` column, lets the pluggable scheduler reorder
 it (``order_ready``), and walks it asking the scheduler for a target device
@@ -241,8 +242,6 @@ def run(
                         [len(g.parents_of(i)) for i in range(len(g.tasks))],
                         [None] * len(g.tasks))
              for g in apps}
-    # per application: the sink's parents not yet placed
-    sink_waits = {g.app_id: len(g.parents_of(g.sink_id)) for g in apps}
     trace = SimulationTrace()
     valid_actions = ids
 
@@ -313,22 +312,12 @@ def run(
     while heap:
         now, _, kind, app_id, task_id, ecd_id = heapq.heappop(heap)
         graph, pending, waiting, placed = books[app_id]
-        for child in graph.children_of(task_id):
-            waiting[child] -= 1
-
         if kind == ARRIVAL:
             trace.assignments[(app_id, 0)] = Assignment(MU_DEVICE, now, now)
             placed[0] = (MU_DEVICE, now)
             if record_rows:
                 trace.rows.append((now, ARRIVAL, app_id, 0, 0, now, now,
                                    None, None, None, None, None, None, None, None))
-            # the source counts as placed, so an app without real tasks
-            # places its sink here, as does a sink without parents
-            sink = graph.sink_id
-            if sink in graph.children_of(0):
-                sink_waits[app_id] -= 1
-            if not sink_waits[app_id] and sink:
-                place_sink()
         else:
             level = None
             if ecd_id != MU_DEVICE:
@@ -344,6 +333,14 @@ def run(
                 trace.rows.append((now, COMPLETION, app_id, task_id, ecd_id,
                                    a.start, a.finish,
                                    None, None, None, None, None, None, None, level))
+
+        # the sink is ready by the rule every task follows, once its last
+        # parent completes; the source completes at its arrival, placed above
+        sink = graph.sink_id
+        for child in graph.children_of(task_id):
+            waiting[child] -= 1
+            if child == sink and not waiting[sink]:
+                place_sink()
 
         # only this event's application can have gained ready tasks
         ready = collect_ready(pending, waiting, graph)
@@ -391,10 +388,6 @@ def run(
                                    obs.sum_inter_rate, obs.uplink_rate,
                                    obs.sum_capability, obs.ready_workload,
                                    obs.queued_workload, action, reward, None))
-            if graph.sink_id in graph.children_of(task.task_id):
-                sink_waits[app_id] -= 1
-                if not sink_waits[app_id]:
-                    place_sink()
 
     unfinished = [g.app_id for g in apps if g.app_id not in trace.app_makespans]
     if unfinished:

@@ -44,7 +44,7 @@ class TestExecutionTime:
         assert execution_time(Task(1, 500.0), device(5000.0)) == pytest.approx(0.1)
 
     def test_dummy_is_free(self):
-        assert execution_time(Task(0, 0.0), None) == 0.0
+        assert execution_time(Task(0, 0.0), device(5000.0)) == 0.0
 
     def test_hand_value(self):
         assert execution_time(Task(1, 100.0), device(4000.0)) == pytest.approx(0.025)
