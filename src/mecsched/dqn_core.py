@@ -41,14 +41,15 @@ row's output does not depend on the rows that share its pass or on its
 position, so the stored values are the bits a per-step pass gives. Two
 rules keep them, else each step runs its own pass: ``batch`` is a multiple
 of 4, and the pool holds at most ``batch * target_sync_steps`` transitions,
-so refreshing it costs no more passes than a sync period has steps.
+which bounds one refresh of the pool by a sync period's steps but not the
+total: some shapes run more passes than a pass per step.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -436,6 +437,7 @@ class TrainConfig:
     hidden_activation: str = "relu"  # the only one; INI files and checkpoints name it
 
     def __post_init__(self) -> None:
+        self.hidden_sizes = tuple(self.hidden_sizes)  # a checkpoint's JSON holds a list
         for name in ("gamma", "epsilon_start", "epsilon_end"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
@@ -476,10 +478,8 @@ class DqnLearner:
     rows. The constructor's ``n_actions`` is ``n_devices + 1``, a count
     kept for its callers; only ``n_devices`` is stored.
 
-    ``observe`` takes its targets from the per-slot values and the count of
-    stale slots the module notes describe when ``batch`` is a multiple of 4
-    and the pool holds at most ``batch * target_sync_steps`` transitions,
-    and from a pass of its own otherwise.
+    ``observe`` takes its targets from the per-slot values of the module
+    notes while their two rules hold, and from a pass of its own otherwise.
     """
 
     def __init__(self, config: TrainConfig, n_actions: int,
@@ -617,34 +617,42 @@ def save_checkpoint(learner: DqnLearner, path) -> None:
 def load_checkpoint(path) -> DqnLearner:
     """Rebuild a saved learner: its parameters, Adam state, step counters
     and random cursors. The recorded ``n_devices`` sets the state layout,
-    and the kind must be ``device-scoring``; other kinds and checkpoint
-    versions (up to 3, Q rows held a run-locally column) are refused, and
-    so is any saved array holding a NaN or an infinity. The replay pool is
-    not saved, so training resumed refills it from empty."""
+    and the kind must be ``device-scoring``. A ValueError naming the file
+    refuses other kinds and checkpoint versions (up to 3, Q rows held a
+    run-locally column), a missing member or metadata key, a config key
+    ``TrainConfig`` does not know and an array holding a NaN or an infinity.
+    The replay pool is not saved, so training resumed refills it from empty."""
+    def need(mapping, key: str, what: str):
+        if key not in mapping:
+            raise ValueError(f"{path}: checkpoint has no {what} {key!r}")
+        return mapping[key]
+
     with np.load(path) as data:
-        meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
+        meta = json.loads(bytes(need(data, "meta_json", "member")).decode("utf-8"))
+        version = need(meta, "version", "metadata key")
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
         kind = meta.get("network")
         if kind != DeviceScoringNetwork.kind:
-            raise ValueError(f"unsupported checkpoint network kind {kind!r}")
-        cfg_dict = dict(meta["config"])
-        cfg_dict["hidden_sizes"] = tuple(cfg_dict["hidden_sizes"])
-        config = TrainConfig(**cfg_dict)
+            raise ValueError(f"{path}: unsupported checkpoint network kind {kind!r}")
+        cfg_dict = dict(need(meta, "config", "metadata key"))
+        unknown = sorted(cfg_dict.keys() - {f.name for f in fields(TrainConfig)})
+        if unknown:
+            raise ValueError(f"{path}: checkpoint config has unknown keys {unknown}")
         learner = DqnLearner(
-            config,
-            meta["n_devices"] + 1,
+            TrainConfig(**cfg_dict),
+            need(meta, "n_devices", "metadata key") + 1,
             rng_init=np.random.default_rng(0),
-            rng_explore=_rng_from_state(meta["rng_explore"]),
-            rng_replay=_rng_from_state(meta["rng_replay"]),
+            rng_explore=_rng_from_state(need(meta, "rng_explore", "metadata key")),
+            rng_replay=_rng_from_state(need(meta, "rng_replay", "metadata key")),
         )
         for name, p in _checkpoint_arrays(learner).items():
-            saved = data[name]
+            saved = need(data, name, "member")
             if saved.shape != p.shape:
-                raise ValueError("checkpoint architecture mismatch")
+                raise ValueError(f"{path}: checkpoint architecture mismatch")
             if not np.isfinite(saved).all():
-                raise ValueError(f"checkpoint {name} holds non-finite values")
+                raise ValueError(f"{path}: checkpoint {name} holds non-finite values")
             np.copyto(p, saved)
-        learner.decision_steps = int(meta["decision_steps"])
-        learner.opt.step_count = int(meta["adam_step_count"])
+        learner.decision_steps = int(need(meta, "decision_steps", "metadata key"))
+        learner.opt.step_count = int(need(meta, "adam_step_count", "metadata key"))
     return learner

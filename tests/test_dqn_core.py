@@ -1,4 +1,5 @@
 import json
+import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,11 +95,6 @@ class TestForward:
                 net.forward_batch(xs)
 
 
-def all_kinds(seed=60):
-    """Every network kind, over a 3-device observation: the learner's one."""
-    return {DeviceScoringNetwork.kind: scoring_net(seed=seed)}
-
-
 def assert_single_rows_match_batch(net, r, n=200):
     """``forward(x)`` equals the row of a batch of one, bit for bit, on
     random states at scales 1e-2 to 1e2."""
@@ -111,9 +107,8 @@ class TestSingleStatePass:
     """``forward`` runs its own single-state pass; its Q row is the one a
     batch of one gives, before training, after it, and after a checkpoint."""
 
-    @pytest.mark.parametrize("kind", ["device-scoring"])
-    def test_equals_a_batch_of_one_before_and_after_training(self, kind):
-        net = all_kinds()[kind]
+    def test_equals_a_batch_of_one_before_and_after_training(self):
+        net = scoring_net()
         r = rng(67)
         assert_single_rows_match_batch(net, r)
         target = net.clone()
@@ -143,9 +138,8 @@ class TestFlatParameters:
     """Parameters, gradients and work buffers are shared storage; what a
     caller is handed must not change behind its back."""
 
-    @pytest.mark.parametrize("kind", ["device-scoring"])
-    def test_successive_results_are_independent(self, kind):
-        net = all_kinds()[kind]
+    def test_successive_results_are_independent(self):
+        net = scoring_net()
         r = rng(61)
         for batch in (1, 5):
             xs = r.normal(size=(2, batch, state_width(3)))
@@ -159,9 +153,8 @@ class TestFlatParameters:
         net.forward(xs[1][0])
         assert np.array_equal(single, kept)
 
-    @pytest.mark.parametrize("kind", ["device-scoring"])
-    def test_parameters_are_views_into_one_vector(self, kind):
-        net = all_kinds()[kind]
+    def test_parameters_are_views_into_one_vector(self):
+        net = scoring_net()
         params = net.parameters()
         assert sum(p.size for p in params) == net.flat.size
         assert all(np.shares_memory(p, net.flat) for p in params)
@@ -175,9 +168,8 @@ class TestFlatParameters:
         assert [g.shape for g in grads] == [p.shape for p in params]
         assert all(np.shares_memory(g, net.grad) for g in grads)
 
-    @pytest.mark.parametrize("kind", ["device-scoring"])
-    def test_training_leaves_a_synced_target_alone(self, kind):
-        net = all_kinds()[kind]
+    def test_training_leaves_a_synced_target_alone(self):
+        net = scoring_net()
         target = net.clone()
         assert not np.shares_memory(net.flat, target.flat)
         opt = AdamState(net.parameters(), TrainConfig().learning_rate)
@@ -780,10 +772,9 @@ class TestCheckpointNetworkKinds:
             learner.observe(s, learner.act(s), float(r.normal()), s2)
         return learner
 
-    @pytest.mark.parametrize("kind", ["device-scoring"])
-    def test_round_trip(self, tmp_path, kind):
+    def test_round_trip(self, tmp_path):
         learner = self.trained()
-        assert learner.net.kind == kind
+        assert learner.net.kind == "device-scoring"
         path = tmp_path / "agent.npz"
         save_checkpoint(learner, path)
         loaded = load_checkpoint(path)
@@ -801,14 +792,34 @@ class TestCheckpointNetworkKinds:
         save_checkpoint(loaded, again)
         assert path.read_bytes() == again.read_bytes()
 
-    def rewrite_meta(self, path, edit):
+    def rewrite_meta(self, path, edit, drop=()):
+        """Edit the saved metadata in place, then delete the ``drop`` members."""
         with np.load(path) as data:
             arrays = dict(data)
         meta = json.loads(bytes(arrays["meta_json"]).decode("utf-8"))
         edit(meta)
         arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
                                             dtype=np.uint8)
+        for name in drop:
+            del arrays[name]
         np.savez(path, **arrays)
+
+    @pytest.mark.parametrize("edit, drop, message", [
+        (lambda meta: None, ("meta_json",), "has no member 'meta_json'"),
+        (lambda meta: None, ("adam_v",), "has no member 'adam_v'"),
+        (lambda meta: meta.pop("version"), (), "has no metadata key 'version'"),
+        (lambda meta: meta.pop("decision_steps"), (), "has no metadata key 'decision_steps'"),
+        (lambda meta: meta["config"].update(momentum=0.9), (),
+         r"config has unknown keys \['momentum'\]"),
+    ], ids=["meta_json", "adam_v", "version", "decision_steps", "momentum"])
+    def test_foreign_archive_refused_naming_file_and_member(self, tmp_path, edit, drop,
+                                                            message):
+        """A refusal a command line can print, not a KeyError or TypeError."""
+        path = tmp_path / "agent.npz"
+        save_checkpoint(self.trained(), path)
+        self.rewrite_meta(path, edit, drop)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint {message}$"):
+            load_checkpoint(path)
 
     def test_checkpoint_without_kind_refused(self, tmp_path):
         path = tmp_path / "agent.npz"

@@ -437,6 +437,15 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_foreign_checkpoint_is_reported_not_raised(self, tmp_path, capsys):
+        foreign = tmp_path / "foreign.npz"
+        np.savez(foreign, weights=np.zeros(3))
+        code = main(["evaluate", "--config", str(REPO_ROOT / "sample-config.ini"), "--checkpoint",
+                     str(foreign), "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {foreign}: checkpoint has no "
+                                           f"member 'meta_json'\n")
+
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg_path = tmp_path / "exp.ini"
         cfg_path.write_text(
