@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ctypes
 import math
 import os
+import platform
 import struct
 
 # One BLAS thread unless the caller chose a count, set before numpy is first
@@ -11,6 +13,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from dataclasses import replace  # noqa: E402
+from pathlib import Path  # noqa: E402
 from typing import Sequence  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -20,6 +23,28 @@ from mecsched.experiment import ExperimentConfig, TopologyConfig, build_topology
 from mecsched.mdp_agent import StateNorms, StateVector
 from mecsched.task_graph import Edge, Task, TaskGraph, compute_lct
 from mecsched.workload import critical_path_seconds
+
+
+def blas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS picked for this CPU at run time,
+    or ``unknown`` when that library or its query symbol is missing. Matrix
+    products round in each kernel's own order, so digests of trained weights
+    hold under one kernel."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                      .glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def versions() -> str:
+    """What the recorded digests depend on, as the golden tests report it."""
+    return (f"numpy {np.__version__}, Python {platform.python_version()}, "
+            f"OpenBLAS kernel {blas_kernel()}")
 
 
 @pytest.fixture

@@ -13,10 +13,8 @@ version.
 """
 
 import hashlib
-import platform
 
-import numpy as np
-
+from conftest import versions
 from mecsched import rng as rngmod
 from mecsched.baselines import GreedyEftScheduler, HeftStyleScheduler, RandomScheduler
 from mecsched.dqn_core import DqnLearner
@@ -33,7 +31,7 @@ from mecsched.sim_engine import run
 from mecsched.task_graph import load_workload_file, save_workload_file
 from mecsched.workload import WorkloadSpec, generate
 
-RECORDED_UNDER = "numpy 2.4.6, Python 3.11.7"
+RECORDED_UNDER = "numpy 2.4.6, Python 3.11.7, OpenBLAS kernel SkylakeX"
 MASTER_SEED = 601
 REPLICATIONS = 2
 
@@ -98,6 +96,5 @@ def test_outputs_match_recorded_digests(tmp_path):
     changed = sorted(k for k in GOLDEN if digests.get(k) != GOLDEN[k])
     assert not changed, (
         f"outputs changed: {changed}; digests were recorded under "
-        f"{RECORDED_UNDER}, this run uses numpy {np.__version__}, "
-        f"Python {platform.python_version()}"
+        f"{RECORDED_UNDER}, this run uses {versions()}"
     )

@@ -7,28 +7,28 @@ two moment vectors and the last loss. Any change to the network's
 arithmetic, the optimizer, replay sampling, exploration draws or target
 syncing shows up here, down to the last bit of a float.
 
-The digests depend on numpy's random streams and on the BLAS's rounding; if
-they change with a numpy or Python upgrade alone, re-record them under the
-new versions. The same holds for the recorded count of target passes, which
+The digests depend on numpy's random streams and on the BLAS's rounding,
+which differs between the OpenBLAS kernels picked per CPU; if they change
+with a numpy or Python upgrade or another kernel alone, re-record them
+under the new versions. The same holds for the recorded count of target passes, which
 follows the replay draws.
 """
 
 import hashlib
 import os
-import platform
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from conftest import versions
 from mecsched import dqn_core
 from mecsched.dqn_core import TrainConfig
 from mecsched.experiment import ExperimentConfig, train_agent
 from mecsched.workload import WorkloadSpec
 
-RECORDED_UNDER = "numpy 2.4.6, Python 3.11.7"
+RECORDED_UNDER = "numpy 2.4.6, Python 3.11.7, OpenBLAS kernel SkylakeX"
 
 GOLDEN = {
     "device-scoring": "eeb8b0fe9f570538417e6fc2c66b7037516b901bf4e5f51d46cbbd13ef770655",
@@ -66,10 +66,6 @@ def run_digest(learner, curve) -> str:
     h.update(learner.opt.v.tobytes())
     h.update(repr(learner.last_loss).encode())
     return h.hexdigest()
-
-
-def versions() -> str:
-    return f"numpy {np.__version__}, Python {platform.python_version()}"
 
 
 @pytest.mark.parametrize("kind", list(GOLDEN))
